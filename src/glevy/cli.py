@@ -117,8 +117,6 @@ from .simulate import (
 )
 from .uncertainty import InverseSquareTail, transport_map, uncertainty_set_from_config, validate
 
-_STOCHASTIC = {"capacity", "erlang-bound"}
-
 
 def _fail(msg: str) -> "ConfigError":
     return ConfigError(msg)

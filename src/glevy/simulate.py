@@ -11,13 +11,13 @@ seed can only increase it, because scenarios depend on the uncertainty set
 and the seed alone.
 
 Jump randomness uses a single base jump process for all measures in the set.
-Atoms of each measure are ranked by decreasing modulus and laid out on a mass
-axis; the union of all cut points defines base segments, and a segment maps
-under measure v to the atom of v whose mass interval contains it (segments
-beyond the total mass of v produce no jump). Scenario jumps carry a uniform
-mass coordinate, so relabeling a scenario to any measure of the set is exact:
-the pushforward of the base onto v recovers v atom by atom. This mirrors the
-nested-shell transport of :mod:`glevy.uncertainty` in discrete form.
+Each measure is laid out on a mass axis by :func:`glevy.uncertainty.mass_layout`,
+the layout that also cuts the nested transport shells; the union of all cut
+points defines base segments, and a segment maps under measure v to the atom
+of v whose mass interval contains it (segments beyond the total mass of v
+produce no jump). Scenario jumps carry a uniform mass coordinate, so
+relabeling a scenario to any measure of the set is exact: the pushforward of
+the base onto v recovers v atom by atom.
 
 Randomness is drawn from counter-based Philox streams keyed by (master seed,
 path index), jump draws before Brownian draws, reductions in fixed index
@@ -36,7 +36,7 @@ from scipy import stats
 from .errors import AssumptionError, InvalidInputError, PolicyError
 from .paths import CadlagPath
 from .regions import Region
-from .uncertainty import DiscreteLevyMeasure, UncertaintySet
+from .uncertainty import DiscreteLevyMeasure, UncertaintySet, mass_layout
 
 __all__ = [
     "BaseJumpModel",
@@ -57,13 +57,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # base jump model: one mass axis shared by every measure of the set
 # ---------------------------------------------------------------------------
-
-
-def _ranked(measure: DiscreteLevyMeasure) -> np.ndarray:
-    """Atom order used on the mass axis: decreasing modulus, ties by location."""
-    mags = np.linalg.norm(measure.atoms, axis=1)
-    keys = [measure.atoms[:, k] for k in range(measure.dim - 1, -1, -1)]
-    return np.lexsort(tuple(keys) + (-mags,))
 
 
 @dataclass(frozen=True)
@@ -88,21 +81,15 @@ class BaseJumpModel:
         if len(uset) == 0:
             raise InvalidInputError("uncertainty set is empty")
         d = uset.dim
-        layouts = []  # per triple: (cumulative bounds, ranked atoms)
-        cut_values = [0.0]
-        for t in uset:
-            order = _ranked(t.measure)
-            cum = np.concatenate([[0.0], np.cumsum(t.measure.weights[order])])
-            layouts.append((cum, t.measure.atoms[order]))
-            cut_values.extend(cum[1:].tolist())
-        cuts = np.unique(np.asarray(cut_values, dtype=float))
+        layouts = [mass_layout(t.measure) for t in uset]
+        cuts = np.unique(np.concatenate([[0.0]] + [cum[1:] for _, _, cum in layouts]))
         K = cuts.shape[0] - 1
         targets = np.zeros((len(uset), max(K, 0), d))
         active = np.zeros((len(uset), max(K, 0)), dtype=bool)
         locations = np.zeros((max(K, 0), d))
         loc_set = np.zeros(max(K, 0), dtype=bool)
         mids = 0.5 * (cuts[:-1] + cuts[1:]) if K else np.empty(0)
-        for j, (cum, atoms) in enumerate(layouts):
+        for j, (atoms, _, cum) in enumerate(layouts):
             if atoms.shape[0] == 0 or K == 0:
                 continue
             idx = np.searchsorted(cum, mids, side="right") - 1
@@ -119,15 +106,15 @@ class BaseJumpModel:
 
     def pushforward(self, triple_index: int) -> DiscreteLevyMeasure:
         """Measure realized by relabeling the base onto the given triple; exact."""
-        masses = np.diff(self.cuts)
-        act = self.active[triple_index]
-        if not act.any():
-            return DiscreteLevyMeasure.empty(self.locations.shape[1])
-        tgt = self.targets[triple_index][act]
-        w = masses[act]
-        uniq, inv = np.unique(tgt, axis=0, return_inverse=True)
+        return self.relabel(self.targets[triple_index], self.active[triple_index])
+
+    def relabel(self, targets: np.ndarray, active: np.ndarray) -> DiscreteLevyMeasure:
+        """Image of the base under segment targets (K, d); inactive segments do not jump."""
+        if not active.any():
+            return DiscreteLevyMeasure.empty(targets.shape[1])
+        uniq, inv = np.unique(targets[active], axis=0, return_inverse=True)
         weights = np.zeros(uniq.shape[0])
-        np.add.at(weights, inv, w)
+        np.add.at(weights, inv, np.diff(self.cuts)[active])
         return DiscreteLevyMeasure(uniq, weights)
 
 
@@ -156,13 +143,13 @@ def draw_scenario(
     *,
     with_brownian: bool = False,
     brownian_dt: float = 0.01,
-    dim: int = 1,
 ) -> BaseScenario:
     """Draw one scenario; jump randomness first, Brownian last.
 
     Keeping the draw order fixed means scenarios agree between runs that do
     and do not consume the Brownian block, which preserves determinism when a
-    candidate list changes its diffusion needs.
+    candidate list changes its diffusion needs. The Brownian increments have
+    the dimension of the model's marks, ``model.locations.shape[1]``.
     """
     if horizon <= 0.0:
         raise InvalidInputError("horizon must be positive")
@@ -175,7 +162,7 @@ def draw_scenario(
     if with_brownian:
         m = max(1, int(math.ceil(horizon / brownian_dt - 1e-12)))
         bt = np.linspace(0.0, horizon, m + 1)
-        bi = rng.normal(0.0, math.sqrt(horizon / m), size=(m, dim))
+        bi = rng.normal(0.0, math.sqrt(horizon / m), size=(m, model.locations.shape[1]))
     return BaseScenario(
         horizon=float(horizon),
         model=model,
@@ -279,15 +266,7 @@ def _compile_value(value, uset: UncertaintySet, model: BaseJumpModel) -> _Compil
             if hit.shape[0] and vals[hit[0]] != 0.0:
                 targets[s, 0] = vals[hit[0]]
                 active[s] = True
-        masses = np.diff(model.cuts)
-        if active.any():
-            tgt = targets[active]
-            uniq, inv = np.unique(tgt, axis=0, return_inverse=True)
-            weights = np.zeros(uniq.shape[0])
-            np.add.at(weights, inv, masses[active])
-            pushed = DiscreteLevyMeasure(uniq, weights)
-        else:
-            pushed = DiscreteLevyMeasure.empty(d)
+        pushed = model.relabel(targets, active)
         drift = np.atleast_1d(np.asarray(value.drift, dtype=float))
         cov = np.atleast_2d(np.asarray(value.cov_root, dtype=float))
         for t in uset:
@@ -322,55 +301,42 @@ def _build_path(scenario: BaseScenario, compiled: _CompiledPolicy, start: float,
     d = scenario.model.locations.shape[1]
     bp = compiled.breakpoints
 
-    # continuous part: exact piecewise-linear drift, plus Euler diffusion when present
+    # continuous part: exact piecewise-linear drift per cell, plus an Euler
+    # diffusion step when the policy diffuses; cells are the scenario's
+    # Brownian grid then, the policy's breakpoints otherwise
     if compiled.needs_brownian:
         if scenario.brownian_times is None:
             raise PolicyError("policy needs Brownian increments but the scenario has none")
-        bt = scenario.brownian_times
-        inc = scenario.brownian_increments
-        times = [0.0]
-        vals = [np.zeros(d)]
-        if start > 0.0:
-            times.append(start)
-            vals.append(np.zeros(d))
-        x = np.zeros(d)
-        for m in range(bt.shape[0] - 1):
-            t_lo, t_hi = float(bt[m]), float(bt[m + 1])
-            if t_hi <= start:
-                continue
-            t_lo = max(t_lo, start)
-            if t_lo >= horizon:
-                break
-            t_hi = min(t_hi, horizon)
-            v = compiled.values[min(int(np.searchsorted(bp, t_lo, side="right") - 1), len(compiled.values) - 1)]
-            dt_cell = t_hi - t_lo
+        edges = scenario.brownian_times.tolist()
+    else:
+        edges = [start] + [float(b) for b in bp if start < b < horizon] + [horizon]
+    times = [0.0]
+    vals = [np.zeros(d)]
+    if start > 0.0:
+        times.append(start)
+        vals.append(np.zeros(d))
+    x = np.zeros(d)
+    for m, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        if hi <= start:
+            continue
+        t_lo = max(lo, start)
+        if t_lo >= horizon:
+            break
+        t_hi = min(hi, horizon)
+        v = compiled.values[min(int(np.searchsorted(bp, t_lo, side="right") - 1), len(compiled.values) - 1)]
+        x = x + v.drift * (t_hi - t_lo)
+        if compiled.needs_brownian:
             # partial boundary cells reuse the cell's normal draw, rescaled to
             # the correct variance
-            scale = math.sqrt(dt_cell / (bt[m + 1] - bt[m]))
-            x = x + v.drift * dt_cell + (v.cov_root @ inc[m]) * scale
-            if times[-1] != t_hi:
-                times.append(t_hi)
-                vals.append(x)
-        if times[-1] != horizon:
-            times.append(horizon)
+            x = x + (v.cov_root @ scenario.brownian_increments[m]) * math.sqrt((t_hi - t_lo) / (hi - lo))
+        if times[-1] != t_hi:
+            times.append(t_hi)
             vals.append(x)
-        grid_times = np.array(times)
-        grid_values = np.vstack(vals)
-    else:
-        knots = [start] + [float(b) for b in bp if start < b < horizon] + [horizon]
-        times = [0.0]
-        vals = [np.zeros(d)]
-        if start > 0.0:
-            times.append(start)
-            vals.append(np.zeros(d))
-        x = np.zeros(d)
-        for lo, hi in zip(knots[:-1], knots[1:]):
-            v = compiled.values[min(int(np.searchsorted(bp, lo, side="right") - 1), len(compiled.values) - 1)]
-            x = x + v.drift * (hi - lo)
-            times.append(hi)
-            vals.append(x)
-        grid_times = np.array(times)
-        grid_values = np.vstack(vals)
+    if times[-1] != horizon:
+        times.append(horizon)
+        vals.append(x)
+    grid_times = np.array(times)
+    grid_values = np.vstack(vals)
 
     # jumps: relabel scenario marks through the active control value
     jt: list[float] = []
@@ -457,22 +423,28 @@ def estimate_upper_expectation(
     model = BaseJumpModel.from_uncertainty(uset)
     compiled = [_compile_policy(c, uset, model) for c in candidates]
     needs_brownian = any(c.needs_brownian for c in compiled)
-    dim = uset.dim
 
     sums = np.zeros(len(candidates))
-    sumsq = np.zeros(len(candidates))
+    # the variance uses sums of values shifted by each candidate's first value,
+    # so it does not cancel away when the payoff carries a large offset
+    shifts = np.zeros(len(candidates))
+    dev_sums = np.zeros(len(candidates))
+    dev_sumsq = np.zeros(len(candidates))
     for p in range(n_paths):
         rng = _path_stream(seed, p)
-        scenario = draw_scenario(
-            model, horizon, rng, with_brownian=needs_brownian, brownian_dt=brownian_dt, dim=dim
-        )
+        scenario = draw_scenario(model, horizon, rng, with_brownian=needs_brownian, brownian_dt=brownian_dt)
         for ci, comp in enumerate(compiled):
             val = float(xi(_build_path(scenario, comp, 0.0, horizon)))
+            if p == 0:
+                shifts[ci] = val
             sums[ci] += val
-            sumsq[ci] += val * val
+            dev = val - shifts[ci]
+            dev_sums[ci] += dev
+            dev_sumsq[ci] += dev * dev
     means = sums / n_paths
     winner = int(np.argmax(means))
-    var = max(sumsq[winner] / n_paths - means[winner] ** 2, 0.0) * n_paths / (n_paths - 1)
+    dev_mean = dev_sums[winner] / n_paths
+    var = max(dev_sumsq[winner] / n_paths - dev_mean**2, 0.0) * n_paths / (n_paths - 1)
     return EstimateResult(float(means[winner]), float(math.sqrt(var / n_paths)), winner)
 
 

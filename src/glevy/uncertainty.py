@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ __all__ = [
     "InverseSquareTail",
     "TransportMap",
     "Shell",
+    "mass_layout",
     "validate",
     "v_capacity",
     "sup_integral",
@@ -497,30 +498,39 @@ class TransportMap:
         )
 
 
+def mass_layout(v: DiscreteLevyMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one atom order used to realize v from a shared reference measure.
+
+    Returns ``(atoms, weights, cum)``: the (n, d) atoms ranked by decreasing
+    modulus, ties broken by location in lexicographic order, their weights,
+    and the (n+1,) cumulative masses [0, w1, w1 + w2, ...]; the k-th atom owns
+    the mass interval [cum[k], cum[k+1]). Transport shells and the Monte Carlo
+    base segments are both cut from this layout, so they relabel marks alike.
+    """
+    mags = np.linalg.norm(v.atoms, axis=1)
+    order = np.lexsort(tuple(v.atoms[:, k] for k in range(v.dim - 1, -1, -1)) + (-mags,))
+    weights = v.weights[order]
+    return v.atoms[order], weights, np.concatenate([[0.0], np.cumsum(weights)])
+
+
 def transport_map(v: DiscreteLevyMeasure, base: InverseSquareTail | None = None) -> TransportMap:
     """Build the nested-shell transport realizing v as an image of the base.
 
     Only one-dimensional targets are supported. A zero-mass (empty) target
     yields the constant-zero map. Distinct atoms may not share a location, so
-    the map is well defined; ties in modulus between a negative and positive
-    atom are broken by signed location for determinism.
+    the map is well defined; shells follow :func:`mass_layout`, which breaks
+    ties in modulus between a negative and positive atom by signed location.
     """
     if base is None:
         base = InverseSquareTail()
     if v.dim != 1:
         raise UnsupportedError("transport construction is implemented for d = 1 targets only")
-    if v.n_atoms == 0:
-        return TransportMap(base, ())
-
-    zs = v.atoms[:, 0]
-    order = np.lexsort((zs, -np.abs(zs)))
+    atoms, weights, cum = mass_layout(v)
     shells = []
     hi = math.inf
-    cum = 0.0
-    for i in order:
-        cum += float(v.weights[i])
-        lo = base.inverse_tail(cum)
-        shells.append(Shell(lo=lo, hi=hi, target=float(zs[i]), weight=float(v.weights[i])))
+    for z, w, c in zip(atoms[:, 0], weights, cum[1:]):
+        lo = base.inverse_tail(float(c))
+        shells.append(Shell(lo=lo, hi=hi, target=float(z), weight=float(w)))
         hi = lo
     return TransportMap(base, tuple(shells))
 

@@ -13,6 +13,7 @@ from glevy import (
     DiscreteLevyMeasure,
     ExplicitControl,
     InvalidInputError,
+    InverseSquareTail,
     LevyTriple,
     PolicyError,
     Region,
@@ -23,6 +24,7 @@ from glevy import (
     estimate_capacity,
     estimate_upper_expectation,
     simulate_path,
+    transport_map,
 )
 from conftest import location_family, mixture_family, point_mass_family
 
@@ -63,6 +65,21 @@ def test_pushforward_exact_random_families():
         model = BaseJumpModel.from_uncertainty(uset)
         for i, triple in enumerate(uset.triples):
             assert model.pushforward(i).same_as(triple.measure)
+
+
+def test_transport_and_base_model_share_the_layout():
+    # negative atoms and the modulus tie +-1 exercise the tie-break by location
+    rng = np.random.default_rng(31)
+    base = InverseSquareTail()
+    for _ in range(10):
+        n = int(rng.integers(1, 5))
+        zs = np.round(rng.uniform(0.2, 3.0, size=n), 1) * rng.choice([-1, 1], size=n)
+        zs = np.unique(np.concatenate([zs, [-1.0, 1.0]]))
+        m = DiscreteLevyMeasure(zs.reshape(-1, 1), rng.uniform(0.1, 1.5, size=zs.size))
+        model = BaseJumpModel.from_uncertainty(UncertaintySet.from_measures([m]))
+        shells = transport_map(m, base).shells
+        assert [sh.lo for sh in shells] == [base.inverse_tail(c) for c in model.cuts[1:]]
+        assert [sh.target for sh in shells] == model.targets[0, :, 0].tolist()
 
 
 def test_segments_partition_the_budget(mixtures):
@@ -190,6 +207,17 @@ def test_brownian_terminal_moments():
     assert abs(var - 1.0) <= 3.0 * math.sqrt(2.0 / n)
 
 
+def test_two_dimensional_diffusive_path():
+    measure = DiscreteLevyMeasure(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([0.5, 0.5]))
+    triple = LevyTriple(measure, drift=[0.1, -0.2], cov_root=np.array([[0.5, 0.0], [0.1, 0.3]]))
+    uset = UncertaintySet((triple,))
+    model = BaseJumpModel.from_uncertainty(uset)
+    sc = draw_scenario(model, 1.0, np.random.default_rng(3), with_brownian=True)
+    path = simulate_path(sc, ControlPolicy.constant(0, 0.0, 1.0), uset)
+    assert sc.brownian_increments.shape[1] == 2
+    assert path.value(1.0).shape == (2,)
+
+
 def test_drift_only_path_is_linear():
     triple = LevyTriple(DiscreteLevyMeasure.empty(), drift=0.5)
     uset = UncertaintySet((triple,))
@@ -251,6 +279,15 @@ def test_fixed_scenario_sublinearity(lam_12):
     assert scaled.value == pytest.approx(2.5 * base.value, abs=1e-12)
 
 
+def test_std_error_invariant_under_shift(lam_12):
+    pols = constant_policies(lam_12, 1.0)
+    xi = lambda p: p.scalar_value(1.0)
+    base = estimate_upper_expectation(xi, lam_12, pols, 500, 12, horizon=1.0)
+    shifted = estimate_upper_expectation(lambda p: xi(p) + 1e8, lam_12, pols, 500, 12, horizon=1.0)
+    assert base.std_error > 0.0
+    assert shifted.std_error == pytest.approx(base.std_error, rel=1e-6)
+
+
 def test_capacity_sure_event(lam_12):
     pols = constant_policies(lam_12, 1.0)
     est = estimate_capacity(lambda p: True, lam_12, pols, 200, 5, horizon=1.0)
@@ -266,7 +303,7 @@ def test_capacity_boundary_jump_event_is_null(mixtures):
         return bool(np.any(boundary.contains(p.jump_sizes)))
 
     est = estimate_capacity(event, mixtures, pols, 2000, 6, horizon=1.0)
-    assert est.value == 0.0
+    assert est.value == 0.0 and est.std_error == 0.0
 
 
 def test_capacity_at_least_one_jump(lam_12):
