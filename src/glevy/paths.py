@@ -280,36 +280,40 @@ def cadlag_modulus(path: CadlagPath, delta: float) -> ModulusPair:
     times, values = _skeleton(path)
     m = times.shape[0]
 
-    # w'': two-pointer window over the skeleton, brute force inside
+    # w'': the triples are (i, i + a, i + a + b) with a, b >= 1 and
+    # a + b <= span[i], the largest offset o with times[i + o] within delta of
+    # times[i]. For a fixed pair (i, i + a) the best third point is the
+    # farthest one, a running maximum over b of the band of distances
+    # dist[o - 1, i] = |x_{i+o} - x_i|; min and max are exact, so this is the
+    # value of the loop over all triples
+    span = np.searchsorted(times, times + delta, side="right") - 1 - np.arange(m)
+    width = int(span.max())
     w2 = 0.0
-    for i in range(m):
-        k_hi = int(np.searchsorted(times, times[i] + delta, side="right"))
-        for k in range(i + 2, k_hi):
-            for j in range(i + 1, k):
-                left = float(np.linalg.norm(values[j] - values[i]))
-                right = float(np.linalg.norm(values[k] - values[j]))
-                w2 = max(w2, min(left, right))
+    if width >= 2:
+        dist = np.zeros((width - 1, m))
+        for o in range(1, width):
+            dist[o - 1, : m - o] = np.linalg.norm(values[o:] - values[:-o], axis=1)
+        farthest = np.maximum.accumulate(dist, axis=0)
+        for a in range(1, width):
+            i = np.flatnonzero(span > a)
+            right = farthest[span[i] - a - 1, i + a]
+            w2 = max(w2, float(np.max(np.minimum(dist[a - 1, i], right))))
 
-    # w': dynamic program over event-time partition nodes, half-open cells
+    # w': dynamic program over event-time partition nodes, half-open cells;
+    # row r of the reversed running extrema is the range of values[j-1-r:j],
+    # the cell [times[j-1-r], times[j])
     INF = math.inf
     dp = np.full(m, INF)
     dp[0] = 0.0
     for j in range(1, m):
-        best = INF
-        hi = lo = None
-        for i in range(j - 1, -1, -1):
-            # oscillation of values[i:j] (cell [times[i], times[j]) )
-            vi = values[i]
-            if hi is None:
-                hi = vi.copy()
-                lo = vi.copy()
-            else:
-                np.maximum(hi, vi, out=hi)
-                np.minimum(lo, vi, out=lo)
-            if times[j] - times[i] > delta and dp[i] < INF:
-                osc = float(np.linalg.norm(hi - lo)) if path.dim > 1 else float(hi[0] - lo[0])
-                best = min(best, max(dp[i], osc))
-        dp[j] = best
+        cells = values[j - 1 :: -1]
+        hi = np.maximum.accumulate(cells, axis=0)
+        lo = np.minimum.accumulate(cells, axis=0)
+        osc = np.linalg.norm(hi - lo, axis=1) if path.dim > 1 else hi[:, 0] - lo[:, 0]
+        before = dp[j - 1 :: -1]
+        ok = (times[j] - times[j - 1 :: -1] > delta) & (before < INF)
+        if ok.any():
+            dp[j] = np.min(np.maximum(before[ok], osc[ok]))
     w1 = float(dp[m - 1])
     return ModulusPair(w_prime=w1, w_second=float(w2))
 

@@ -22,6 +22,13 @@ the base onto v recovers v atom by atom.
 Randomness is drawn from counter-based Philox streams keyed by (master seed,
 path index), jump draws before Brownian draws, reductions in fixed index
 order; repeated runs with identical inputs are bit-identical.
+
+The estimator draws the scenarios of a block of consecutive paths, one
+stream per path in path order as above, and relabels the whole block under
+each candidate at once: jumps of the block are stored flat with per-path
+offsets and the continuous parts of every path come from one cumulative sum.
+On each scenario, candidates that realize the identical path (equal grid,
+values, jump times and sizes) share one path object and one payoff call.
 """
 
 from __future__ import annotations
@@ -281,15 +288,27 @@ def _compile_value(value, uset: UncertaintySet, model: BaseJumpModel) -> _Compil
 
 
 class _CompiledPolicy(NamedTuple):
-    breakpoints: np.ndarray
-    values: tuple[_CompiledValue, ...]
+    """A policy's control values stacked into arrays, one row per interval."""
+
+    breakpoints: np.ndarray  # (V+1,)
+    targets: np.ndarray  # (V, K, d)
+    active: np.ndarray  # (V, K)
+    drift: np.ndarray  # (V, d)
+    cov_root: np.ndarray  # (V, d, d)
     needs_brownian: bool
 
 
 def _compile_policy(policy: ControlPolicy, uset: UncertaintySet, model: BaseJumpModel) -> _CompiledPolicy:
-    values = tuple(_compile_value(v, uset, model) for v in policy.values)
-    needs = any(np.any(v.cov_root != 0.0) for v in values)
-    return _CompiledPolicy(policy.breakpoints, values, needs)
+    values = [_compile_value(v, uset, model) for v in policy.values]
+    cov_root = np.stack([v.cov_root for v in values])
+    return _CompiledPolicy(
+        policy.breakpoints,
+        np.stack([v.targets for v in values]),
+        np.stack([v.active for v in values]),
+        np.stack([v.drift for v in values]),
+        cov_root,
+        bool(np.any(cov_root != 0.0)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -297,65 +316,109 @@ def _compile_policy(policy: ControlPolicy, uset: UncertaintySet, model: BaseJump
 # ---------------------------------------------------------------------------
 
 
-def _build_path(scenario: BaseScenario, compiled: _CompiledPolicy, start: float, horizon: float) -> CadlagPath:
-    d = scenario.model.locations.shape[1]
+class _Block(NamedTuple):
+    """Scenarios of consecutive paths, jumps stored flat (CSR by path)."""
+
+    offsets: np.ndarray  # (n+1,) start of each path's jumps in the flat arrays
+    jump_times: np.ndarray  # (J,)
+    jump_segments: np.ndarray  # (J,)
+    brownian_times: np.ndarray | None  # (M+1,) grid shared by every scenario
+    brownian_increments: np.ndarray | None  # (n, M, d)
+
+
+def _stack(scenarios: Sequence[BaseScenario]) -> _Block:
+    """Block of scenarios drawn on one horizon and one Brownian step."""
+    offsets = np.zeros(len(scenarios) + 1, dtype=np.intp)
+    np.cumsum([s.jump_times.shape[0] for s in scenarios], out=offsets[1:])
+    first = scenarios[0]
+    increments = None
+    if first.brownian_increments is not None:
+        increments = np.stack([s.brownian_increments for s in scenarios])
+    return _Block(
+        offsets,
+        np.concatenate([s.jump_times for s in scenarios]),
+        np.concatenate([s.jump_segments for s in scenarios]),
+        first.brownian_times,
+        increments,
+    )
+
+
+class _Paths(NamedTuple):
+    """Every path of a block under one policy, jumps stored flat (CSR by path)."""
+
+    grid_times: np.ndarray  # (G,) shared by the block
+    grid_values: np.ndarray  # (n, G, d); one broadcast row when the policy does not diffuse
+    offsets: np.ndarray  # (n+1,)
+    jump_times: np.ndarray  # (J,)
+    jump_sizes: np.ndarray  # (J, d)
+
+    def arrays(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The four arrays of path i, in :class:`CadlagPath` field order."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return self.grid_times, self.grid_values[i], self.jump_times[lo:hi], self.jump_sizes[lo:hi]
+
+
+def _build_paths(block: _Block, compiled: _CompiledPolicy, start: float, horizon: float) -> _Paths:
+    n, d = block.offsets.shape[0] - 1, compiled.drift.shape[1]
     bp = compiled.breakpoints
+    last = compiled.drift.shape[0] - 1
 
     # continuous part: exact piecewise-linear drift per cell, plus an Euler
-    # diffusion step when the policy diffuses; cells are the scenario's
-    # Brownian grid then, the policy's breakpoints otherwise
+    # diffusion step when the policy diffuses; cells are the block's Brownian
+    # grid then, the policy's breakpoints otherwise. The control value of a
+    # cell is the one active at its left end; an index below 0 only arises
+    # when breakpoints[0] lies within the covering tolerance above start
     if compiled.needs_brownian:
-        if scenario.brownian_times is None:
+        if block.brownian_times is None:
             raise PolicyError("policy needs Brownian increments but the scenario has none")
-        edges = scenario.brownian_times.tolist()
+        edges = block.brownian_times
     else:
-        edges = [start] + [float(b) for b in bp if start < b < horizon] + [horizon]
-    times = [0.0]
-    vals = [np.zeros(d)]
+        edges = np.concatenate([[start], bp[(bp > start) & (bp < horizon)], [horizon]])
+    lo, hi = edges[:-1], edges[1:]
+    cells = slice(np.searchsorted(hi, start, side="right"), np.searchsorted(lo, horizon, side="left"))
+    t_lo, t_hi = np.maximum(lo[cells], start), np.minimum(hi[cells], horizon)
+    vi = np.clip(np.searchsorted(bp, t_lo, side="right") - 1, 0, last)
+    drift_steps = compiled.drift[vi] * (t_hi - t_lo)[:, None]
+    # one cumulative sum over [0, drift_0, diffusion_0, drift_1, ...] adds the
+    # increments in the order a running loop over the cells would
+    if compiled.needs_brownian:
+        m = t_lo.shape[0]
+        # partial boundary cells reuse the cell's normal draw, rescaled to
+        # the correct variance
+        scale = np.sqrt((t_hi - t_lo) / (hi[cells] - lo[cells]))
+        increments = block.brownian_increments[:, cells, :, None]
+        steps = np.zeros((n, 2 * m + 1, d))
+        steps[:, 1::2] = drift_steps
+        steps[:, 2::2] = (compiled.cov_root[vi] @ increments)[..., 0] * scale[:, None]
+        # the copy keeps the values at cell ends alive, not every step
+        values = np.cumsum(steps, axis=1, out=steps)[:, ::2].copy()
+    else:
+        values = np.cumsum(np.vstack([np.zeros((1, d)), drift_steps]), axis=0)[None]
     if start > 0.0:
-        times.append(start)
-        vals.append(np.zeros(d))
-    x = np.zeros(d)
-    for m, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        if hi <= start:
-            continue
-        t_lo = max(lo, start)
-        if t_lo >= horizon:
-            break
-        t_hi = min(hi, horizon)
-        v = compiled.values[min(int(np.searchsorted(bp, t_lo, side="right") - 1), len(compiled.values) - 1)]
-        x = x + v.drift * (t_hi - t_lo)
-        if compiled.needs_brownian:
-            # partial boundary cells reuse the cell's normal draw, rescaled to
-            # the correct variance
-            x = x + (v.cov_root @ scenario.brownian_increments[m]) * math.sqrt((t_hi - t_lo) / (hi - lo))
-        if times[-1] != t_hi:
-            times.append(t_hi)
-            vals.append(x)
-    if times[-1] != horizon:
-        times.append(horizon)
-        vals.append(x)
-    grid_times = np.array(times)
-    grid_values = np.vstack(vals)
+        # the path stays at 0 up to start
+        values = np.concatenate([np.zeros((values.shape[0], 1, d)), values], axis=1)
+    grid_times = np.concatenate([[0.0, start] if start > 0.0 else [0.0], t_hi])
+    values = np.broadcast_to(values, (n,) + values.shape[1:])
 
-    # jumps: relabel scenario marks through the active control value
-    jt: list[float] = []
-    js: list[np.ndarray] = []
-    for t, seg in zip(scenario.jump_times, scenario.jump_segments):
-        if not (start < t <= horizon):
-            continue
-        v = compiled.values[min(int(np.searchsorted(bp, t, side="left") - 1), len(compiled.values) - 1)]
-        if v.active[seg]:
-            z = v.targets[seg]
-            if jt and t == jt[-1]:
-                js[-1] = js[-1] + z
-            else:
-                jt.append(float(t))
-                js.append(z)
-    jtimes = np.array(jt)
-    jsizes = np.vstack(js) if js else np.empty((0, d))
-    nz = np.linalg.norm(jsizes, axis=1) > 0.0 if jsizes.shape[0] else np.empty(0, dtype=bool)
-    return CadlagPath(horizon, grid_times, grid_values, jtimes[nz] if jtimes.shape[0] else jtimes, jsizes[nz] if jsizes.shape[0] else jsizes)
+    # jumps: relabel scenario marks through the control value active at each
+    # jump time, merge equal times within a path, drop zero sizes
+    times, segments = block.jump_times, block.jump_segments
+    owner = np.repeat(np.arange(n), np.diff(block.offsets))
+    jv = np.clip(np.searchsorted(bp, times, side="left") - 1, 0, last)
+    keep = (times > start) & (times <= horizon) & compiled.active[jv, segments]
+    times, owner = times[keep], owner[keep]
+    sizes = compiled.targets[jv[keep], segments[keep]]
+    opens = np.ones(times.shape[0], dtype=bool)
+    opens[1:] = (times[1:] != times[:-1]) | (owner[1:] != owner[:-1])
+    if not opens.all():
+        starts = np.flatnonzero(opens)
+        sizes = np.add.reduceat(sizes, starts, axis=0)
+        times, owner = times[starts], owner[starts]
+    nonzero = np.linalg.norm(sizes, axis=1) > 0.0
+    times, sizes, owner = times[nonzero], sizes[nonzero], owner[nonzero]
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(owner, minlength=n), out=offsets[1:])
+    return _Paths(grid_times, values, offsets, times, sizes)
 
 
 def simulate_path(
@@ -377,7 +440,7 @@ def simulate_path(
         raise InvalidInputError("need 0 <= start < horizon <= scenario horizon")
     policy.check_covers(start, T)
     compiled = _compile_policy(policy, uset, scenario.model)
-    return _build_path(scenario, compiled, start, T)
+    return CadlagPath(T, *_build_paths(_stack([scenario]), compiled, start, T).arrays(0))
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +454,35 @@ class EstimateResult(NamedTuple):
     argmax: int
 
 
+_BLOCK = 256  # consecutive paths whose scenarios are relabeled together
+
+
 def _path_stream(seed: int, path_index: int) -> np.random.Generator:
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(path_index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _block_values(
+    xi: Callable[[CadlagPath], float], block: _Block, compiled: Sequence[_CompiledPolicy], horizon: float
+) -> np.ndarray:
+    """xi of every path of a block under every candidate, shape (n, candidates)."""
+    built = [_build_paths(block, comp, 0.0, horizon) for comp in compiled]
+    vals = np.empty((block.offsets.shape[0] - 1, len(compiled)))
+    for i, row in enumerate(vals):
+        # candidates realizing the same path on this scenario share one evaluation
+        seen: dict[tuple[bytes, ...], float] = {}
+        for ci, paths in enumerate(built):
+            arrays = paths.arrays(i)
+            key = tuple(a.tobytes() for a in arrays)
+            if key not in seen:
+                seen[key] = float(xi(CadlagPath(horizon, *arrays)))
+            row[ci] = seen[key]
+    return vals
+
+
+def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """total + rows[0] + rows[1] + ..., added in row order as a running loop would."""
+    return np.cumsum(np.vstack([total, rows]), axis=0)[-1]
 
 
 def estimate_upper_expectation(
@@ -413,6 +502,10 @@ def estimate_upper_expectation(
     error is that of the winning candidate. Ties in the maximum go to the
     lowest candidate index. The value estimates the worst-case expectation
     from below (finitely many controls, finitely many paths).
+
+    ``xi`` must be a deterministic function of the path: candidates that
+    realize the identical path on a scenario are evaluated once and share
+    the value.
     """
     if n_paths < 2:
         raise InvalidInputError("need at least two paths for a standard error")
@@ -425,22 +518,26 @@ def estimate_upper_expectation(
     needs_brownian = any(c.needs_brownian for c in compiled)
 
     sums = np.zeros(len(candidates))
-    # the variance uses sums of values shifted by each candidate's first value,
-    # so it does not cancel away when the payoff carries a large offset
-    shifts = np.zeros(len(candidates))
     dev_sums = np.zeros(len(candidates))
     dev_sumsq = np.zeros(len(candidates))
-    for p in range(n_paths):
-        rng = _path_stream(seed, p)
-        scenario = draw_scenario(model, horizon, rng, with_brownian=needs_brownian, brownian_dt=brownian_dt)
-        for ci, comp in enumerate(compiled):
-            val = float(xi(_build_path(scenario, comp, 0.0, horizon)))
-            if p == 0:
-                shifts[ci] = val
-            sums[ci] += val
-            dev = val - shifts[ci]
-            dev_sums[ci] += dev
-            dev_sumsq[ci] += dev * dev
+    for first in range(0, n_paths, _BLOCK):
+        block = _stack(
+            [
+                draw_scenario(
+                    model, horizon, _path_stream(seed, p), with_brownian=needs_brownian, brownian_dt=brownian_dt
+                )
+                for p in range(first, min(first + _BLOCK, n_paths))
+            ]
+        )
+        vals = _block_values(xi, block, compiled, horizon)
+        if first == 0:
+            # the variance uses sums of values shifted by each candidate's first
+            # value, so it does not cancel away when the payoff carries a large offset
+            shifts = vals[0]
+        devs = vals - shifts
+        sums = _running_sum(sums, vals)
+        dev_sums = _running_sum(dev_sums, devs)
+        dev_sumsq = _running_sum(dev_sumsq, devs * devs)
     means = sums / n_paths
     winner = int(np.argmax(means))
     dev_mean = dev_sums[winner] / n_paths

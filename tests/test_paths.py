@@ -210,6 +210,60 @@ def test_modulus_pair_ordered_and_monotone():
         assert cadlag_modulus(p, tiny).w_prime == pytest.approx(0.0, abs=1e-12)
 
 
+def reference_modulus(path, delta):
+    """(w', w'') by loops over every event-time triple and every partition cell."""
+    times = path.event_times()
+    values = path.values_at(times)
+    m = times.shape[0]
+    w2 = 0.0
+    for i in range(m):
+        for k in range(i + 2, m):
+            if times[k] > times[i] + delta:
+                break
+            for j in range(i + 1, k):
+                left = float(np.linalg.norm(values[j] - values[i]))
+                right = float(np.linalg.norm(values[k] - values[j]))
+                w2 = max(w2, min(left, right))
+    dp = [0.0] + [math.inf] * (m - 1)
+    for j in range(1, m):
+        for i in range(j):
+            if times[j] - times[i] > delta and dp[i] < math.inf:
+                spread = values[i:j].max(axis=0) - values[i:j].min(axis=0)
+                osc = float(np.linalg.norm(spread)) if path.dim > 1 else float(spread[0])
+                dp[j] = min(dp[j], max(dp[i], osc))
+    return dp[-1], w2
+
+
+def random_skeleton_path(rng, dim):
+    """Up to 30 jumps at rounded times and sizes (clusters, tied distances) on a sampled part."""
+    n = int(rng.integers(0, 30))
+    times = np.unique(np.round(rng.uniform(0.0, 1.0, n), int(rng.integers(2, 6))))
+    times = times[times > 0.0]
+    sizes = np.round(rng.normal(size=(times.size, dim)), 1)
+    keep = np.linalg.norm(sizes, axis=1) > 0.0
+    grid = np.linspace(0.0, 1.0, int(rng.choice([2, 6, 21])))
+    samples = np.cumsum(rng.normal(size=(grid.size, dim)), axis=0)
+    samples[0] = 0.0
+    return CadlagPath(1.0, grid, samples, times[keep], sizes[keep])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_modulus_matches_loop_reference(dim):
+    rng = np.random.default_rng(31 + dim)
+    for _ in range(60):
+        p = random_skeleton_path(rng, dim)
+        for delta in (0.01, 0.05, 0.2, 0.6, float(rng.uniform(0.001, 0.99))):
+            w = cadlag_modulus(p, delta)
+            w1, w2 = reference_modulus(p, delta)
+            if dim == 1:
+                # every operation after the distances is a min or a max
+                assert (w.w_prime, w.w_second) == (w1, w2)
+            else:
+                # d > 1 norms may round differently in the last bit
+                assert w.w_prime == pytest.approx(w1, rel=1e-14, abs=0.0)
+                assert w.w_second == pytest.approx(w2, rel=1e-14, abs=0.0)
+
+
 # -- discretize_tn ------------------------------------------------------------
 
 def test_discretize_constant_path_unchanged():

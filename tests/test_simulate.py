@@ -9,6 +9,7 @@ from scipy import stats
 from glevy import (
     AssumptionError,
     BaseJumpModel,
+    CadlagPath,
     ControlPolicy,
     DiscreteLevyMeasure,
     ExplicitControl,
@@ -26,6 +27,7 @@ from glevy import (
     simulate_path,
     transport_map,
 )
+from glevy.simulate import _BLOCK, BaseScenario, _compile_policy, _path_stream
 from conftest import location_family, mixture_family, point_mass_family
 
 
@@ -228,6 +230,175 @@ def test_drift_only_path_is_linear():
         assert path.scalar_value(t) == pytest.approx(0.5 * t, abs=1e-12)
 
 
+# -- the per-jump, per-cell loop builder, kept as the reference ---------------
+
+def reference_path(scenario, policy, uset, start=0.0, horizon=None):
+    """simulate_path as a running loop over Brownian cells and over jumps."""
+    T = scenario.horizon if horizon is None else float(horizon)
+    if not (0.0 <= start < T <= scenario.horizon):
+        raise InvalidInputError("need 0 <= start < horizon <= scenario horizon")
+    policy.check_covers(start, T)
+    compiled = _compile_policy(policy, uset, scenario.model)
+    d = scenario.model.locations.shape[1]
+    bp = compiled.breakpoints
+    last = len(policy.values) - 1
+
+    def value_index(t, side):
+        # breakpoints[0] may sit up to the covering tolerance above start
+        return min(max(int(np.searchsorted(bp, t, side=side) - 1), 0), last)
+
+    if compiled.needs_brownian:
+        if scenario.brownian_times is None:
+            raise PolicyError("policy needs Brownian increments but the scenario has none")
+        edges = scenario.brownian_times.tolist()
+    else:
+        edges = [start] + [float(b) for b in bp if start < b < T] + [T]
+    times = [0.0]
+    vals = [np.zeros(d)]
+    if start > 0.0:
+        times.append(start)
+        vals.append(np.zeros(d))
+    x = np.zeros(d)
+    for m, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        if hi <= start:
+            continue
+        t_lo = max(lo, start)
+        if t_lo >= T:
+            break
+        t_hi = min(hi, T)
+        v = value_index(t_lo, "right")
+        x = x + compiled.drift[v] * (t_hi - t_lo)
+        if compiled.needs_brownian:
+            x = x + (compiled.cov_root[v] @ scenario.brownian_increments[m]) * math.sqrt((t_hi - t_lo) / (hi - lo))
+        if times[-1] != t_hi:
+            times.append(t_hi)
+            vals.append(x)
+    if times[-1] != T:
+        times.append(T)
+        vals.append(x)
+
+    jt, js = [], []
+    for t, seg in zip(scenario.jump_times, scenario.jump_segments):
+        if not (start < t <= T):
+            continue
+        v = value_index(t, "left")
+        if compiled.active[v, seg]:
+            z = compiled.targets[v, seg]
+            if jt and t == jt[-1]:
+                js[-1] = js[-1] + z
+            else:
+                jt.append(float(t))
+                js.append(z)
+    jtimes = np.array(jt)
+    jsizes = np.vstack(js) if js else np.empty((0, d))
+    nz = np.linalg.norm(jsizes, axis=1) > 0.0 if jsizes.shape[0] else np.empty(0, dtype=bool)
+    if jtimes.shape[0]:
+        jtimes, jsizes = jtimes[nz], jsizes[nz]
+    return CadlagPath(T, np.array(times), np.vstack(vals), jtimes, jsizes)
+
+
+def path_bytes(path):
+    arrays = (path.grid_times, path.grid_values, path.jump_times, path.jump_sizes)
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
+def outcome(fn):
+    try:
+        return path_bytes(fn())
+    except (InvalidInputError, PolicyError) as exc:
+        return type(exc)
+
+
+def random_case(rng, kind):
+    """A random set of one kind, with a few policies and scenarios on it."""
+    d = 2 if kind == "d2" else 1
+    triples = []
+    for _ in range(int(rng.integers(1, 4))):
+        if kind == "empty" and rng.random() < 0.5:
+            measure = DiscreteLevyMeasure.empty(d)
+        else:
+            atoms = np.unique(rng.choice([-2.0, -1.0, 1.0, 1.5, 3.0], size=(int(rng.integers(1, 4)), d)), axis=0)
+            measure = DiscreteLevyMeasure(atoms, rng.uniform(0.5, 4.0, atoms.shape[0]))
+        diffuses = kind in ("diffusive", "d2") and rng.random() < 0.7
+        cov_root = rng.normal(0.0, 0.5, (d, d)) if diffuses else np.zeros((d, d))
+        triples.append(LevyTriple(measure, drift=rng.normal(0.0, 1.0, d), cov_root=cov_root))
+    uset = UncertaintySet(tuple(triples))
+    model = BaseJumpModel.from_uncertainty(uset)
+    n = len(uset)
+    policies = [ControlPolicy.constant(i, 0.0, 1.0) for i in range(n)]
+    policies += [
+        ControlPolicy(np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 2)])), tuple(rng.integers(0, n, 3)))
+        for _ in range(3)
+    ]
+    policies.append(ControlPolicy.constant(0, 0.0, 0.5))  # refused: does not cover
+    if d == 1:
+        # each base mark relabeled to its size under triple 0; this lands in
+        # the set unless two segments of one mark take different sizes
+        t0 = uset.triples[0]
+        mark_map = {}
+        for z, size, on in zip(model.locations[:, 0], model.targets[0, :, 0], model.active[0]):
+            mark_map.setdefault(float(z), float(size) if on else 0.0)
+        policies.append(ControlPolicy.constant(ExplicitControl(mark_map, t0.drift1, t0.cov_root1), 0.0, 1.0))
+        policies.append(ControlPolicy.constant(ExplicitControl({1.0: 7.0}), 0.0, 1.0))  # refused
+    scenarios = [
+        draw_scenario(model, 1.0, rng, with_brownian=bool(s % 2), brownian_dt=float(rng.choice([0.05, 0.3])))
+        for s in range(4)
+    ]
+    return uset, policies, scenarios
+
+
+@pytest.mark.parametrize("kind", ["switching", "diffusive", "d2", "empty"])
+def test_simulate_path_matches_loop_reference(kind):
+    rng = np.random.default_rng(["switching", "diffusive", "d2", "empty"].index(kind))
+    built = refused = explicit = 0
+    for _ in range(6):
+        uset, policies, scenarios = random_case(rng, kind)
+        for sc in scenarios:
+            for policy in policies:
+                for start, horizon in [(0.0, None), (0.0, 0.7), (0.35, None), (0.2, 0.55), (0.9, 1.2)]:
+                    got = outcome(lambda: simulate_path(sc, policy, uset, start, horizon))
+                    assert got == outcome(lambda: reference_path(sc, policy, uset, start, horizon))
+                    if isinstance(got, type):
+                        refused += 1
+                    else:
+                        built += 1
+                        explicit += isinstance(policy.values[0], ExplicitControl)
+    assert refused and built >= 200
+    assert explicit or kind == "d2"
+
+
+def test_merged_jump_times_match_loop_reference(mixtures):
+    # equal jump times within a path merge into one jump; zero sums vanish
+    plus_minus = UncertaintySet.from_measures([DiscreteLevyMeasure(np.array([[-1.0], [1.0]]), np.array([1.0, 1.0]))])
+    for uset in (mixtures, plus_minus):
+        model = BaseJumpModel.from_uncertainty(uset)
+        times = np.array([0.1, 0.4, 0.4, 0.4, 0.7, 0.7, 0.9])
+        for segments in ([0, 1, 0, 1, 1, 0, 1], [1, 0, 1, 1, 0, 1, 0]):
+            sc = BaseScenario(1.0, model, times, np.zeros(times.shape[0]), np.array(segments) % model.n_segments)
+            for i in range(len(uset)):
+                policy = ControlPolicy.constant(i, 0.0, 1.0)
+                path = simulate_path(sc, policy, uset)
+                assert path_bytes(path) == path_bytes(reference_path(sc, policy, uset))
+                assert np.all(np.diff(path.jump_times) > 0.0)
+
+
+def test_first_breakpoint_within_tolerance_uses_first_value():
+    # breakpoints[0] up to 1e-12 above start is accepted as covering; the
+    # first Brownian cell and early jumps must run under values[0], not values[-1]
+    uset = UncertaintySet(
+        (
+            LevyTriple(DiscreteLevyMeasure.delta(1.0)),
+            LevyTriple(DiscreteLevyMeasure.delta(2.0, 2.0), drift=5.0, cov_root=1.0),
+        )
+    )
+    model = BaseJumpModel.from_uncertainty(uset)
+    sc = draw_scenario(model, 1.0, np.random.default_rng(6), with_brownian=True, brownian_dt=0.1)
+    nudged = simulate_path(sc, ControlPolicy(np.array([5e-13, 0.5, 1.0]), (0, 1)), uset)
+    exact = simulate_path(sc, ControlPolicy(np.array([0.0, 0.5, 1.0]), (0, 1)), uset)
+    assert path_bytes(nudged) == path_bytes(exact)
+    assert nudged.scalar_value(0.1) == exact.scalar_value(0.1)
+
+
 # -- estimators ---------------------------------------------------------------
 
 def test_estimator_deterministic(lam_12):
@@ -311,6 +482,79 @@ def test_capacity_at_least_one_jump(lam_12):
     est = estimate_capacity(lambda p: p.n_jumps >= 1, lam_12, pols, 4000, 30, horizon=1.0)
     want = 1.0 - math.exp(-2.0)
     assert abs(est.value - want) <= 3.0 * est.std_error
+
+
+# -- block estimator against a per-path reference ------------------------------
+
+def reference_estimate(xi, uset, candidates, n_paths, seed, horizon=1.0, brownian_dt=0.01):
+    """One scenario and one simulate_path per (path, candidate), running sums."""
+    model = BaseJumpModel.from_uncertainty(uset)
+    needs = any(_compile_policy(c, uset, model).needs_brownian for c in candidates)
+    C = len(candidates)
+    sums, shifts, dev_sums, dev_sumsq = [0.0] * C, [0.0] * C, [0.0] * C, [0.0] * C
+    for p in range(n_paths):
+        sc = draw_scenario(model, horizon, _path_stream(seed, p), with_brownian=needs, brownian_dt=brownian_dt)
+        for ci, c in enumerate(candidates):
+            val = float(xi(simulate_path(sc, c, uset, 0.0, horizon)))
+            if p == 0:
+                shifts[ci] = val
+            sums[ci] += val
+            dev = val - shifts[ci]
+            dev_sums[ci] += dev
+            dev_sumsq[ci] += dev * dev
+    means = np.array(sums) / n_paths
+    winner = int(np.argmax(means))
+    dev_mean = dev_sums[winner] / n_paths
+    var = max(dev_sumsq[winner] / n_paths - dev_mean**2, 0.0) * n_paths / (n_paths - 1)
+    return float(means[winner]), float(math.sqrt(var / n_paths)), winner
+
+
+def diffusive_set():
+    return UncertaintySet(
+        tuple(LevyTriple(DiscreteLevyMeasure.delta(1.0, 0.4), drift=0.1 * a, cov_root=0.5) for a in (1, 2, 3))
+    )
+
+
+@pytest.mark.parametrize("n_paths", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_estimator_block_boundaries_match_reference(lam_12, n_paths):
+    switch = np.array([0.0, 0.5, 1.0])
+    xi = lambda p: p.scalar_value(1.0)
+    sets = [
+        (lam_12, constant_policies(lam_12, 1.0) + [ControlPolicy(switch, (0, 4)), ControlPolicy(switch, (4, 0))]),
+        (diffusive_set(), constant_policies(diffusive_set(), 1.0) + [ControlPolicy(switch, (2, 0))]),
+    ]
+    for uset, candidates in sets:
+        est = estimate_upper_expectation(xi, uset, candidates, n_paths, 17, horizon=1.0, brownian_dt=0.05)
+        assert tuple(est) == reference_estimate(xi, uset, candidates, n_paths, 17, brownian_dt=0.05)
+
+
+def test_candidates_with_equal_paths_share_one_payoff_call(lam_12):
+    calls = []
+
+    def xi(path):
+        calls.append(1)
+        return path.scalar_value(1.0)
+
+    pols = constant_policies(lam_12, 1.0)
+    est = estimate_upper_expectation(xi, lam_12, pols, 300, 4, horizon=1.0)
+    assert len(calls) < 300 * len(pols)
+    assert tuple(est) == reference_estimate(lambda p: p.scalar_value(1.0), lam_12, pols, 300, 4)
+
+
+def test_paths_differing_only_in_grid_times_are_evaluated_apart(lam_12):
+    # zero drift and no diffusion: the two policies realize the same values
+    # and, on most scenarios, the same jumps; only the breakpoint grids differ
+    calls = []
+
+    def xi(path):
+        calls.append(1)
+        return float(path.grid_times[1])
+
+    pols = [ControlPolicy(np.array([0.0, 0.3, 1.0]), (0, 1)), ControlPolicy(np.array([0.0, 0.6, 1.0]), (0, 1))]
+    est = estimate_upper_expectation(xi, lam_12, pols, 200, 8, horizon=1.0)
+    assert len(calls) == 200 * len(pols)
+    assert est.argmax == 1 and est.value == pytest.approx(0.6)
+    assert tuple(est) == reference_estimate(xi, lam_12, pols, 200, 8)
 
 
 # -- erlang bound -------------------------------------------------------------
