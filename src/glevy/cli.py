@@ -118,10 +118,6 @@ from .simulate import (
 from .uncertainty import InverseSquareTail, transport_map, uncertainty_set_from_config, validate
 
 
-def _fail(msg: str) -> "ConfigError":
-    return ConfigError(msg)
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -129,13 +125,13 @@ def _load_config(path: str | None) -> dict:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
     except OSError as e:
-        raise _fail(f"cannot read config {path}: {e}")
+        raise ConfigError(f"cannot read config {path}: {e}")
     except yaml.YAMLError as e:
-        raise _fail(f"cannot parse config {path}: {e}")
+        raise ConfigError(f"cannot parse config {path}: {e}")
     if doc is None:
         return {}
     if not isinstance(doc, dict):
-        raise _fail("config root must be a mapping")
+        raise ConfigError("config root must be a mapping")
     return doc
 
 
@@ -146,7 +142,7 @@ def _config_hash(config: dict) -> str:
 
 def _payoff_from_config(doc) -> tuple:
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise _fail("payoff config must be a mapping with a 'kind'")
+        raise ConfigError("payoff config must be a mapping with a 'kind'")
     kind = doc["kind"]
     if kind == "linear":
         scale = float(doc.get("scale", 1.0))
@@ -161,7 +157,7 @@ def _payoff_from_config(doc) -> tuple:
         lo = float(doc.get("lo", 0.0))
         hi = float(doc.get("hi", 1.0))
         if not hi > lo:
-            raise _fail("indicatorSmoothed needs hi > lo")
+            raise ConfigError("indicatorSmoothed needs hi > lo")
         return (
             lambda x: np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
         ), f"indicatorSmoothed(lo={lo}, hi={hi})"
@@ -169,14 +165,14 @@ def _payoff_from_config(doc) -> tuple:
         xs = np.asarray(doc.get("xs", ()), dtype=float)
         ys = np.asarray(doc.get("ys", ()), dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.shape[0] < 2 or np.any(np.diff(xs) <= 0):
-            raise _fail("table payoff needs matching strictly increasing xs and ys")
+            raise ConfigError("table payoff needs matching strictly increasing xs and ys")
         return (lambda x: np.interp(np.asarray(x, dtype=float), xs, ys)), "table"
-    raise _fail(f"unknown payoff kind {kind!r}")
+    raise ConfigError(f"unknown payoff kind {kind!r}")
 
 
 def _grid_from_config(doc) -> Grid1D:
     if not isinstance(doc, dict):
-        raise _fail("grid config must be a mapping")
+        raise ConfigError("grid config must be a mapping")
     try:
         return Grid1D(
             float(doc["x_min"]),
@@ -186,22 +182,22 @@ def _grid_from_config(doc) -> Grid1D:
             float(doc["horizon"]),
         )
     except KeyError as e:
-        raise _fail(f"grid config is missing {e.args[0]!r}")
+        raise ConfigError(f"grid config is missing {e.args[0]!r}")
 
 
 def _uset(config: dict):
     if "uncertainty" not in config:
-        raise _fail("config needs an 'uncertainty' section")
+        raise ConfigError("config needs an 'uncertainty' section")
     return uncertainty_set_from_config(config["uncertainty"])
 
 
 def _mc_settings(config: dict, seed_override: int | None):
     mc = config.get("mc", {})
     if not isinstance(mc, dict):
-        raise _fail("mc config must be a mapping")
+        raise ConfigError("mc config must be a mapping")
     seed = seed_override if seed_override is not None else mc.get("seed")
     if seed is None:
-        raise _fail("a seed is required for stochastic commands (mc.seed or --seed)")
+        raise ConfigError("a seed is required for stochastic commands (mc.seed or --seed)")
     return int(mc.get("n_paths", 10000)), int(seed), float(mc.get("brownian_dt", 0.01))
 
 
@@ -211,11 +207,7 @@ def _horizon(config: dict) -> float:
     grid = config.get("grid")
     if isinstance(grid, dict) and "horizon" in grid:
         return float(grid["horizon"])
-    raise _fail("config needs a 'horizon' (top level or under grid)")
-
-
-def _region(doc) -> Region:
-    return Region.from_dict(doc)
+    raise ConfigError("config needs a 'horizon' (top level or under grid)")
 
 
 class _Encoder(json.JSONEncoder):
@@ -239,7 +231,7 @@ class _Encoder(json.JSONEncoder):
 def _cmd_validate(config, args, out_dir):
     sec = config.get("validate")
     if not isinstance(sec, dict) or "q" not in sec or "p" not in sec:
-        raise _fail("validate needs {q, p} under 'validate'")
+        raise ConfigError("validate needs {q, p} under 'validate'")
     report = validate(_uset(config), float(sec["q"]), float(sec["p"]))
     return {"report": report.as_dict(), "ok": report.ok}, {}
 
@@ -247,7 +239,7 @@ def _cmd_validate(config, args, out_dir):
 def _cmd_expect(config, args, out_dir):
     method = args.method or config.get("method", "both")
     if method not in ("pide", "mc", "both"):
-        raise _fail(f"unknown method {method!r}")
+        raise ConfigError(f"unknown method {method!r}")
     payoff, payoff_name = _payoff_from_config(config.get("payoff"))
     uset = _uset(config)
     T = _horizon(config)
@@ -259,9 +251,7 @@ def _cmd_expect(config, args, out_dir):
         sol = solve_ipde(payoff, uset, grid, horizon=T)
         results["pideValue"] = sol.value_at_zero()
         results["schemeError"] = sol.diagnostics["scheme_error_estimate"]
-        results["pideDiagnostics"] = {
-            k: v for k, v in sol.diagnostics.items() if k != "argmax_histogram"
-        }
+        results["pideDiagnostics"] = sol.diagnostics
         if isinstance(grid_cfg, dict) and grid_cfg.get("export_solution"):
             text, header = sol.to_csv(max_rows=int(grid_cfg.get("export_rows", 201)))
             csvs["solution.csv"] = text
@@ -296,7 +286,7 @@ def _cmd_expect(config, args, out_dir):
 def _cmd_gpoisson(config, args, out_dir):
     sec = config.get("gpoisson")
     if not isinstance(sec, dict):
-        raise _fail("gpoisson needs a 'gpoisson' section")
+        raise ConfigError("gpoisson needs a 'gpoisson' section")
     payoff, payoff_name = _payoff_from_config(config.get("payoff"))
     value = g_poisson_distribution(
         float(sec["lambda_min"]),
@@ -311,8 +301,8 @@ def _cmd_gpoisson(config, args, out_dir):
 def _cmd_capacity(config, args, out_dir):
     sec = config.get("capacity")
     if not isinstance(sec, dict) or "region" not in sec:
-        raise _fail("capacity needs {region, min_count?} under 'capacity'")
-    region = _region(sec["region"])
+        raise ConfigError("capacity needs {region, min_count?} under 'capacity'")
+    region = Region.from_dict(sec["region"])
     min_count = int(sec.get("min_count", 1))
     uset = _uset(config)
     T = _horizon(config)
@@ -340,14 +330,14 @@ def _cmd_capacity(config, args, out_dir):
 def _cmd_erlang_bound(config, args, out_dir):
     sec = config.get("erlang")
     if not isinstance(sec, dict):
-        raise _fail("erlang-bound needs an 'erlang' section")
+        raise ConfigError("erlang-bound needs an 'erlang' section")
     window = sec.get("window", (0.0, float("inf")))
     c0, c1 = float(window[0]), float(window[1])
     n_paths, seed, _ = _mc_settings(config, args.seed)
     res = erlang_bound_check(
         _uset(config),
-        _region(sec["region_a"]),
-        _region(sec["region_b"]),
+        Region.from_dict(sec["region_a"]),
+        Region.from_dict(sec["region_b"]),
         int(sec.get("k", 1)),
         (c0, c1),
         n_paths,
@@ -367,7 +357,7 @@ def _cmd_erlang_bound(config, args, out_dir):
 def _cmd_compensate(config, args, out_dir):
     sec = config.get("compensate")
     if not isinstance(sec, dict) or "input" not in sec:
-        raise _fail("compensate needs {input} under 'compensate'")
+        raise ConfigError("compensate needs {input} under 'compensate'")
     uset = _uset(config)
     path = read_records(sec["input"])
     drift = mean_of_jump_part(uset, 1.0)
@@ -385,7 +375,7 @@ def _cmd_compensate(config, args, out_dir):
 def _cmd_martingale_check(config, args, out_dir):
     sec = config.get("martingale")
     if not isinstance(sec, dict) or "kind" not in sec:
-        raise _fail("martingale-check needs {kind, s, t} under 'martingale'")
+        raise ConfigError("martingale-check needs {kind, s, t} under 'martingale'")
     uset = _uset(config)
     grid = _grid_from_config(config.get("grid"))
     spec = ProcessSpec(str(sec["kind"]), uset)
@@ -396,7 +386,7 @@ def _cmd_martingale_check(config, args, out_dir):
 def _cmd_decompose(config, args, out_dir):
     sec = config.get("decompose")
     if not isinstance(sec, dict) or "input" not in sec:
-        raise _fail("decompose needs {input} under 'decompose'")
+        raise ConfigError("decompose needs {input} under 'decompose'")
     path = read_records(sec["input"])
     xc, xd = decompose(path)
     cont_file = str(Path(out_dir) / "continuous_part.jsonl")
@@ -441,8 +431,8 @@ def _cmd_fnspace(config, args, out_dir):
     sec = config.get("fnspace", {})
     p = float(sec.get("p", 1.0))
     payoff, payoff_name = _payoff_from_config(config.get("payoff"))
-    region = _region(sec["region"]) if "region" in sec else None
-    disc = _region(sec["discontinuity"]) if "discontinuity" in sec else None
+    region = Region.from_dict(sec["region"]) if "region" in sec else None
+    disc = Region.from_dict(sec["discontinuity"]) if "discontinuity" in sec else None
     f = TestFunction(lambda z: float(payoff(z)), discontinuity=disc, name=payoff_name)
     uset = _uset(config)
     family = uset.measures
@@ -542,7 +532,7 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         declared = config.get("command")
         if declared is not None and declared != args.command:
-            raise _fail(f"config declares command {declared!r} but {args.command!r} was invoked")
+            raise ConfigError(f"config declares command {declared!r} but {args.command!r} was invoked")
         handler = _COMMANDS[args.command]
     except GLevyError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -10,9 +10,11 @@ solves
 and the quantity of interest is u(t, 0). The solver discretizes with an
 explicit Euler step in time, central differences in space, linear
 interpolation for the shifted values u(x + z) and constant extrapolation
-outside the grid. Each candidate triple contributes an affine expression in
-the current layer; the scheme takes their pointwise maximum (first index wins
-ties). Under the step bound
+outside the grid. The jump terms of all triples form one (triples x distinct
+atoms) weight matrix, applied to the layer interpolated once per distinct
+atom; with drift and diffusion each triple contributes an affine expression in
+the current layer, and the scheme takes their pointwise maximum (first index
+wins ties). Under the step bound
 
     dt * ( sup_v v(R_0) + sup Q^2/dx^2 + sup |p|/dx ) <= 1
 
@@ -107,37 +109,33 @@ class Grid1D:
 
 
 class _Stepper:
-    """Precompiled explicit step u -> u + dt * max over triples (A_j u)."""
+    """Precompiled explicit step u -> u + dt * max over triples (A_j u).
+
+    Every triple's jump term is one row of ``weights`` (triples x distinct
+    atoms), applied to the values interpolated once per distinct atom.
+    """
 
     def __init__(self, uset: UncertaintySet, grid: Grid1D):
         if len(uset) == 0:
             raise InvalidInputError("uncertainty set is empty")
         if uset.dim != 1:
             raise UnsupportedError("the PIDE solver is one-dimensional")
-        self.uset = uset
         self.grid = grid
         x = grid.x
-        dx = grid.dx
-        self.triple_data = []
-        self.mass_max = 0.0
-        self.q2_max = 0.0
-        self.p_max = 0.0
-        self.jump_max = 0.0
-        for t in uset:
-            zs = t.measure.atoms[:, 0]
-            ws = t.measure.weights
-            pos = x[None, :] + zs[:, None]  # (n_atoms, nx)
-            idx = np.clip(np.searchsorted(x, pos) - 1, 0, grid.nx - 2)
-            frac = np.clip((pos - x[idx]) / dx, 0.0, 1.0)
-            mass = float(ws.sum())
-            p = t.drift1
-            q2 = t.cov_root1 ** 2
-            self.triple_data.append((idx, frac, ws, mass, p, q2))
-            self.mass_max = max(self.mass_max, mass)
-            self.q2_max = max(self.q2_max, q2)
-            self.p_max = max(self.p_max, abs(p))
-            if zs.shape[0]:
-                self.jump_max = max(self.jump_max, float(np.abs(zs).max()))
+        zs = np.unique(np.concatenate([t.measure.atoms[:, 0] for t in uset]))
+        self.weights = np.zeros((len(uset), zs.shape[0]))
+        for j, t in enumerate(uset):
+            self.weights[j, np.searchsorted(zs, t.measure.atoms[:, 0])] = t.measure.weights
+        self.mass = np.array([t.measure.total_mass for t in uset])
+        self.drift = np.array([t.drift1 for t in uset])
+        self.q2 = np.array([t.cov_root1 ** 2 for t in uset])
+        pos = x[None, :] + zs[:, None]  # (n_atoms, nx)
+        self.idx = np.clip(np.searchsorted(x, pos) - 1, 0, grid.nx - 2)
+        self.frac = np.clip((pos - x[self.idx]) / grid.dx, 0.0, 1.0)
+        self.mass_max = float(self.mass.max())
+        self.q2_max = float(self.q2.max())
+        self.p_max = float(np.abs(self.drift).max())
+        self.jump_max = float(np.abs(zs).max(initial=0.0))
 
     def cfl_number(self, dt: float) -> float:
         dx = self.grid.dx
@@ -166,7 +164,7 @@ class _Stepper:
     @property
     def monotone(self) -> bool:
         dx = self.grid.dx
-        return all(q2 >= dx * abs(p) or p == 0.0 for (_, _, _, _, p, q2) in self.triple_data)
+        return bool(np.all((self.q2 >= dx * np.abs(self.drift)) | (self.drift == 0.0)))
 
     def rate(self, u: np.ndarray, argmax_counts: np.ndarray | None = None) -> np.ndarray:
         """max over triples of A_j u, applied along the last axis of u."""
@@ -180,29 +178,15 @@ class _Stepper:
         d2u[..., 0] = (u[..., 1] - u[..., 0]) / dx**2
         d2u[..., -1] = (u[..., -2] - u[..., -1]) / dx**2
 
-        best = None
-        best_idx = None
-        for j, (idx, frac, ws, mass, p, q2) in enumerate(self.triple_data):
-            if ws.shape[0]:
-                shifted = u[..., idx] * (1.0 - frac) + u[..., idx + 1] * frac
-                jump = np.tensordot(shifted, ws, axes=([-2], [0])) - mass * u
-            else:
-                jump = np.zeros_like(u)
-            cand = jump + p * du + 0.5 * q2 * d2u
-            if best is None:
-                best = cand
-                if argmax_counts is not None:
-                    best_idx = np.zeros(u.shape, dtype=np.int32)
-            else:
-                if argmax_counts is not None:
-                    take = cand > best
-                    best_idx[take] = j
-                    np.maximum(best, cand, out=best)
-                else:
-                    np.maximum(best, cand, out=best)
+        shifted = u[..., self.idx] * (1.0 - self.frac) + u[..., self.idx + 1] * self.frac
+        cand = np.tensordot(self.weights, shifted, axes=([1], [-2]))  # (triples, ..., nx)
+        per_triple = (-1,) + (1,) * u.ndim
+        cand -= self.mass.reshape(per_triple) * u
+        cand += self.drift.reshape(per_triple) * du
+        cand += (0.5 * self.q2).reshape(per_triple) * d2u
         if argmax_counts is not None:
-            argmax_counts += np.bincount(best_idx.ravel(), minlength=len(self.triple_data))
-        return best
+            argmax_counts += np.bincount(cand.argmax(axis=0).ravel(), minlength=cand.shape[0])
+        return cand.max(axis=0)
 
     def evolve(
         self,
@@ -213,8 +197,9 @@ class _Stepper:
     ):
         """Run Euler steps over the duration; optionally keep all layers.
 
-        Returns (final_layer, layers_or_None, info). Refuses when the step
-        bound fails; aborts on NaN contamination.
+        Returns (final_layer, layers_or_None, info); the kept layers are one
+        (n_steps + 1, *u0.shape) array. Refuses when the step bound fails;
+        aborts on NaN contamination.
         """
         n_steps, dt = self.grid.steps_for(duration)
         cfl = self.cfl_number(dt)
@@ -224,13 +209,16 @@ class _Stepper:
                 {"cfl_number": cfl, "dt": dt, "dx": self.grid.dx},
             )
         u = np.array(u0, dtype=float)
-        layers = [u.copy()] if record else None
+        layers = None
+        if record:
+            layers = np.empty((n_steps + 1,) + u.shape)
+            layers[0] = u
         prev = None
         second_diff_rate = 0.0
         win = self.interior
         for step in range(n_steps):
             r = self.rate(u, argmax_counts)
-            u_new = u + dt * r
+            u_new = np.add(u, dt * r, out=None if layers is None else layers[step + 1])
             if np.isnan(u_new).any():
                 raise NumericalAbortError(
                     f"NaN contamination at step {step + 1}/{n_steps}",
@@ -243,8 +231,6 @@ class _Stepper:
                 )
             prev = u
             u = u_new
-            if record:
-                layers.append(u.copy())
         info = {
             "n_steps": n_steps,
             "dt": dt,
@@ -322,12 +308,16 @@ class GridSolution:
         return "\n".join(lines) + "\n", header
 
 
-def _eval_initial(phi: Callable, x: np.ndarray) -> np.ndarray:
-    vals = np.asarray(phi(x), dtype=float)
-    if vals.shape != x.shape:
-        vals = np.array([float(phi(float(xx))) for xx in x])
+def _eval_nodes(phi: Callable, nodes: np.ndarray, what: str, where: str) -> np.ndarray:
+    """phi on every node: one vectorized call, else one call per node."""
+    try:
+        vals = np.asarray(phi(nodes), dtype=float)
+    except (TypeError, ValueError):
+        vals = None
+    if vals is None or vals.shape != nodes.shape:
+        vals = np.array([float(phi(v)) for v in nodes.tolist()])
     if not np.all(np.isfinite(vals)):
-        raise EvaluationError("initial data evaluated to non-finite values on the grid")
+        raise EvaluationError(f"{what} evaluated to non-finite values on the {where}")
     return vals
 
 
@@ -343,13 +333,13 @@ def solve_ipde(phi: Callable, uset: UncertaintySet, grid: Grid1D, horizon: float
     if T <= 0.0:
         raise InvalidInputError("horizon must be positive")
     stepper = _Stepper(uset, grid)
-    u0 = _eval_initial(phi, grid.x)
+    u0 = _eval_nodes(phi, grid.x, "initial data", "grid")
     argmax_counts = np.zeros(len(uset), dtype=np.int64)
     u, layers, info = stepper.evolve(u0, T, record=True, argmax_counts=argmax_counts)
     times = np.linspace(0.0, T, info["n_steps"] + 1)
 
     dx = grid.dx
-    final = layers[-1][stepper.interior]
+    final = u[stepper.interior]
     d2 = np.abs(np.diff(final, 2)).max(initial=0.0) / dx**2
     d3 = np.abs(np.diff(final, 3)).max(initial=0.0) / dx**3
     contamination = stepper.boundary_contamination(T)
@@ -368,7 +358,7 @@ def solve_ipde(phi: Callable, uset: UncertaintySet, grid: Grid1D, horizon: float
         "boundary_contamination": contamination,
         "scheme_error_estimate": float(err),
     }
-    return GridSolution(grid=grid, times=times, values=np.array(layers), diagnostics=diagnostics)
+    return GridSolution(grid=grid, times=times, values=layers, diagnostics=diagnostics)
 
 
 def apply_g(
@@ -487,7 +477,9 @@ def iterated_expectation(phi: Callable, times: Sequence[float], uset: Uncertaint
 
     phi takes the increments as separate broadcastable arguments. The
     recursion integrates out the last increment over its own interval at each
-    stage, freezing the earlier increments on the spatial grid.
+    stage, freezing the earlier increments on the spatial grid. Each step
+    stacks one candidate tensor per triple, so working memory grows with the
+    number of triples: 160 MB per triple at the 2e7-cell cap.
     """
     stages = _stage_tensors(phi, times, uset, grid)
     return float(np.asarray(stages[-1]).reshape(()))
@@ -567,14 +559,7 @@ def g_poisson_distribution(
     mu = lambda_max * t
     n_max = int(stats.poisson.ppf(1.0 - min(tail, 1e-8) * 0.1, mu)) + 3
     ks = np.arange(n_max + 1)
-    try:
-        u0 = np.asarray(phi(ks), dtype=float)
-        if u0.shape != ks.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        u0 = np.array([float(phi(int(k))) for k in ks])
-    if not np.all(np.isfinite(u0)):
-        raise EvaluationError("phi evaluated to non-finite values on the lattice")
+    u0 = _eval_nodes(phi, ks, "phi", "lattice")
 
     def euler(n: int) -> float:
         h = t / n

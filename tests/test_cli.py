@@ -76,6 +76,9 @@ def test_expect_pide_only(tmp_path):
     assert res["pideValue"] == pytest.approx(2.0, abs=1e-2)
     assert "mcValue" not in res
     assert res["schemeError"] > 0
+    hist = res["pideDiagnostics"]["argmax_histogram"]
+    assert len(hist) == 5  # one entry per triple of UNC_FAMILY
+    assert sum(hist) == GRID["nx"] * 100  # every node of each of the 100 steps
 
 
 def test_expect_mc_only_and_seed_override(tmp_path):

@@ -8,6 +8,7 @@ from scipy import stats
 
 from glevy import (
     DiscreteLevyMeasure,
+    EvaluationError,
     Grid1D,
     InvalidInputError,
     LevyTriple,
@@ -20,7 +21,8 @@ from glevy import (
     solve_ipde,
 )
 from glevy.analysis import symmetric_compensated_set
-from conftest import mixture_family, point_mass_family
+from glevy.pide import _Stepper
+from conftest import location_family, mixture_family, point_mass_family
 
 
 GRID = Grid1D(x_min=-6.0, x_max=8.0, nx=141, dt=0.01, horizon=1.0)
@@ -181,6 +183,118 @@ def test_to_csv_round_trip(lam_12):
     last = np.array([float(v) for v in lines[-1].split(",")[1:]])
     assert np.array_equal(first, sol.values[0])
     assert np.array_equal(last, sol.values[-1])
+
+
+@pytest.mark.parametrize(
+    "scalar, vectorized",
+    [
+        (lambda x: max(min(x, 1.0), -2.0), lambda x: np.maximum(np.minimum(x, 1.0), -2.0)),
+        (lambda x: 0.5 * math.floor(x), lambda x: 0.5 * np.floor(x)),
+    ],
+    ids=["valueerror", "typeerror"],
+)
+def test_scalar_only_initial_data_matches_vectorized(lam_12, scalar, vectorized):
+    # a phi that rejects arrays is evaluated node by node, to the same bytes
+    a = solve_ipde(scalar, lam_12, GRID)
+    b = solve_ipde(vectorized, lam_12, GRID)
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.diagnostics == b.diagnostics
+
+
+def test_non_finite_initial_data_refused(lam_12):
+    with pytest.raises(EvaluationError):
+        solve_ipde(lambda x: np.where(x > 7.0, np.inf, 0.0), lam_12, GRID)
+
+
+# -- the jump matrix against the per-triple loop -------------------------------
+
+def reference_rate(uset, grid, u):
+    """max over triples of A_j u with its argmax histogram, one triple at a time."""
+    x, dx = grid.x, grid.dx
+    du = np.empty_like(u)
+    du[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
+    du[..., 0] = (u[..., 1] - u[..., 0]) / (2.0 * dx)
+    du[..., -1] = (u[..., -1] - u[..., -2]) / (2.0 * dx)
+    d2u = np.empty_like(u)
+    d2u[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dx**2
+    d2u[..., 0] = (u[..., 1] - u[..., 0]) / dx**2
+    d2u[..., -1] = (u[..., -2] - u[..., -1]) / dx**2
+    best = None
+    best_idx = np.zeros(u.shape, dtype=np.int64)
+    for j, t in enumerate(uset):
+        zs, ws = t.measure.atoms[:, 0], t.measure.weights
+        if ws.shape[0]:
+            pos = x[None, :] + zs[:, None]
+            idx = np.clip(np.searchsorted(x, pos) - 1, 0, grid.nx - 2)
+            frac = np.clip((pos - x[idx]) / dx, 0.0, 1.0)
+            shifted = u[..., idx] * (1.0 - frac) + u[..., idx + 1] * frac
+            jump = np.tensordot(shifted, ws, axes=([-2], [0])) - float(ws.sum()) * u
+        else:
+            jump = np.zeros_like(u)
+        cand = jump + t.drift1 * du + 0.5 * t.cov_root1**2 * d2u
+        if best is None:
+            best = cand
+        else:
+            best_idx[cand > best] = j  # strict: the first index wins ties
+            np.maximum(best, cand, out=best)
+    return best, np.bincount(best_idx.ravel(), minlength=len(uset))
+
+
+def _triple(pairs, drift=0.0, cov_root=0.0):
+    return LevyTriple(DiscreteLevyMeasure.from_pairs(pairs), drift=drift, cov_root=cov_root)
+
+
+ONE_ATOM_SETS = {
+    "lam_12": lambda: point_mass_family(np.linspace(1.0, 2.0, 5)),
+    "locations": location_family,
+    "diffusive": lambda: UncertaintySet(
+        tuple(_triple([(1.0, 0.4)], drift=0.1 * a, cov_root=0.5) for a in (1, 2, 3))
+    ),
+    "empty_measure": lambda: UncertaintySet(
+        (_triple([], drift=0.3, cov_root=0.4), _triple([(1.0, 1.0)]), _triple([]))
+    ),
+    "duplicate": lambda: UncertaintySet(
+        (_triple([(1.0, 1.5)]), _triple([(-0.5, 0.5)]), _triple([(1.0, 1.5)]))
+    ),
+}
+MULTI_ATOM_SETS = {
+    "mixtures": mixture_family,
+    "negative_atoms": lambda: UncertaintySet(
+        (
+            _triple([(-1.0, 0.5), (2.0, 0.3), (0.5, 0.2)]),
+            _triple([(-0.5, 1.0), (1.0, 0.4)], drift=0.1, cov_root=0.3),
+            _triple([(2.0, 0.8), (-1.0, 0.1)]),
+        )
+    ),
+    "symmetric_compensated": lambda: symmetric_compensated_set(mixture_family()),
+}
+
+
+def _layer(batch):
+    """A rough 1-D layer, or a 2-D batch of shifted copies as in the iterated recursion."""
+    x = GRID.x
+    phi = lambda y: np.minimum(y, 1.0) + 0.3 * np.sin(3.0 * y) - 0.05 * y**2
+    return phi(x) if not batch else phi(x[::7, None] + x[None, :])
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["layer", "batch"])
+@pytest.mark.parametrize("name", list(ONE_ATOM_SETS) + list(MULTI_ATOM_SETS))
+def test_rate_matches_triple_loop_reference(name, batch):
+    one_atom = name in ONE_ATOM_SETS
+    uset = (ONE_ATOM_SETS if one_atom else MULTI_ATOM_SETS)[name]()
+    u = _layer(batch)
+    counts = np.zeros(len(uset), dtype=np.int64)
+    got = _Stepper(uset, GRID).rate(u, counts)
+    want, want_counts = reference_rate(uset, GRID, u)
+    assert got.shape == u.shape
+    assert counts.sum() == u.size
+    if one_atom:
+        assert got.tobytes() == want.tobytes()
+        assert counts.tolist() == want_counts.tolist()
+    else:
+        assert float(np.max(np.abs(got - want))) <= 1e-13
+    if name == "duplicate":
+        assert counts[2] == 0 and counts[0] > 0
 
 
 # -- iterated and conditional expectation ------------------------------------
