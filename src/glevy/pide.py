@@ -35,9 +35,11 @@ The module also provides the iterated (backward) evaluation of functionals of
 finitely many increments, its conditional variant at a realized history, and
 the worst-case Poisson distribution: for jump intensity known only within
 [lambda_min, lambda_max], the expectation of phi(N_t) solves the lattice ODE
-u'(t, k) = sup_lambda lambda (u(t, k+1) - u(t, k)), integrated here with
-explicit Euler on a truncated lattice. The sup is exact per state (lambda_max
-where the forward difference is positive, lambda_min where it is negative).
+u'(t, k) = sup_lambda lambda (u(t, k+1) - u(t, k)). That ODE is the PIDE above
+on the unit grid {0, ..., N_max} with the two-triple set (lambda_min delta_1,
+lambda_max delta_1), so the same stepper integrates it: the sup is attained
+at an endpoint of the interval, and the clamped shift keeps the top state
+fixed.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .errors import (
     NumericalAbortError,
     UnsupportedError,
 )
-from .uncertainty import UncertaintySet
+from .uncertainty import DiscreteLevyMeasure, UncertaintySet
 
 __all__ = [
     "Grid1D",
@@ -103,8 +105,12 @@ class Grid1D:
         return np.linspace(self.x_min, self.x_max, self.nx)
 
     def steps_for(self, duration: float) -> tuple[int, float]:
-        """Number of Euler steps covering the duration with step <= dt."""
-        n = max(1, int(math.ceil(duration / self.dt - 1e-12)))
+        """Number of Euler steps covering the duration with step <= dt.
+
+        A ratio duration/dt within a relative 1e-13 above an integer counts
+        as that integer, so dt = duration/n gives n steps for any n.
+        """
+        n = max(1, int(math.ceil(duration / self.dt * (1.0 - 1e-13))))
         return n, duration / n
 
 
@@ -132,6 +138,8 @@ class _Stepper:
         pos = x[None, :] + zs[:, None]  # (n_atoms, nx)
         self.idx = np.clip(np.searchsorted(x, pos) - 1, 0, grid.nx - 2)
         self.frac = np.clip((pos - x[self.idx]) / grid.dx, 0.0, 1.0)
+        self.keep = 1.0 - self.frac
+        self.idx1 = self.idx + 1
         self.mass_max = float(self.mass.max())
         self.q2_max = float(self.q2.max())
         self.p_max = float(np.abs(self.drift).max())
@@ -168,25 +176,24 @@ class _Stepper:
 
     def rate(self, u: np.ndarray, argmax_counts: np.ndarray | None = None) -> np.ndarray:
         """max over triples of A_j u, applied along the last axis of u."""
-        dx = self.grid.dx
-        du = np.empty_like(u)
-        du[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
-        du[..., 0] = (u[..., 1] - u[..., 0]) / (2.0 * dx)
-        du[..., -1] = (u[..., -1] - u[..., -2]) / (2.0 * dx)
-        d2u = np.empty_like(u)
-        d2u[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dx**2
-        d2u[..., 0] = (u[..., 1] - u[..., 0]) / dx**2
-        d2u[..., -1] = (u[..., -2] - u[..., -1]) / dx**2
-
-        shifted = u[..., self.idx] * (1.0 - self.frac) + u[..., self.idx + 1] * self.frac
-        cand = np.tensordot(self.weights, shifted, axes=([1], [-2]))  # (triples, ..., nx)
-        per_triple = (-1,) + (1,) * u.ndim
-        cand -= self.mass.reshape(per_triple) * u
-        cand += self.drift.reshape(per_triple) * du
-        cand += (0.5 * self.q2).reshape(per_triple) * d2u
+        shifted = u[..., self.idx] * self.keep + u[..., self.idx1] * self.frac
+        cand = np.matmul(self.weights, shifted)  # (..., triples, nx)
+        cand -= self.mass[:, None] * u[..., None, :]
+        if self.p_max or self.q2_max:
+            dx = self.grid.dx
+            du = np.empty_like(u)
+            du[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
+            du[..., 0] = (u[..., 1] - u[..., 0]) / (2.0 * dx)
+            du[..., -1] = (u[..., -1] - u[..., -2]) / (2.0 * dx)
+            d2u = np.empty_like(u)
+            d2u[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dx**2
+            d2u[..., 0] = (u[..., 1] - u[..., 0]) / dx**2
+            d2u[..., -1] = (u[..., -2] - u[..., -1]) / dx**2
+            cand += self.drift[:, None] * du[..., None, :]
+            cand += (0.5 * self.q2)[:, None] * d2u[..., None, :]
         if argmax_counts is not None:
-            argmax_counts += np.bincount(cand.argmax(axis=0).ravel(), minlength=cand.shape[0])
-        return cand.max(axis=0)
+            argmax_counts += np.bincount(cand.argmax(axis=-2).ravel(), minlength=cand.shape[-2])
+        return cand.max(axis=-2)
 
     def evolve(
         self,
@@ -213,31 +220,16 @@ class _Stepper:
         if record:
             layers = np.empty((n_steps + 1,) + u.shape)
             layers[0] = u
-        prev = None
-        second_diff_rate = 0.0
-        win = self.interior
         for step in range(n_steps):
             r = self.rate(u, argmax_counts)
-            u_new = np.add(u, dt * r, out=None if layers is None else layers[step + 1])
-            if np.isnan(u_new).any():
+            r *= dt
+            u = np.add(u, r, out=None if layers is None else layers[step + 1])
+            if np.isnan(u).any():
                 raise NumericalAbortError(
                     f"NaN contamination at step {step + 1}/{n_steps}",
                     {"step": step + 1, "n_steps": n_steps, "cfl_number": cfl},
                 )
-            if prev is not None:
-                second_diff_rate = max(
-                    second_diff_rate,
-                    float(np.max(np.abs((u_new - 2.0 * u + prev)[win]))) / dt,
-                )
-            prev = u
-            u = u_new
-        info = {
-            "n_steps": n_steps,
-            "dt": dt,
-            "cfl_number": cfl,
-            "second_diff_rate": second_diff_rate,
-        }
-        return u, layers, info
+        return u, layers, {"n_steps": n_steps, "dt": dt, "cfl_number": cfl}
 
     def boundary_contamination(self, duration: float) -> float:
         """Poisson tail bound on boundary influence at the evaluation point 0."""
@@ -336,23 +328,31 @@ def solve_ipde(phi: Callable, uset: UncertaintySet, grid: Grid1D, horizon: float
     u0 = _eval_nodes(phi, grid.x, "initial data", "grid")
     argmax_counts = np.zeros(len(uset), dtype=np.int64)
     u, layers, info = stepper.evolve(u0, T, record=True, argmax_counts=argmax_counts)
-    times = np.linspace(0.0, T, info["n_steps"] + 1)
+    n_steps, dt = info["n_steps"], info["dt"]
+    times = np.linspace(0.0, T, n_steps + 1)
 
+    win = stepper.interior
+    second_diff_rate = 0.0
+    for k in range(1, n_steps):
+        second_diff_rate = max(
+            second_diff_rate,
+            float(np.max(np.abs((layers[k + 1] - 2.0 * layers[k] + layers[k - 1])[win]))) / dt,
+        )
     dx = grid.dx
-    final = u[stepper.interior]
+    final = u[win]
     d2 = np.abs(np.diff(final, 2)).max(initial=0.0) / dx**2
     d3 = np.abs(np.diff(final, 3)).max(initial=0.0) / dx**3
     contamination = stepper.boundary_contamination(T)
     osc = float(u0.max() - u0.min())
     err = (
-        0.5 * T * info["second_diff_rate"]
+        0.5 * T * second_diff_rate
         + contamination * max(osc, 1.0)
         + T * dx**2 * (stepper.mass_max * d2 / 8.0 + stepper.p_max * d3 / 6.0)
     )
     diagnostics = {
         "cfl_number": info["cfl_number"],
-        "dt": info["dt"],
-        "n_steps": info["n_steps"],
+        "dt": dt,
+        "n_steps": n_steps,
         "monotone": stepper.monotone,
         "argmax_histogram": argmax_counts.tolist(),
         "boundary_contamination": contamination,
@@ -539,17 +539,19 @@ def g_poisson_distribution(
     """Worst-case expectation of phi(N_t), intensity known within an interval.
 
     Integrates u'(s, k) = sup over lambda in [lambda_min, lambda_max] of
-    lambda (u(s, k+1) - u(s, k)) with explicit Euler on the lattice {0, ...,
-    N_max}, the truncation level chosen so the Poisson(lambda_max t) tail is
-    below ``tail``. The per-state sup is lambda_max on positive forward
-    differences and lambda_min on negative ones. When no step count is given
-    the count is chosen by step doubling: the scheme runs at n and 2n steps
-    and the pair is combined by Richardson extrapolation (2 u_{2n} - u_n,
-    cancelling the first-order term), doubling until successive combined
-    values agree to 2.5e-7; every run stays below the stability ceiling
-    dt lambda_max <= 1/2. Passing an explicit ``n_steps`` returns the raw
-    Euler iterate at that count. For an intensity interval collapsed to a
-    point the result matches the truncated Poisson series to 1e-6.
+    lambda (u(s, k+1) - u(s, k)) on the lattice {0, ..., N_max}, the
+    truncation level chosen so the Poisson(lambda_max t) tail is below
+    ``tail``. The lattice ODE is the PIDE on the unit grid over the lattice
+    with the two-triple set (lambda_min delta_1, lambda_max delta_1), run by
+    the shared explicit stepper; phi is evaluated on the integers. When no
+    step count is given the count is chosen by step doubling: the scheme runs
+    at n and 2n steps and the pair is combined by Richardson extrapolation
+    (2 u_{2n} - u_n, cancelling the first-order term), doubling until
+    successive combined values agree to 2.5e-7; every run stays below the
+    stability ceiling dt lambda_max <= 1/2. Passing an explicit ``n_steps``
+    returns the raw Euler iterate at that count. For an intensity interval
+    collapsed to a point the result matches the truncated Poisson series to
+    1e-6.
     """
     if not (0.0 <= lambda_min <= lambda_max) or lambda_max <= 0.0:
         raise InvalidInputError("need 0 <= lambda_min <= lambda_max with lambda_max > 0")
@@ -558,8 +560,13 @@ def g_poisson_distribution(
 
     mu = lambda_max * t
     n_max = int(stats.poisson.ppf(1.0 - min(tail, 1e-8) * 0.1, mu)) + 3
-    ks = np.arange(n_max + 1)
-    u0 = _eval_nodes(phi, ks, "phi", "lattice")
+    u0 = _eval_nodes(phi, np.arange(n_max + 1), "phi", "lattice")
+    lattice = UncertaintySet.from_measures(
+        [
+            DiscreteLevyMeasure.delta(1.0, lambda_min) if lambda_min > 0.0 else DiscreteLevyMeasure.empty(),
+            DiscreteLevyMeasure.delta(1.0, lambda_max),
+        ]
+    )
 
     def euler(n: int) -> float:
         h = t / n
@@ -568,20 +575,7 @@ def g_poisson_distribution(
                 f"lattice step bound violated: dt*lambda_max = {h * lambda_max:.3g} > 1/2",
                 {"n_steps": n, "h": h},
             )
-        u = u0.copy()
-        body = u[:n_max]  # the top state keeps its value (zero forward difference)
-        spread = lambda_max - lambda_min
-        du = np.empty(n_max)
-        gain = np.empty(n_max)
-        for _ in range(n):
-            np.subtract(u[1:], u[:-1], out=du)
-            np.maximum(du, 0.0, out=gain)
-            np.multiply(gain, spread, out=gain)
-            du *= lambda_min
-            gain += du
-            gain *= h
-            body += gain
-        return float(u[0])
+        return float(_Stepper(lattice, Grid1D(0, n_max, n_max + 1, h, t)).evolve(u0, t)[0][0])
 
     if n_steps is not None:
         return euler(int(n_steps))

@@ -363,6 +363,19 @@ def test_numerical_abort_exits_4(tmp_path):
     assert "cfl_number" in rec["diagnostics"]
 
 
+def test_gpoisson_lattice_step_bound_exits_4(tmp_path):
+    # dt * lambda_max = 2/3 passes the PIDE bound of 1 but not the lattice bound of 1/2
+    doc = {
+        "gpoisson": {"lambda_min": 1.0, "lambda_max": 2.0, "t": 1.0, "n_steps": 3},
+        "payoff": {"kind": "clampedLinear", "scale": 1.0, "cap": 1.0},
+    }
+    code, rec_file = run(tmp_path, "gpoisson", doc)
+    assert code == 4
+    rec = load(rec_file)
+    assert rec["status"] == "numerical-abort"
+    assert rec["diagnostics"]["n_steps"] == 3
+
+
 # -- console script -----------------------------------------------------------
 
 def check_validate_subprocess(tmp_path, argv, env=None):

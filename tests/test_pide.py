@@ -201,6 +201,17 @@ def test_scalar_only_initial_data_matches_vectorized(lam_12, scalar, vectorized)
     assert a.diagnostics == b.diagnostics
 
 
+def test_steps_for_counts_exact_step_counts():
+    # dt = t/n must give n steps although t/dt may land a few ulps above n
+    grid = Grid1D(0.0, 1.0, 3, 1.3 / 32000, 1.3)
+    assert grid.steps_for(1.3) == (32000, 1.3 / 32000)
+    rng = np.random.default_rng(5)
+    for t, n in zip(rng.uniform(0.01, 10.0, 2000), rng.integers(1, 200_000, 2000)):
+        assert Grid1D(0.0, 1.0, 3, t / n, t).steps_for(t)[0] == n
+    # a ratio clearly above n still takes one more step
+    assert Grid1D(0.0, 1.0, 3, 1.0 / (10.0 + 1e-6), 1.0).steps_for(1.0)[0] == 11
+
+
 def test_non_finite_initial_data_refused(lam_12):
     with pytest.raises(EvaluationError):
         solve_ipde(lambda x: np.where(x > 7.0, np.inf, 0.0), lam_12, GRID)
@@ -255,6 +266,12 @@ ONE_ATOM_SETS = {
     ),
     "duplicate": lambda: UncertaintySet(
         (_triple([(1.0, 1.5)]), _triple([(-0.5, 0.5)]), _triple([(1.0, 1.5)]))
+    ),
+    "drift_only": lambda: UncertaintySet(
+        (_triple([(1.0, 1.0)], drift=0.4), _triple([(1.0, 1.5)], drift=-0.3), _triple([(-0.5, 0.5)]))
+    ),
+    "diffusion_only": lambda: UncertaintySet(
+        (_triple([(1.0, 1.0)], cov_root=0.5), _triple([(1.0, 1.5)], cov_root=0.2), _triple([(-0.5, 0.5)]))
     ),
 }
 MULTI_ATOM_SETS = {
@@ -360,6 +377,83 @@ def test_iterated_refuses_oversized_tensor(lam_12):
 
 
 # -- g_poisson_distribution ---------------------------------------------------
+
+def reference_g_poisson(lambda_min, lambda_max, t, phi, n_steps=None, tail=1e-8):
+    """The lattice ODE by a hand-written Euler loop on {0, ..., N_max}, same driver."""
+    n_max = int(stats.poisson.ppf(1.0 - min(tail, 1e-8) * 0.1, lambda_max * t)) + 3
+    ks = np.arange(n_max + 1)
+    try:
+        u0 = np.asarray(phi(ks), dtype=float)
+    except (TypeError, ValueError):
+        u0 = np.array([float(phi(k)) for k in ks.tolist()])
+
+    def euler(n):
+        h = t / n
+        u = u0.copy()
+        body = u[:n_max]  # the top state keeps its value (zero forward difference)
+        spread = lambda_max - lambda_min
+        du = np.empty(n_max)
+        gain = np.empty(n_max)
+        for _ in range(n):
+            np.subtract(u[1:], u[:-1], out=du)
+            np.maximum(du, 0.0, out=gain)
+            np.multiply(gain, spread, out=gain)
+            du *= lambda_min
+            gain += du
+            gain *= h
+            body += gain
+        return float(u[0])
+
+    if n_steps is not None:
+        return euler(n_steps)
+    n = max(int(math.ceil(2.0 * lambda_max * t)), 1000)
+    coarse, fine = euler(n), euler(2 * n)
+    combined = 2.0 * fine - coarse
+    while n < 2_000_000:
+        n *= 2
+        coarse, fine = fine, euler(2 * n)
+        refined = 2.0 * fine - coarse
+        if abs(refined - combined) <= 2.5e-7:
+            return refined
+        combined = refined
+    return combined
+
+
+_clamp = lambda k: np.minimum(k, 1.0)
+GPOISSON_CASES = {
+    "lam_12": (1.0, 2.0, 1.0, _clamp),
+    "cos_t2": (0.5, 3.0, 2.0, np.cos),
+    "degenerate": (1.0, 1.0, 1.0, _clamp),
+    "lambda_min_0": (0.0, 2.0, 1.0, np.sin),
+    "antitone": (1.0, 2.0, 1.0, lambda k: -np.minimum(k, 1.0)),
+    "scalar_only": (1.0, 2.0, 1.0, lambda k: [0.0, 1.0, 0.5][k % 3]),  # k must be an int
+}
+
+
+@pytest.mark.parametrize(
+    "name, n_steps",
+    [(name, n) for name in GPOISSON_CASES for n in (1000, 4000, None)] + [("t1.3", 32000)],
+)
+def test_gpoisson_matches_lattice_reference(name, n_steps):
+    args = GPOISSON_CASES.get(name, (1.0, 2.0, 1.3, _clamp))
+    got = g_poisson_distribution(*args, n_steps=n_steps)
+    assert got.hex() == reference_g_poisson(*args, n_steps=n_steps).hex()
+
+
+@pytest.mark.parametrize("n_steps", [4000, None])
+def test_gpoisson_off_binary_intensities_match_reference_to_rounding(n_steps):
+    # the stepper forms lambda u(k+1) - lambda u(k), the loop lambda_min d + (lambda_max -
+    # lambda_min) max(d, 0) with d = u(k+1) - u(k): the two round apart in the last bits
+    args = (0.3, 0.7, 4.0, np.cos)
+    got = g_poisson_distribution(*args, n_steps=n_steps)
+    assert abs(got - reference_g_poisson(*args, n_steps=n_steps)) <= 64 * np.finfo(float).eps
+
+
+def test_gpoisson_keeps_lattice_step_bound():
+    # dt * lambda_max = 2/3: inside the PIDE step bound of 1, outside the lattice bound of 1/2
+    with pytest.raises(NumericalAbortError):
+        g_poisson_distribution(1.0, 2.0, 1.0, _clamp, n_steps=3)
+
 
 def test_gpoisson_linear_mean():
     assert g_poisson_distribution(1.0, 2.0, 1.0, lambda k: k) == pytest.approx(2.0, abs=1e-4)
