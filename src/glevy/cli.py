@@ -7,8 +7,10 @@ produce bit-identical artifacts (wall-clock time is printed to the console,
 never stored). Arrays destined for plots are written as CSV next to the
 record.
 
-Exit status: 0 success, 2 unusable config or arguments, 3 violated
-assumption reported by the computation, 4 numerical abort.
+Exit status: 0 success, 2 unusable config or arguments (including a missing
+or ill-typed config value, an unreadable input file, and a payoff that
+evaluates to non-finite values), 3 violated assumption reported by the
+computation, 4 numerical abort.
 
 Config schema (YAML or JSON; sections are consumed by the subcommand that
 needs them)::
@@ -84,10 +86,10 @@ from .analysis import (
 from .errors import (
     AssumptionError,
     ConfigError,
+    EvaluationError,
     GLevyError,
     InvalidInputError,
     NumericalAbortError,
-    PolicyError,
     UnsupportedError,
 )
 from .fnspace import (
@@ -140,74 +142,83 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _payoff_from_config(doc) -> tuple:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError("payoff config must be a mapping with a 'kind'")
-    kind = doc["kind"]
+_REQUIRED = object()
+
+
+def _get(doc, key: str, kind=float, default=_REQUIRED):
+    """Return ``kind(doc[key])``, or ``default`` when absent; each refusal is a ConfigError naming the key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"the config holding {key!r} must be a mapping")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ConfigError(f"config needs {key!r}")
+        return default
+    try:
+        return kind(doc[key])
+    except (LookupError, TypeError, ValueError, OverflowError, OSError) as e:
+        raise ConfigError(f"cannot read {key!r}: {type(e).__name__}: {e}") from e
+
+
+def _mapping(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a mapping, got {type(value).__name__}")
+    return value
+
+
+def _floats(value) -> list[float]:
+    return [float(v) for v in value]
+
+
+def _payoff_from_config(config: dict) -> tuple:
+    doc = _get(config, "payoff", _mapping)
+    kind = _get(doc, "kind", str)
     if kind == "linear":
-        scale = float(doc.get("scale", 1.0))
+        scale = _get(doc, "scale", float, 1.0)
         return (lambda x: scale * np.asarray(x, dtype=float)), f"linear(scale={scale})"
     if kind == "clampedLinear":
-        scale = float(doc.get("scale", 1.0))
-        cap = float(doc.get("cap", 1.0))
+        scale = _get(doc, "scale", float, 1.0)
+        cap = _get(doc, "cap", float, 1.0)
         return (
             lambda x: np.minimum(scale * np.asarray(x, dtype=float), cap)
         ), f"clampedLinear(scale={scale}, cap={cap})"
     if kind == "indicatorSmoothed":
-        lo = float(doc.get("lo", 0.0))
-        hi = float(doc.get("hi", 1.0))
+        lo = _get(doc, "lo", float, 0.0)
+        hi = _get(doc, "hi", float, 1.0)
         if not hi > lo:
             raise ConfigError("indicatorSmoothed needs hi > lo")
         return (
             lambda x: np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
         ), f"indicatorSmoothed(lo={lo}, hi={hi})"
     if kind == "table":
-        xs = np.asarray(doc.get("xs", ()), dtype=float)
-        ys = np.asarray(doc.get("ys", ()), dtype=float)
+        xs, ys = (_get(doc, k, lambda v: np.asarray(v, dtype=float)) for k in ("xs", "ys"))
         if xs.ndim != 1 or xs.shape != ys.shape or xs.shape[0] < 2 or np.any(np.diff(xs) <= 0):
             raise ConfigError("table payoff needs matching strictly increasing xs and ys")
         return (lambda x: np.interp(np.asarray(x, dtype=float), xs, ys)), "table"
     raise ConfigError(f"unknown payoff kind {kind!r}")
 
 
-def _grid_from_config(doc) -> Grid1D:
-    if not isinstance(doc, dict):
-        raise ConfigError("grid config must be a mapping")
-    try:
-        return Grid1D(
-            float(doc["x_min"]),
-            float(doc["x_max"]),
-            int(doc["nx"]),
-            float(doc["dt"]),
-            float(doc["horizon"]),
-        )
-    except KeyError as e:
-        raise ConfigError(f"grid config is missing {e.args[0]!r}")
+def _grid_from_config(doc: dict) -> Grid1D:
+    return Grid1D(
+        _get(doc, "x_min"), _get(doc, "x_max"), _get(doc, "nx", int), _get(doc, "dt"), _get(doc, "horizon")
+    )
 
 
 def _uset(config: dict):
-    if "uncertainty" not in config:
-        raise ConfigError("config needs an 'uncertainty' section")
-    return uncertainty_set_from_config(config["uncertainty"])
+    return _get(config, "uncertainty", uncertainty_set_from_config)
 
 
 def _mc_settings(config: dict, seed_override: int | None):
-    mc = config.get("mc", {})
-    if not isinstance(mc, dict):
-        raise ConfigError("mc config must be a mapping")
-    seed = seed_override if seed_override is not None else mc.get("seed")
+    mc = _get(config, "mc", _mapping, {})
+    seed = seed_override if seed_override is not None else _get(mc, "seed", int, None)
     if seed is None:
         raise ConfigError("a seed is required for stochastic commands (mc.seed or --seed)")
-    return int(mc.get("n_paths", 10000)), int(seed), float(mc.get("brownian_dt", 0.01))
+    return _get(mc, "n_paths", int, 10000), seed, _get(mc, "brownian_dt", float, 0.01)
 
 
 def _horizon(config: dict) -> float:
-    if "horizon" in config:
-        return float(config["horizon"])
-    grid = config.get("grid")
-    if isinstance(grid, dict) and "horizon" in grid:
-        return float(grid["horizon"])
-    raise ConfigError("config needs a 'horizon' (top level or under grid)")
+    """Top-level ``horizon``, else the grid's."""
+    T = _get(config, "horizon", float, None)
+    return T if T is not None else _get(_get(config, "grid", _mapping, {}), "horizon")
 
 
 class _Encoder(json.JSONEncoder):
@@ -229,31 +240,28 @@ class _Encoder(json.JSONEncoder):
 
 
 def _cmd_validate(config, args, out_dir):
-    sec = config.get("validate")
-    if not isinstance(sec, dict) or "q" not in sec or "p" not in sec:
-        raise ConfigError("validate needs {q, p} under 'validate'")
-    report = validate(_uset(config), float(sec["q"]), float(sec["p"]))
+    sec = _get(config, "validate", _mapping)
+    report = validate(_uset(config), _get(sec, "q"), _get(sec, "p"))
     return {"report": report.as_dict(), "ok": report.ok}, {}
 
 
 def _cmd_expect(config, args, out_dir):
-    method = args.method or config.get("method", "both")
+    method = args.method or _get(config, "method", str, "both")
     if method not in ("pide", "mc", "both"):
         raise ConfigError(f"unknown method {method!r}")
-    payoff, payoff_name = _payoff_from_config(config.get("payoff"))
+    payoff, payoff_name = _payoff_from_config(config)
     uset = _uset(config)
     T = _horizon(config)
     results: dict = {"method": method, "payoff": payoff_name, "horizon": T}
     csvs: dict = {}
     if method in ("pide", "both"):
-        grid_cfg = config.get("grid")
-        grid = _grid_from_config(grid_cfg)
-        sol = solve_ipde(payoff, uset, grid, horizon=T)
+        grid_cfg = _get(config, "grid", _mapping)
+        sol = solve_ipde(payoff, uset, _grid_from_config(grid_cfg), horizon=T)
         results["pideValue"] = sol.value_at_zero()
         results["schemeError"] = sol.diagnostics["scheme_error_estimate"]
         results["pideDiagnostics"] = sol.diagnostics
-        if isinstance(grid_cfg, dict) and grid_cfg.get("export_solution"):
-            text, header = sol.to_csv(max_rows=int(grid_cfg.get("export_rows", 201)))
+        if _get(grid_cfg, "export_solution", bool, False):
+            text, header = sol.to_csv(max_rows=_get(grid_cfg, "export_rows", int, 201))
             csvs["solution.csv"] = text
             results["solutionHeader"] = header
     if method in ("mc", "both"):
@@ -284,26 +292,23 @@ def _cmd_expect(config, args, out_dir):
 
 
 def _cmd_gpoisson(config, args, out_dir):
-    sec = config.get("gpoisson")
-    if not isinstance(sec, dict):
-        raise ConfigError("gpoisson needs a 'gpoisson' section")
-    payoff, payoff_name = _payoff_from_config(config.get("payoff"))
+    sec = _get(config, "gpoisson", _mapping)
+    payoff, payoff_name = _payoff_from_config(config)
     value = g_poisson_distribution(
-        float(sec["lambda_min"]),
-        float(sec["lambda_max"]),
-        float(sec["t"]),
+        _get(sec, "lambda_min"),
+        _get(sec, "lambda_max"),
+        _get(sec, "t"),
         payoff,
-        n_steps=int(sec["n_steps"]) if "n_steps" in sec else None,
+        n_steps=_get(sec, "n_steps", int, None),
     )
+    # echo the three parameters as the config wrote them
     return {"value": value, "payoff": payoff_name, **{k: sec[k] for k in ("lambda_min", "lambda_max", "t")}}, {}
 
 
 def _cmd_capacity(config, args, out_dir):
-    sec = config.get("capacity")
-    if not isinstance(sec, dict) or "region" not in sec:
-        raise ConfigError("capacity needs {region, min_count?} under 'capacity'")
-    region = Region.from_dict(sec["region"])
-    min_count = int(sec.get("min_count", 1))
+    sec = _get(config, "capacity", _mapping)
+    region = _get(sec, "region", Region.from_dict)
+    min_count = _get(sec, "min_count", int, 1)
     uset = _uset(config)
     T = _horizon(config)
     n_paths, seed, brownian_dt = _mc_settings(config, args.seed)
@@ -328,18 +333,15 @@ def _cmd_capacity(config, args, out_dir):
 
 
 def _cmd_erlang_bound(config, args, out_dir):
-    sec = config.get("erlang")
-    if not isinstance(sec, dict):
-        raise ConfigError("erlang-bound needs an 'erlang' section")
-    window = sec.get("window", (0.0, float("inf")))
-    c0, c1 = float(window[0]), float(window[1])
+    sec = _get(config, "erlang", _mapping)
+    window = _get(sec, "window", lambda w: (float(w[0]), float(w[1])), (0.0, float("inf")))
     n_paths, seed, _ = _mc_settings(config, args.seed)
     res = erlang_bound_check(
         _uset(config),
-        Region.from_dict(sec["region_a"]),
-        Region.from_dict(sec["region_b"]),
-        int(sec.get("k", 1)),
-        (c0, c1),
+        _get(sec, "region_a", Region.from_dict),
+        _get(sec, "region_b", Region.from_dict),
+        _get(sec, "k", int, 1),
+        window,
         n_paths,
         seed,
     )
@@ -355,46 +357,40 @@ def _cmd_erlang_bound(config, args, out_dir):
 
 
 def _cmd_compensate(config, args, out_dir):
-    sec = config.get("compensate")
-    if not isinstance(sec, dict) or "input" not in sec:
-        raise ConfigError("compensate needs {input} under 'compensate'")
+    sec = _get(config, "compensate", _mapping)
     uset = _uset(config)
-    path = read_records(sec["input"])
+    path = _get(sec, "input", lambda v: read_records(str(v)))
     drift = mean_of_jump_part(uset, 1.0)
     comp = compensate(path, uset)
     out_file = str(Path(out_dir) / "compensated_path.jsonl")
     write_records(comp, out_file)
     return {
         "drift": drift.tolist(),
-        "input": sec["input"],
+        "input": _get(sec, "input", str),
         "output": out_file,
         "terminalValue": np.atleast_2d(comp.values_at(comp.horizon))[-1].tolist(),
     }, {}
 
 
 def _cmd_martingale_check(config, args, out_dir):
-    sec = config.get("martingale")
-    if not isinstance(sec, dict) or "kind" not in sec:
-        raise ConfigError("martingale-check needs {kind, s, t} under 'martingale'")
+    sec = _get(config, "martingale", _mapping)
+    kind = _get(sec, "kind", str)
     uset = _uset(config)
-    grid = _grid_from_config(config.get("grid"))
-    spec = ProcessSpec(str(sec["kind"]), uset)
-    res = martingale_check(spec, float(sec.get("s", 0.0)), float(sec["t"]), grid)
-    return {"kind": sec["kind"], **res.as_dict()}, {}
+    grid = _grid_from_config(_get(config, "grid", _mapping))
+    res = martingale_check(ProcessSpec(kind, uset), _get(sec, "s", float, 0.0), _get(sec, "t"), grid)
+    return {"kind": kind, **res.as_dict()}, {}
 
 
 def _cmd_decompose(config, args, out_dir):
-    sec = config.get("decompose")
-    if not isinstance(sec, dict) or "input" not in sec:
-        raise ConfigError("decompose needs {input} under 'decompose'")
-    path = read_records(sec["input"])
+    sec = _get(config, "decompose", _mapping)
+    path = _get(sec, "input", lambda v: read_records(str(v)))
     xc, xd = decompose(path)
     cont_file = str(Path(out_dir) / "continuous_part.jsonl")
     jump_file = str(Path(out_dir) / "jump_part.jsonl")
     write_records(xc, cont_file)
     write_records(xd, jump_file)
     return {
-        "input": sec["input"],
+        "input": _get(sec, "input", str),
         "continuous": cont_file,
         "jumps": jump_file,
         "nJumps": path.n_jumps,
@@ -402,8 +398,8 @@ def _cmd_decompose(config, args, out_dir):
 
 
 def _cmd_transport(config, args, out_dir):
-    sec = config.get("transport", {})
-    eps_list = [float(e) for e in sec.get("eps", (0.1,))]
+    sec = _get(config, "transport", _mapping, {})
+    eps_list = _get(sec, "eps", _floats, [0.1])
     uset = _uset(config)
     base = InverseSquareTail()
     measures = []
@@ -428,19 +424,19 @@ def _cmd_transport(config, args, out_dir):
 
 
 def _cmd_fnspace(config, args, out_dir):
-    sec = config.get("fnspace", {})
-    p = float(sec.get("p", 1.0))
-    payoff, payoff_name = _payoff_from_config(config.get("payoff"))
-    region = Region.from_dict(sec["region"]) if "region" in sec else None
-    disc = Region.from_dict(sec["discontinuity"]) if "discontinuity" in sec else None
+    sec = _get(config, "fnspace", _mapping, {})
+    p = _get(sec, "p", float, 1.0)
+    payoff, payoff_name = _payoff_from_config(config)
+    region = _get(sec, "region", Region.from_dict, None)
+    disc = _get(sec, "discontinuity", Region.from_dict, None)
     f = TestFunction(lambda z: float(payoff(z)), discontinuity=disc, name=payoff_name)
     uset = _uset(config)
     family = uset.measures
     norm = v_norm(f, region, family, p)
     verdict = membership_lpb(f, region, family, p)
     qc = qc_criterion(f, family)
-    eps_ladder = [float(e) for e in sec.get("eps", (1e-1, 1e-2, 1e-3))]
-    ns_ladder = [float(n) for n in sec.get("ns", (1.0, 4.0, 16.0, 64.0))]
+    eps_ladder = _get(sec, "eps", _floats, [1e-1, 1e-2, 1e-3])
+    ns_ladder = _get(sec, "ns", _floats, [1.0, 4.0, 16.0, 64.0])
     tight = tightness_profile(f, family, p, eps_ladder)
     ui = uniform_integrability_profile(f, family, p, ns_ladder)
     csvs = {
@@ -457,12 +453,12 @@ def _cmd_fnspace(config, args, out_dir):
 
 
 def _cmd_counterexample(config, args, out_dir):
-    sec = config.get("counterexample", {})
-    t = float(sec.get("t", 0.5))
-    shift = float(sec.get("shift", 0.01))
-    size_a = float(sec.get("size_a", 1.0))
-    size_b = float(sec.get("size_b", 1.01))
-    T = float(sec.get("horizon", 1.0))
+    sec = _get(config, "counterexample", _mapping, {})
+    t = _get(sec, "t", float, 0.5)
+    shift = _get(sec, "shift", float, 0.01)
+    size_a = _get(sec, "size_a", float, 1.0)
+    size_b = _get(sec, "size_b", float, 1.01)
+    T = _get(sec, "horizon", float, 1.0)
     a = counterexample_family(t, size_a, T)
     b = counterexample_family(t + shift, size_b, T)
     dist = skorohod_distance_upper(a, b)
@@ -530,7 +526,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         config = _load_config(args.config)
-        declared = config.get("command")
+        declared = _get(config, "command", str, None)
         if declared is not None and declared != args.command:
             raise ConfigError(f"config declares command {declared!r} but {args.command!r} was invoked")
         handler = _COMMANDS[args.command]
@@ -546,7 +542,7 @@ def main(argv=None) -> int:
     }
     try:
         results, csvs = handler(config, args, args.out)
-    except (ConfigError, InvalidInputError, PolicyError) as e:
+    except (ConfigError, InvalidInputError, EvaluationError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (AssumptionError, UnsupportedError) as e:

@@ -165,22 +165,15 @@ def tightness_profile(f, family, p: float, eps_seq: Sequence[float]) -> list[Tig
     set is needed because the whole worst-case mass is already below eps) and
     the mass it achieves. Annuli for decreasing eps are nested.
     """
-    if any(e <= 0.0 for e in eps_seq):
+    if not all(e > 0.0 for e in eps_seq):
         raise InvalidInputError("tightness thresholds must be positive")
     tf = _as_test_function(f)
     hulls = _peel_sequence(tf, family, p)
     out = []
     for eps in eps_seq:
-        chosen = None
-        for annulus, tail in hulls[::-1]:  # deepest peel first
-            if tail < eps:
-                chosen = (annulus, tail)
-                break
-        if chosen is None:
-            # even the full hull fails only when some mass sits outside every
-            # candidate, impossible for pooled radii; keep the full hull
-            chosen = hulls[0]
-        out.append(TightnessEntry(float(eps), chosen[0], float(chosen[1])))
+        # deepest peel first; the full hull hulls[0] has tail 0.0 < eps, so one always qualifies
+        annulus, tail = next(h for h in hulls[::-1] if h[1] < eps)
+        out.append(TightnessEntry(float(eps), annulus, float(tail)))
     return out
 
 
@@ -239,7 +232,6 @@ def membership_lpb(f, region: Region | None, family, p: float) -> MembershipVerd
     """
     tf = _as_test_function(f)
     ms = [m.restrict(region) for m in _measure_family(family)]
-    ms = [m if m.n_atoms else DiscreteLevyMeasure.empty(m.dim) for m in ms]
     reasons = []
     norm = v_norm(tf, None, ms, p)
     ok = True
@@ -295,12 +287,10 @@ def qc_criterion(f, family) -> QcVerdict:
     cap = v_capacity(ms, closure)
     if cap.value == 0.0:
         return QcVerdict("qc", 0.0, None, None)
-    for mi, m in enumerate(ms):
-        mask = m.mask_in(closure)
-        if mask.any():
-            atom = m.atoms[int(np.argmax(mask))]
-            return QcVerdict("not-qc", float(cap.value), atom, mi)
-    return QcVerdict("not-qc", float(cap.value), None, int(cap.argmax))
+    # cap.value > 0, so some measure has an atom in the closure
+    masks = [m.mask_in(closure) for m in ms]
+    mi = next(i for i, mask in enumerate(masks) if mask.any())
+    return QcVerdict("not-qc", float(cap.value), ms[mi].atoms[int(np.argmax(masks[mi]))], mi)
 
 
 def tightness_csv(entries: Sequence[TightnessEntry]) -> str:

@@ -302,12 +302,13 @@ class GridSolution:
 
 def _eval_nodes(phi: Callable, nodes: np.ndarray, what: str, where: str) -> np.ndarray:
     """phi on every node: one vectorized call, else one call per node."""
-    try:
-        vals = np.asarray(phi(nodes), dtype=float)
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or vals.shape != nodes.shape:
-        vals = np.array([float(phi(v)) for v in nodes.tolist()])
+    with np.errstate(all="ignore"):  # non-finite values are refused below, not warned about
+        try:
+            vals = np.asarray(phi(nodes), dtype=float)
+        except (TypeError, ValueError):
+            vals = None
+        if vals is None or vals.shape != nodes.shape:
+            vals = np.array([float(phi(v)) for v in nodes.tolist()])
     if not np.all(np.isfinite(vals)):
         raise EvaluationError(f"{what} evaluated to non-finite values on the {where}")
     return vals

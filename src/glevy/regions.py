@@ -301,7 +301,6 @@ def _boxes_intersect(a: Box, b: Box) -> bool:
         if lo > hi:
             return False
         if lo == hi:
-            pt = np.array([lo])
             one = np.array([[lo]])
             a_line = Box([a.lo[k]], [a.hi[k]], closed_lo=a.closed_lo, closed_hi=a.closed_hi)
             b_line = Box([b.lo[k]], [b.hi[k]], closed_lo=b.closed_lo, closed_hi=b.closed_hi)

@@ -225,12 +225,6 @@ class ControlPolicy:
     def constant(value, start: float, end: float) -> "ControlPolicy":
         return ControlPolicy(np.array([start, end]), (value,))
 
-    def interval_of(self, t: float) -> int:
-        bp = self.breakpoints
-        if not (bp[0] < t <= bp[-1]):
-            raise PolicyError(f"time {t} is not covered by the policy")
-        return int(np.searchsorted(bp, t, side="left") - 1)
-
     def check_covers(self, start: float, end: float) -> None:
         if self.breakpoints[0] > start + 1e-12 or self.breakpoints[-1] < end - 1e-12:
             raise PolicyError(

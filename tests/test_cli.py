@@ -269,7 +269,7 @@ def test_artifacts_bit_identical_across_runs(tmp_path):
     code_a, rec_a = run(tmp_path, "capacity", doc, out=a_dir)
     code_b, rec_b = run(tmp_path, "capacity", doc, out=b_dir)
     assert code_a == code_b == 0
-    assert open(rec_a, "rb").read() == open(rec_b, "rb").read()
+    assert Path(rec_a).read_bytes() == Path(rec_b).read_bytes()
 
 
 def test_pide_artifact_bit_identical(tmp_path):
@@ -282,18 +282,94 @@ def test_pide_artifact_bit_identical(tmp_path):
     a_dir.mkdir(), b_dir.mkdir()
     _, rec_a = run(tmp_path, "expect", doc, "--method", "pide", out=a_dir)
     _, rec_b = run(tmp_path, "expect", doc, "--method", "pide", out=b_dir)
-    assert open(rec_a, "rb").read() == open(rec_b, "rb").read()
+    assert Path(rec_a).read_bytes() == Path(rec_b).read_bytes()
     assert (a_dir / "solution.csv").read_bytes() == (b_dir / "solution.csv").read_bytes()
 
 
 # -- failure modes ------------------------------------------------------------
 
-def test_malformed_config_exits_2(tmp_path):
+GPOISSON = {"lambda_min": 1.0, "lambda_max": 2.0, "t": 1.0}
+EXPECT_PIDE = {"uncertainty": UNC_FAMILY, "grid": GRID, "payoff": {"kind": "linear"}, "method": "pide"}
+EXPECT_MC = {"uncertainty": UNC_FAMILY, "horizon": 1.0, "payoff": {"kind": "linear"}, "method": "mc"}
+ERLANG = {"region_a": {"interval": [0.5, 2.5]}, "region_b": {"interval": [0.5, 1.5]}}
+MISSING_PATH = "no_such_dir/path.jsonl"
+MALFORMED = {
+    "yaml-parse": ("validate", "uncertainty: [unbalanced\n"),
+    "gpoisson-missing-lambda_min": (
+        "gpoisson",
+        {"gpoisson": {"lambda_max": 2.0, "t": 1.0}, "payoff": {"kind": "linear"}},
+    ),
+    "gpoisson-lambda_min-text": (
+        "gpoisson",
+        {"gpoisson": {**GPOISSON, "lambda_min": "x"}, "payoff": {"kind": "linear"}},
+    ),
+    "validate-q-text": ("validate", {"uncertainty": UNC_FAMILY, "validate": {"q": "abc", "p": 2.0}}),
+    "validate-param-without-count": (
+        "validate",
+        {
+            "uncertainty": {"family": {**UNC_FAMILY["family"], "params": {"intensity": {"min": 1.0, "max": 2.0}}}},
+            "validate": {"q": 0.5, "p": 2.0},
+        },
+    ),
+    "validate-unknown-fixed-param": (
+        "validate",
+        {
+            "uncertainty": {"family": {**UNC_FAMILY["family"], "fixed": {"bogus": 1}}},
+            "validate": {"q": 0.5, "p": 2.0},
+        },
+    ),
+    "validate-triple-without-measure": (
+        "validate",
+        {"uncertainty": {"triples": [{"drift": 0.0}]}, "validate": {"q": 0.5, "p": 2.0}},
+    ),
+    "martingale-missing-t": (
+        "martingale-check",
+        {"uncertainty": UNC_FAMILY, "grid": GRID, "martingale": {"kind": "compensatedJumpPart"}},
+    ),
+    "expect-non-finite-payoff": ("expect", {**EXPECT_PIDE, "payoff": {"kind": "linear", "scale": math.inf}}),
+    "expect-nx-text": ("expect", {**EXPECT_PIDE, "grid": {**GRID, "nx": "many"}}),
+    "expect-n_paths-text": ("expect", {**EXPECT_MC, "mc": {"n_paths": "lots", "seed": 1}}),
+    "expect-mc-list": ("expect", {**EXPECT_MC, "mc": [1]}),
+    "capacity-box-without-lo": (
+        "capacity",
+        {
+            "uncertainty": UNC_FAMILY,
+            "horizon": 1.0,
+            "capacity": {"region": {"boxes": [{"hi": [1.5]}]}},
+            "mc": {"n_paths": 10, "seed": 1},
+        },
+    ),
+    "erlang-missing-region_a": (
+        "erlang-bound",
+        {"uncertainty": UNC_MIXTURES, "erlang": {"region_b": ERLANG["region_b"]}, "mc": {"seed": 1}},
+    ),
+    "erlang-window-scalar": (
+        "erlang-bound",
+        {"uncertainty": UNC_MIXTURES, "erlang": {**ERLANG, "window": 3}, "mc": {"seed": 1}},
+    ),
+    "transport-list": ("transport", {"uncertainty": UNC_MIXTURES, "transport": [0.1]}),
+    "fnspace-eps-scalar": (
+        "fnspace",
+        {"uncertainty": UNC_FAMILY, "payoff": {"kind": "linear"}, "fnspace": {"eps": 0.1}},
+    ),
+    "counterexample-t-text": ("counterexample", {"counterexample": {"t": "mid"}}),
+    "compensate-input-number": ("compensate", {"uncertainty": UNC_FAMILY, "compensate": {"input": 5}}),
+    "compensate-input-missing": (
+        "compensate",
+        {"uncertainty": UNC_FAMILY, "compensate": {"input": MISSING_PATH}},
+    ),
+    "decompose-input-missing": ("decompose", {"decompose": {"input": MISSING_PATH}}),
+}
+
+
+@pytest.mark.parametrize("command, config", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text("uncertainty: [unbalanced\n")
-    code = main(["validate", "--config", str(cfg), "--out", str(tmp_path), "--quiet"])
+    cfg.write_text(config if isinstance(config, str) else yaml.safe_dump(config))
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path), "--quiet"])
     assert code == 2
-    assert not (tmp_path / "validate_result.json").exists()
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not list(tmp_path.glob("*_result.json"))
 
 
 def test_missing_section_exits_2(tmp_path):

@@ -105,6 +105,8 @@ def test_tightness_annuli_are_nested():
 def test_tightness_rejects_nonpositive_threshold(lam_12):
     with pytest.raises(InvalidInputError):
         tightness_profile(lambda z: z, lam_12, 1.0, [0.1, 0.0])
+    with pytest.raises(InvalidInputError):
+        tightness_profile(lambda z: z, lam_12, 1.0, [float("nan")])
 
 
 # -- uniform integrability ----------------------------------------------------
