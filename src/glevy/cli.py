@@ -30,7 +30,7 @@ needs them)::
       dt: 2.0e-4
       horizon: 1.0
       export_solution: false  # expect only: write solution.csv + header in record
-      export_rows: 201        # time-layer cap for the exported matrix
+      export_rows: 201        # time-layer cap for the exported matrix and the layers the solve keeps
 
     mc:                     # Monte Carlo settings (expect/capacity/erlang-bound)
       n_paths: 10000
@@ -256,12 +256,15 @@ def _cmd_expect(config, args, out_dir):
     csvs: dict = {}
     if method in ("pide", "both"):
         grid_cfg = _get(config, "grid", _mapping)
-        sol = solve_ipde(payoff, uset, _grid_from_config(grid_cfg), horizon=T)
+        export = _get(grid_cfg, "export_solution", bool, False)
+        # the solve keeps only the layers the export reads: first and last without one
+        rows = _get(grid_cfg, "export_rows", int, 201) if export else 2
+        sol = solve_ipde(payoff, uset, _grid_from_config(grid_cfg), horizon=T, max_rows=rows)
         results["pideValue"] = sol.value_at_zero()
         results["schemeError"] = sol.diagnostics["scheme_error_estimate"]
         results["pideDiagnostics"] = sol.diagnostics
-        if _get(grid_cfg, "export_solution", bool, False):
-            text, header = sol.to_csv(max_rows=_get(grid_cfg, "export_rows", int, 201))
+        if export:
+            text, header = sol.to_csv(max_rows=rows)
             csvs["solution.csv"] = text
             results["solutionHeader"] = header
     if method in ("mc", "both"):
@@ -362,6 +365,7 @@ def _cmd_compensate(config, args, out_dir):
     path = _get(sec, "input", lambda v: read_records(str(v)))
     drift = mean_of_jump_part(uset, 1.0)
     comp = compensate(path, uset)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     out_file = str(Path(out_dir) / "compensated_path.jsonl")
     write_records(comp, out_file)
     return {
@@ -385,6 +389,7 @@ def _cmd_decompose(config, args, out_dir):
     sec = _get(config, "decompose", _mapping)
     path = _get(sec, "input", lambda v: read_records(str(v)))
     xc, xd = decompose(path)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     cont_file = str(Path(out_dir) / "continuous_part.jsonl")
     jump_file = str(Path(out_dir) / "jump_part.jsonl")
     write_records(xc, cont_file)

@@ -10,11 +10,15 @@ solves
 and the quantity of interest is u(t, 0). The solver discretizes with an
 explicit Euler step in time, central differences in space, linear
 interpolation for the shifted values u(x + z) and constant extrapolation
-outside the grid. The jump terms of all triples form one (triples x distinct
-atoms) weight matrix, applied to the layer interpolated once per distinct
-atom; with drift and diffusion each triple contributes an affine expression in
-the current layer, and the scheme takes their pointwise maximum (first index
-wins ties). Under the step bound
+outside the grid. Each candidate is linear in the triple's parameter vector
+(jump weights over the distinct atoms, drift, Q^2), so only triples whose
+vector is a vertex of the hull of all of them can attain the supremum; the
+stepper keeps those (the lowest index among identical triples) and reports the
+others as ``pruned_triples``. The jump terms of the kept triples form one
+(triples x distinct atoms) weight matrix, applied to the layer interpolated
+once per distinct atom; with drift and diffusion each triple contributes an
+affine expression in the current layer, and the scheme takes their pointwise
+maximum (first index wins ties). Under the step bound
 
     dt * ( sup_v v(R_0) + sup Q^2/dx^2 + sup |p|/dx ) <= 1
 
@@ -22,14 +26,17 @@ the diagonal coefficient of every candidate stays nonnegative; when in
 addition Q^2 >= dx |p| for every triple all coefficients are nonnegative and
 the discrete operator is monotone (reported in the diagnostics). Violating
 the step bound refuses to run rather than producing garbage, and any NaN in a
-layer aborts with diagnostics.
+layer aborts with diagnostics. The solution keeps a strided subset of the
+layers, the ones its matrix export reads, so its memory does not grow with the
+step count.
 
 The reported ``scheme_error_estimate`` is an engineering error model, not a
-proven bound: an Euler term from the largest discrete second time difference,
-spatial terms from discrete derivatives of the final layer, and a
-boundary-contamination term bounding the influence of the constant
-extrapolation by a Poisson tail (jumps need margin/|z|_max arrivals to carry
-boundary error to the evaluation point).
+proven bound: an Euler term from the largest discrete second time difference
+(taken while stepping, over the last three layers), spatial terms from
+discrete derivatives of the final layer, and a boundary-contamination term
+bounding the influence of the constant extrapolation by a Poisson tail (jumps
+need margin/|z|_max arrivals to carry boundary error to the evaluation
+point).
 
 The module also provides the iterated (backward) evaluation of functionals of
 finitely many increments, its conditional variant at a realized history, and
@@ -49,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import optimize, stats
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (
@@ -89,12 +96,12 @@ class Grid1D:
     horizon: float
 
     def __post_init__(self):
-        if not (self.x_max > self.x_min):
-            raise InvalidInputError("need x_max > x_min")
+        if not (-math.inf < self.x_min < self.x_max < math.inf):
+            raise InvalidInputError("need finite x_min < x_max")
         if self.nx < 3:
             raise InvalidInputError("need at least 3 spatial nodes")
-        if not (self.dt > 0.0 and self.horizon > 0.0):
-            raise InvalidInputError("dt and horizon must be positive")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
+            raise InvalidInputError("dt and horizon must be positive and finite")
 
     @property
     def dx(self) -> float:
@@ -110,15 +117,50 @@ class Grid1D:
         A ratio duration/dt within a relative 1e-13 above an integer counts
         as that integer, so dt = duration/n gives n steps for any n.
         """
-        n = max(1, int(math.ceil(duration / self.dt * (1.0 - 1e-13))))
+        ratio = duration / self.dt
+        if not (duration > 0.0 and math.isfinite(ratio)):
+            raise InvalidInputError(f"cannot step over a duration of {duration!r} with dt = {self.dt!r}")
+        n = max(1, int(math.ceil(ratio * (1.0 - 1e-13))))
         return n, duration / n
+
+
+def _hull_vertices(theta: np.ndarray) -> np.ndarray:
+    """Indices of the rows of theta that are vertices of their convex hull.
+
+    Among identical rows the lowest index is kept. Of at most two distinct
+    rows every one is a vertex. Otherwise a row is dropped only under a
+    certificate: a nonnegative combination of the other remaining rows,
+    summing to 1, reproduces it to 1e-12 in every column scaled to its largest
+    magnitude (``scipy.optimize.nnls`` on the system augmented by the sum
+    row). Rows are tested from the highest index down, so of two rows closer
+    than the tolerance the lower index stays.
+    """
+    _, first = np.unique(theta, axis=0, return_index=True)
+    rows = np.sort(first)
+    if rows.shape[0] <= 2:
+        return rows
+    scale = np.abs(theta[rows]).max(axis=0)
+    pts = theta[rows][:, scale > 0.0] / scale[scale > 0.0]
+    keep = np.ones(rows.shape[0], dtype=bool)
+    for i in range(rows.shape[0] - 1, -1, -1):
+        keep[i] = False
+        system = np.vstack([pts[keep].T, np.ones(int(keep.sum()))])
+        target = np.append(pts[i], 1.0)
+        coef, _ = optimize.nnls(system, target)
+        keep[i] = np.abs(system @ coef - target).max() > 1e-12
+    return rows[keep]
 
 
 class _Stepper:
     """Precompiled explicit step u -> u + dt * max over triples (A_j u).
 
-    Every triple's jump term is one row of ``weights`` (triples x distinct
-    atoms), applied to the values interpolated once per distinct atom.
+    Every triple's jump term is one row of a (triples x distinct atoms)
+    weight matrix, applied to the values interpolated once per distinct atom.
+    A candidate is linear in the triple's parameter vector (jump weights over
+    the distinct atoms, drift, Q^2), so only vertices of the hull of those
+    vectors can attain the maximum: the stepper keeps those triples, listed
+    in ``rows``. The step bound and the monotone flag are taken over all
+    triples.
     """
 
     def __init__(self, uset: UncertaintySet, grid: Grid1D):
@@ -127,37 +169,43 @@ class _Stepper:
         if uset.dim != 1:
             raise UnsupportedError("the PIDE solver is one-dimensional")
         self.grid = grid
-        x = grid.x
+        x, dx = grid.x, grid.dx
         zs = np.unique(np.concatenate([t.measure.atoms[:, 0] for t in uset]))
-        self.weights = np.zeros((len(uset), zs.shape[0]))
+        weights = np.zeros((len(uset), zs.shape[0]))
         for j, t in enumerate(uset):
-            self.weights[j, np.searchsorted(zs, t.measure.atoms[:, 0])] = t.measure.weights
-        self.mass = np.array([t.measure.total_mass for t in uset])
-        self.drift = np.array([t.drift1 for t in uset])
-        self.q2 = np.array([t.cov_root1 ** 2 for t in uset])
-        pos = x[None, :] + zs[:, None]  # (n_atoms, nx)
-        self.idx = np.clip(np.searchsorted(x, pos) - 1, 0, grid.nx - 2)
-        self.frac = np.clip((pos - x[self.idx]) / grid.dx, 0.0, 1.0)
-        self.keep = 1.0 - self.frac
-        self.idx1 = self.idx + 1
-        self.mass_max = float(self.mass.max())
-        self.q2_max = float(self.q2.max())
-        self.p_max = float(np.abs(self.drift).max())
+            weights[j, np.searchsorted(zs, t.measure.atoms[:, 0])] = t.measure.weights
+        mass = np.array([t.measure.total_mass for t in uset])
+        drift = np.array([t.drift1 for t in uset])
+        q2 = np.array([t.cov_root1 ** 2 for t in uset])
+        self.mass_max = float(mass.max())
+        self.q2_max = float(q2.max())
+        self.p_max = float(np.abs(drift).max())
         self.jump_max = float(np.abs(zs).max(initial=0.0))
+        self.monotone = bool(np.all((q2 >= dx * np.abs(drift)) | (drift == 0.0)))
+        self.rows = _hull_vertices(np.column_stack([weights, drift, q2]))
+        self.weights, self.mass = weights[self.rows], mass[self.rows]
+        self.drift, self.q2 = drift[self.rows], q2[self.rows]
+        pos = x[None, :] + zs[:, None]  # (n_atoms, nx)
+        idx = np.clip(np.searchsorted(x, pos) - 1, 0, grid.nx - 2)
+        frac = np.clip((pos - x[idx]) / dx, 0.0, 1.0)
+        # both interpolation neighbours of every (atom, node) and their weights
+        self.neighbours = np.stack((idx, idx + 1))  # (2, n_atoms, nx)
+        self.shares = np.stack((1.0 - frac, frac))
 
     def cfl_number(self, dt: float) -> float:
         dx = self.grid.dx
         return dt * (self.mass_max + self.q2_max / dx**2 + self.p_max / dx)
 
     @property
-    def interior(self) -> np.ndarray:
+    def interior(self) -> slice:
         """Nodes used for error-model curvature measurements.
 
         The error estimate targets the value reported at x = 0, so curvature
         is measured away from the clamped boundaries (whose influence on the
         origin is bounded separately by the contamination term); the window
         keeps half the margin on each side, or the central half of the domain
-        when the origin is not interior.
+        when the origin is not interior. The window is a contiguous run of
+        nodes, returned as a slice.
         """
         x = self.grid.x
         if self.grid.x_min < 0.0 < self.grid.x_max:
@@ -165,19 +213,20 @@ class _Stepper:
         else:
             length = self.grid.x_max - self.grid.x_min
             mask = (x >= self.grid.x_min + 0.25 * length) & (x <= self.grid.x_max - 0.25 * length)
-        if mask.sum() < 4:
-            mask = np.ones_like(mask)
-        return mask
-
-    @property
-    def monotone(self) -> bool:
-        dx = self.grid.dx
-        return bool(np.all((self.q2 >= dx * np.abs(self.drift)) | (self.drift == 0.0)))
+        nodes = np.flatnonzero(mask)
+        return slice(None) if nodes.shape[0] < 4 else slice(int(nodes[0]), int(nodes[-1]) + 1)
 
     def rate(self, u: np.ndarray, argmax_counts: np.ndarray | None = None) -> np.ndarray:
-        """max over triples of A_j u, applied along the last axis of u."""
-        shifted = u[..., self.idx] * self.keep + u[..., self.idx1] * self.frac
-        cand = np.matmul(self.weights, shifted)  # (..., triples, nx)
+        """max over triples of A_j u, applied along the last axis of u.
+
+        ``argmax_counts`` (one entry per triple of the set) gains the number
+        of nodes each kept triple wins, the first index winning ties.
+        """
+        pair = u[..., self.neighbours]
+        pair *= self.shares
+        shifted = pair[..., 0, :, :] + pair[..., 1, :, :]
+        del pair  # kept alive, it doubled the time of a batched step (the iterated recursion)
+        cand = np.matmul(self.weights, shifted)  # (..., kept triples, nx)
         cand -= self.mass[:, None] * u[..., None, :]
         if self.p_max or self.q2_max:
             dx = self.grid.dx
@@ -191,22 +240,28 @@ class _Stepper:
             d2u[..., -1] = (u[..., -2] - u[..., -1]) / dx**2
             cand += self.drift[:, None] * du[..., None, :]
             cand += (0.5 * self.q2)[:, None] * d2u[..., None, :]
-        if argmax_counts is not None:
-            argmax_counts += np.bincount(cand.argmax(axis=-2).ravel(), minlength=cand.shape[-2])
-        return cand.max(axis=-2)
+        if argmax_counts is None:
+            return cand.max(axis=-2)
+        winner = cand.argmax(axis=-2)
+        argmax_counts[self.rows] += np.bincount(winner.ravel(), minlength=self.rows.shape[0])
+        return np.take_along_axis(cand, winner[..., None, :], axis=-2)[..., 0, :]
 
     def evolve(
         self,
         u0: np.ndarray,
         duration: float,
-        record: bool = False,
+        rows: int | None = None,
         argmax_counts: np.ndarray | None = None,
     ):
-        """Run Euler steps over the duration; optionally keep all layers.
+        """Run Euler steps over the duration; optionally keep strided layers.
 
-        Returns (final_layer, layers_or_None, info); the kept layers are one
-        (n_steps + 1, *u0.shape) array. Refuses when the step bound fails;
-        aborts on NaN contamination.
+        Returns (final_layer, kept_or_None, info). With ``rows`` the layers at
+        steps 0, s, 2s, ... and the last, s = ceil(n_steps / (rows - 1)), are
+        kept in one array, and info adds the kept ``steps``, the ``stride`` s
+        and ``second_diff_rate``: the largest |(u_{k+1} - 2 u_k) + u_{k-1}|
+        over the interior nodes, divided by dt, taken while stepping over the
+        last three layers. Refuses when the step bound fails; aborts on NaN
+        contamination.
         """
         n_steps, dt = self.grid.steps_for(duration)
         cfl = self.cfl_number(dt)
@@ -215,21 +270,41 @@ class _Stepper:
                 f"step bound violated: dt*(mass + Q^2/dx^2 + |p|/dx) = {cfl:.3g} > 1; refusing to run",
                 {"cfl_number": cfl, "dt": dt, "dx": self.grid.dx},
             )
+        info = {"n_steps": n_steps, "dt": dt, "cfl_number": cfl}
         u = np.array(u0, dtype=float)
-        layers = None
-        if record:
-            layers = np.empty((n_steps + 1,) + u.shape)
-            layers[0] = u
+        kept = older = None
+        if rows is not None:
+            stride = max(1, int(math.ceil(n_steps / max(rows - 1, 1))))
+            steps = list(range(0, n_steps + 1, stride))
+            if steps[-1] != n_steps:
+                steps.append(n_steps)
+            kept = np.empty((len(steps),) + u.shape)
+            kept[0] = u
+            i_kept = 1
+            win = self.interior
+            second_diff_rate = 0.0
+            info.update(steps=steps, stride=stride)
         for step in range(n_steps):
             r = self.rate(u, argmax_counts)
             r *= dt
-            u = np.add(u, r, out=None if layers is None else layers[step + 1])
-            if np.isnan(u).any():
+            new = np.add(u, r)
+            if np.isnan(new).any():
                 raise NumericalAbortError(
                     f"NaN contamination at step {step + 1}/{n_steps}",
                     {"step": step + 1, "n_steps": n_steps, "cfl_number": cfl},
                 )
-        return u, layers, {"n_steps": n_steps, "dt": dt, "cfl_number": cfl}
+            if kept is not None:
+                if older is not None:
+                    d2 = float(np.max(np.abs((new[win] - 2.0 * u[win]) + older[win])))
+                    second_diff_rate = max(second_diff_rate, d2 / dt)
+                older = u
+                if step + 1 == steps[i_kept]:
+                    kept[i_kept] = new
+                    i_kept += 1
+            u = new
+        if kept is not None:
+            info["second_diff_rate"] = second_diff_rate
+        return u, kept, info
 
     def boundary_contamination(self, duration: float) -> float:
         """Poisson tail bound on boundary influence at the evaluation point 0."""
@@ -244,19 +319,26 @@ class _Stepper:
 
 @dataclass(frozen=True)
 class GridSolution:
-    """Dense solution layers with diagnostics and bilinear evaluation."""
+    """Kept solution layers with diagnostics and bilinear evaluation.
+
+    ``values`` holds the layers at ``times``: every ``stride``-th Euler step
+    and the last one. ``value(t, x)`` interpolates linearly between kept
+    layers, so between them it is coarser than the scheme itself; the final
+    layer is the scheme's own.
+    """
 
     grid: Grid1D
     times: np.ndarray
-    values: np.ndarray  # (n_layers, nx)
+    values: np.ndarray  # (n_kept, nx)
     diagnostics: dict = field(default_factory=dict)
+    stride: int = 1  # Euler steps between consecutive kept layers
 
     @property
     def final(self) -> np.ndarray:
         return self.values[-1]
 
     def value(self, t: float, x: float) -> float:
-        """Linear interpolation in time and space; constant beyond the x range."""
+        """Linear interpolation in time between kept layers and in space; constant beyond the x range."""
         if not (0.0 <= t <= self.times[-1] + 1e-12):
             raise InvalidInputError("t outside the solved range")
         tq = min(float(t), float(self.times[-1]))
@@ -276,9 +358,11 @@ class GridSolution:
     def to_csv(self, max_rows: int = 201) -> tuple[str, dict]:
         """Matrix export (rows = time layers, columns = grid nodes).
 
-        Layers are strided down to at most ``max_rows`` rows, always keeping
-        the first and last. Returns the CSV text and a JSON-ready header with
-        the grid metadata and diagnostics.
+        Kept layers are strided down to at most ``max_rows`` rows, always
+        keeping the first and last; the header's ``stride`` counts Euler
+        steps. A solution solved with ``max_rows`` rows exports all its kept
+        layers here. Returns the CSV text and a JSON-ready header with the
+        grid metadata and diagnostics.
         """
         n = self.values.shape[0]
         stride = max(1, int(math.ceil((n - 1) / max(max_rows - 1, 1)))) if n > 1 else 1
@@ -294,7 +378,7 @@ class GridSolution:
             "nx": self.grid.nx,
             "dt": self.grid.dt,
             "rows": len(rows),
-            "stride": stride,
+            "stride": stride * self.stride,
             **self.diagnostics,
         }
         return "\n".join(lines) + "\n", header
@@ -314,39 +398,43 @@ def _eval_nodes(phi: Callable, nodes: np.ndarray, what: str, where: str) -> np.n
     return vals
 
 
-def solve_ipde(phi: Callable, uset: UncertaintySet, grid: Grid1D, horizon: float | None = None) -> GridSolution:
-    """Solve the worst-case integro-PDE up to the horizon and keep all layers.
+def solve_ipde(
+    phi: Callable,
+    uset: UncertaintySet,
+    grid: Grid1D,
+    horizon: float | None = None,
+    max_rows: int = 201,
+) -> GridSolution:
+    """Solve the worst-case integro-PDE up to the horizon.
 
     phi is the initial data evaluated on the grid (vectorized or scalar
-    callable). The diagnostics carry the step-bound number, the monotonicity
-    flag, the argmax histogram over triples, the boundary-contamination bound
-    and the composite ``scheme_error_estimate``.
+    callable). The solution keeps the layers ``to_csv(max_rows)`` exports:
+    steps 0, s, 2s, ... and the last, s = ceil(n_steps / (max_rows - 1)),
+    so memory grows with ``max_rows`` and not with the step count. The
+    diagnostics carry the step-bound number, the monotonicity flag, the
+    argmax histogram over the triples of the set (0 for a triple the stepper
+    pruned), the ``pruned_triples`` (indices of triples that are not vertices
+    of the hull of parameter vectors, or repeat an earlier triple), the
+    boundary-contamination bound and the composite ``scheme_error_estimate``.
     """
     T = grid.horizon if horizon is None else float(horizon)
-    if T <= 0.0:
-        raise InvalidInputError("horizon must be positive")
+    if not (0.0 < T < math.inf):
+        raise InvalidInputError("horizon must be positive and finite")
     stepper = _Stepper(uset, grid)
     u0 = _eval_nodes(phi, grid.x, "initial data", "grid")
     argmax_counts = np.zeros(len(uset), dtype=np.int64)
-    u, layers, info = stepper.evolve(u0, T, record=True, argmax_counts=argmax_counts)
+    u, layers, info = stepper.evolve(u0, T, rows=max_rows, argmax_counts=argmax_counts)
     n_steps, dt = info["n_steps"], info["dt"]
-    times = np.linspace(0.0, T, n_steps + 1)
+    times = np.linspace(0.0, T, n_steps + 1)[info["steps"]]
 
-    win = stepper.interior
-    second_diff_rate = 0.0
-    for k in range(1, n_steps):
-        second_diff_rate = max(
-            second_diff_rate,
-            float(np.max(np.abs((layers[k + 1] - 2.0 * layers[k] + layers[k - 1])[win]))) / dt,
-        )
     dx = grid.dx
-    final = u[win]
+    final = u[stepper.interior]
     d2 = np.abs(np.diff(final, 2)).max(initial=0.0) / dx**2
     d3 = np.abs(np.diff(final, 3)).max(initial=0.0) / dx**3
     contamination = stepper.boundary_contamination(T)
     osc = float(u0.max() - u0.min())
     err = (
-        0.5 * T * second_diff_rate
+        0.5 * T * info["second_diff_rate"]
         + contamination * max(osc, 1.0)
         + T * dx**2 * (stepper.mass_max * d2 / 8.0 + stepper.p_max * d3 / 6.0)
     )
@@ -356,10 +444,11 @@ def solve_ipde(phi: Callable, uset: UncertaintySet, grid: Grid1D, horizon: float
         "n_steps": n_steps,
         "monotone": stepper.monotone,
         "argmax_histogram": argmax_counts.tolist(),
+        "pruned_triples": np.setdiff1d(np.arange(len(uset)), stepper.rows).tolist(),
         "boundary_contamination": contamination,
         "scheme_error_estimate": float(err),
     }
-    return GridSolution(grid=grid, times=times, values=layers, diagnostics=diagnostics)
+    return GridSolution(grid=grid, times=times, values=layers, diagnostics=diagnostics, stride=info["stride"])
 
 
 def apply_g(
@@ -479,8 +568,9 @@ def iterated_expectation(phi: Callable, times: Sequence[float], uset: Uncertaint
     phi takes the increments as separate broadcastable arguments. The
     recursion integrates out the last increment over its own interval at each
     stage, freezing the earlier increments on the spatial grid. Each step
-    stacks one candidate tensor per triple, so working memory grows with the
-    number of triples: 160 MB per triple at the 2e7-cell cap.
+    stacks one candidate tensor per vertex triple (the pruned triples cost
+    nothing), so working memory grows with the number of vertex triples:
+    160 MB per vertex triple at the 2e7-cell cap.
     """
     stages = _stage_tensors(phi, times, uset, grid)
     return float(np.asarray(stages[-1]).reshape(()))
@@ -554,10 +644,12 @@ def g_poisson_distribution(
     collapsed to a point the result matches the truncated Poisson series to
     1e-6.
     """
-    if not (0.0 <= lambda_min <= lambda_max) or lambda_max <= 0.0:
-        raise InvalidInputError("need 0 <= lambda_min <= lambda_max with lambda_max > 0")
-    if t <= 0.0:
-        raise InvalidInputError("time must be positive")
+    if not (0.0 <= lambda_min <= lambda_max < math.inf) or lambda_max <= 0.0:
+        raise InvalidInputError("need 0 <= lambda_min <= lambda_max < inf with lambda_max > 0")
+    if not (0.0 < t < math.inf):
+        raise InvalidInputError("time must be positive and finite")
+    if n_steps is not None and n_steps < 1:
+        raise InvalidInputError("need at least one step")
 
     mu = lambda_max * t
     n_max = int(stats.poisson.ppf(1.0 - min(tail, 1e-8) * 0.1, mu)) + 3

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy import stats
 
-from .errors import AssumptionError, InvalidInputError, PolicyError
+from .errors import AssumptionError, EvaluationError, InvalidInputError, PolicyError
 from .paths import CadlagPath
 from .regions import Region
 from .uncertainty import DiscreteLevyMeasure, UncertaintySet, mass_layout
@@ -158,8 +158,8 @@ def draw_scenario(
     candidate list changes its diffusion needs. The Brownian increments have
     the dimension of the model's marks, ``model.locations.shape[1]``.
     """
-    if horizon <= 0.0:
-        raise InvalidInputError("horizon must be positive")
+    if not (0.0 < horizon < math.inf):
+        raise InvalidInputError("horizon must be positive and finite")
     budget = model.budget
     n = int(rng.poisson(budget * horizon)) if budget > 0.0 else 0
     times = np.sort(rng.uniform(0.0, horizon, n))
@@ -167,6 +167,8 @@ def draw_scenario(
     segments = model.segments_of(coords) if n else np.empty(0, dtype=int)
     bt = bi = None
     if with_brownian:
+        if not (0.0 < brownian_dt < math.inf):
+            raise InvalidInputError("brownian_dt must be positive and finite")
         m = max(1, int(math.ceil(horizon / brownian_dt - 1e-12)))
         bt = np.linspace(0.0, horizon, m + 1)
         bi = rng.normal(0.0, math.sqrt(horizon / m), size=(m, model.locations.shape[1]))
@@ -462,15 +464,18 @@ def _block_values(
     """xi of every path of a block under every candidate, shape (n, candidates)."""
     built = [_build_paths(block, comp, 0.0, horizon) for comp in compiled]
     vals = np.empty((block.offsets.shape[0] - 1, len(compiled)))
-    for i, row in enumerate(vals):
-        # candidates realizing the same path on this scenario share one evaluation
-        seen: dict[tuple[bytes, ...], float] = {}
-        for ci, paths in enumerate(built):
-            arrays = paths.arrays(i)
-            key = tuple(a.tobytes() for a in arrays)
-            if key not in seen:
-                seen[key] = float(xi(CadlagPath(horizon, *arrays)))
-            row[ci] = seen[key]
+    with np.errstate(all="ignore"):  # non-finite values are refused below, not warned about
+        for i, row in enumerate(vals):
+            # candidates realizing the same path on this scenario share one evaluation
+            seen: dict[tuple[bytes, ...], float] = {}
+            for ci, paths in enumerate(built):
+                arrays = paths.arrays(i)
+                key = tuple(a.tobytes() for a in arrays)
+                if key not in seen:
+                    seen[key] = float(xi(CadlagPath(horizon, *arrays)))
+                row[ci] = seen[key]
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError("payoff evaluated to non-finite values on a simulated path")
     return vals
 
 
@@ -503,6 +508,8 @@ def estimate_upper_expectation(
     """
     if n_paths < 2:
         raise InvalidInputError("need at least two paths for a standard error")
+    if not (0.0 < horizon < math.inf):
+        raise InvalidInputError("horizon must be positive and finite")
     if len(candidates) == 0:
         raise InvalidInputError("need at least one candidate policy")
     for c in candidates:

@@ -28,6 +28,7 @@ UNC_MIXTURES = {
         {"measure": {"atoms": [[1.0, a], [2.0, 1.0 - a]]}} for a in (0.25, 0.5, 0.75)
     ]
 }
+UNC_DIFFUSIVE = {"triples": [{"measure": {"atoms": [[1.0, 0.4]]}, "drift": 0.1, "cov_root": 0.5}]}
 GRID = {"x_min": -6.0, "x_max": 8.0, "nx": 141, "dt": 0.01, "horizon": 1.0}
 
 
@@ -132,6 +133,23 @@ def test_expect_solution_export(tmp_path):
     assert len(lines) - 1 == res["solutionHeader"]["rows"]
 
 
+@pytest.mark.parametrize("rows", [13, 201, 1001])
+def test_export_rows_bounds_the_kept_layers(tmp_path, rows):
+    # 2000 steps; the header stride counts steps, and every kept layer is exported
+    doc = {
+        "uncertainty": UNC_FAMILY,
+        "grid": {**GRID, "dt": 5e-4, "export_solution": True, "export_rows": rows},
+        "payoff": {"kind": "clampedLinear"},
+    }
+    code, rec_file = run(tmp_path, "expect", doc, "--method", "pide")
+    assert code == 0
+    header = load(rec_file)["results"]["solutionHeader"]
+    assert header["stride"] == math.ceil(2000 / (rows - 1))
+    assert header["rows"] == len(range(0, 2001, header["stride"])) + (2000 % header["stride"] != 0)
+    assert header["pruned_triples"] == [1, 2, 3]
+    assert len((tmp_path / "solution.csv").read_text().splitlines()) == header["rows"] + 1
+
+
 def test_gpoisson_command(tmp_path):
     doc = {
         "gpoisson": {"lambda_min": 1.0, "lambda_max": 1.0, "t": 1.0},
@@ -202,6 +220,20 @@ def test_decompose_command(tmp_path):
     assert xc.n_jumps == 0 and xd.n_jumps == 1
     for t in (0.0, 0.3, 0.9):
         assert xc.scalar_value(t) + xd.scalar_value(t) == pytest.approx(path.scalar_value(t))
+
+
+@pytest.mark.parametrize("command", ["compensate", "decompose"])
+def test_jsonl_commands_create_a_nested_out_dir(tmp_path, command):
+    src = tmp_path / "path.jsonl"
+    write_records(CadlagPath.from_jumps([(0.3, 1.5)], horizon=1.0), str(src))
+    out = tmp_path / "new" / "nested"
+    doc = {"uncertainty": UNC_FAMILY, command: {"input": str(src)}}
+    code, rec_file = run(tmp_path, command, doc, out=out)
+    assert code == 0
+    res = load(rec_file)["results"]
+    for key in ("output", "continuous", "jumps"):
+        if key in res:
+            assert Path(res[key]).parent == out and read_records(res[key]).horizon == 1.0
 
 
 def test_martingale_check_command(tmp_path):
@@ -359,6 +391,38 @@ MALFORMED = {
         {"uncertainty": UNC_FAMILY, "compensate": {"input": MISSING_PATH}},
     ),
     "decompose-input-missing": ("decompose", {"decompose": {"input": MISSING_PATH}}),
+    "capacity-horizon-inf": (
+        "capacity",
+        {
+            "uncertainty": UNC_FAMILY,
+            "horizon": math.inf,
+            "capacity": {"region": {"interval": [0.5, 1.5]}},
+            "mc": {"n_paths": 10, "seed": 1},
+        },
+    ),
+    "expect-mc-horizon-nan": ("expect", {**EXPECT_MC, "horizon": math.nan, "mc": {"n_paths": 10, "seed": 1}}),
+    "expect-grid-horizon-inf": ("expect", {**EXPECT_PIDE, "grid": {**GRID, "horizon": math.inf}}),
+    "martingale-t-inf": (
+        "martingale-check",
+        {"uncertainty": UNC_FAMILY, "grid": GRID, "martingale": {"kind": "compensatedJumpPart", "t": math.inf}},
+    ),
+    "gpoisson-lambda_max-inf": (
+        "gpoisson",
+        {"gpoisson": {**GPOISSON, "lambda_max": math.inf}, "payoff": {"kind": "linear"}},
+    ),
+    "gpoisson-n_steps-0": ("gpoisson", {"gpoisson": {**GPOISSON, "n_steps": 0}, "payoff": {"kind": "linear"}}),
+    "expect-mc-brownian_dt-0": (
+        "expect",
+        {**EXPECT_MC, "uncertainty": UNC_DIFFUSIVE, "mc": {"n_paths": 10, "seed": 1, "brownian_dt": 0.0}},
+    ),
+    "expect-mc-brownian_dt-nan": (
+        "expect",
+        {**EXPECT_MC, "uncertainty": UNC_DIFFUSIVE, "mc": {"n_paths": 10, "seed": 1, "brownian_dt": math.nan}},
+    ),
+    "expect-mc-non-finite-payoff": (
+        "expect",
+        {**EXPECT_MC, "payoff": {"kind": "linear", "scale": math.inf}, "mc": {"n_paths": 50, "seed": 1}},
+    ),
 }
 
 

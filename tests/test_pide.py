@@ -21,7 +21,7 @@ from glevy import (
     solve_ipde,
 )
 from glevy.analysis import symmetric_compensated_set
-from glevy.pide import _Stepper
+from glevy.pide import GridSolution, _hull_vertices, _Stepper
 from conftest import location_family, mixture_family, point_mass_family
 
 
@@ -314,6 +314,235 @@ def test_rate_matches_triple_loop_reference(name, batch):
         assert counts[2] == 0 and counts[0] > 0
 
 
+# -- hull-vertex pruning ------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "theta, want",
+    [
+        ([[1.0, 2.0]], [0]),
+        ([[1.0], [2.0]], [0, 1]),
+        ([[2.0], [1.0], [2.0]], [0, 1]),  # two distinct rows: no test, the first copy stays
+        ([[1.0], [2.0], [1.0], [2.0], [1.5]], [0, 1]),
+        ([[1.0, 0.0], [2.0, 1.0], [3.0, 2.0], [1.5, 0.5]], [0, 2]),  # collinear
+        ([[1.0], [1.25], [1.5], [1.75], [2.0]], [0, 4]),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0.0], [0.2, 0.1, 0.7]], [0, 1, 2]),
+        ([[0.5, 0.5, 0.0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 2, 3]),  # the midpoint comes first
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.5, 0.5, 1e-9]], [0, 1, 2, 3]),  # just outside the face
+        # (weight, drift, Q^2): the middle drift or Q^2 lies between its neighbours
+        ([[1.0, -1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], [0, 2]),
+        ([[1.0, 0.0, 0.0], [1.0, 0.0, 0.5], [1.0, 0.0, 1.0]], [0, 2]),
+        # a drift or Q^2 off the segment of weights makes the middle row a vertex
+        ([[1.0, 0.0, 0.0], [1.5, 0.1, 0.0], [2.0, 0.0, 0.0]], [0, 1, 2]),
+        ([[1.0, 0.0, 0.0], [1.5, 0.0, 0.25], [2.0, 0.0, 0.0]], [0, 1, 2]),
+        # rows within the tolerance of each other: the lower index stays, either order
+        ([[0.0], [1.0], [1.0 + 1e-15]], [0, 1]),
+        ([[0.0], [1.0 + 1e-15], [1.0]], [0, 1]),
+        ([[0.0], [1.0], [1.0 + 1e-9]], [0, 2]),
+    ],
+)
+def test_hull_vertices(theta, want):
+    assert _hull_vertices(np.array(theta, dtype=float)).tolist() == want
+
+
+def test_hull_vertices_are_invariant_under_column_scale():
+    rng = np.random.default_rng(11)
+    corners = rng.uniform(-1.0, 1.0, size=(4, 3))
+    mix = rng.dirichlet(np.ones(4), size=5) @ corners
+    theta = np.vstack([mix[:2], corners, mix[2:]])
+    want = [2, 3, 4, 5]
+    assert _hull_vertices(theta).tolist() == want
+    assert _hull_vertices(theta * np.array([1e-6, 1.0, 1e6])).tolist() == want
+
+
+def test_stepper_keeps_vertex_triples():
+    st = _Stepper(point_mass_family(np.linspace(1.0, 2.0, 11)), GRID)
+    assert st.rows.tolist() == [0, 10]
+    assert _Stepper(ONE_ATOM_SETS["duplicate"](), GRID).rows.tolist() == [0, 1]
+    assert _Stepper(ONE_ATOM_SETS["diffusive"](), GRID).rows.tolist() == [0, 2]
+    assert _Stepper(mixture_family(), GRID).rows.tolist() == [0, 2]
+    assert _Stepper(location_family(), GRID).rows.tolist() == [0, 1, 2]
+
+
+# -- pruned, strided solve against the unpruned all-layers solve ----------------
+
+class UnprunedStepper:
+    """The stepper before pruning: every triple a row, the max by a second reduction."""
+
+    def __init__(self, uset, grid):
+        self.grid = grid
+        x = grid.x
+        zs = np.unique(np.concatenate([t.measure.atoms[:, 0] for t in uset]))
+        self.weights = np.zeros((len(uset), zs.shape[0]))
+        for j, t in enumerate(uset):
+            self.weights[j, np.searchsorted(zs, t.measure.atoms[:, 0])] = t.measure.weights
+        self.mass = np.array([t.measure.total_mass for t in uset])
+        self.drift = np.array([t.drift1 for t in uset])
+        self.q2 = np.array([t.cov_root1 ** 2 for t in uset])
+        pos = x[None, :] + zs[:, None]
+        self.idx = np.clip(np.searchsorted(x, pos) - 1, 0, grid.nx - 2)
+        self.frac = np.clip((pos - x[self.idx]) / grid.dx, 0.0, 1.0)
+        self.keep = 1.0 - self.frac
+        self.idx1 = self.idx + 1
+        self.mass_max = float(self.mass.max())
+        self.q2_max = float(self.q2.max())
+        self.p_max = float(np.abs(self.drift).max())
+
+    def rate(self, u, argmax_counts):
+        shifted = u[..., self.idx] * self.keep + u[..., self.idx1] * self.frac
+        cand = np.matmul(self.weights, shifted)
+        cand -= self.mass[:, None] * u[..., None, :]
+        if self.p_max or self.q2_max:
+            dx = self.grid.dx
+            du = np.empty_like(u)
+            du[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
+            du[..., 0] = (u[..., 1] - u[..., 0]) / (2.0 * dx)
+            du[..., -1] = (u[..., -1] - u[..., -2]) / (2.0 * dx)
+            d2u = np.empty_like(u)
+            d2u[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dx**2
+            d2u[..., 0] = (u[..., 1] - u[..., 0]) / dx**2
+            d2u[..., -1] = (u[..., -2] - u[..., -1]) / dx**2
+            cand += self.drift[:, None] * du[..., None, :]
+            cand += (0.5 * self.q2)[:, None] * d2u[..., None, :]
+        argmax_counts += np.bincount(cand.argmax(axis=-2).ravel(), minlength=cand.shape[-2])
+        return cand.max(axis=-2)
+
+
+def reference_solve_ipde(phi, uset, grid):
+    """solve_ipde before pruning and striding: every layer kept, the second difference after the loop."""
+    stepper = UnprunedStepper(uset, grid)
+    fast = _Stepper(uset, grid)  # grid-only helpers: interior window, contamination
+    T = grid.horizon
+    n_steps, dt = grid.steps_for(T)
+    u0 = np.asarray(phi(grid.x), dtype=float)
+    argmax_counts = np.zeros(len(uset), dtype=np.int64)
+    layers = np.empty((n_steps + 1, grid.nx))
+    layers[0] = u = u0
+    for step in range(n_steps):
+        r = stepper.rate(u, argmax_counts)
+        r *= dt
+        u = np.add(u, r, out=layers[step + 1])
+    win = np.zeros(grid.nx, dtype=bool)
+    win[fast.interior] = True
+    second_diff_rate = 0.0
+    for k in range(1, n_steps):
+        second_diff_rate = max(
+            second_diff_rate,
+            float(np.max(np.abs((layers[k + 1] - 2.0 * layers[k] + layers[k - 1])[win]))) / dt,
+        )
+    dx = grid.dx
+    final = u[win]
+    d2 = np.abs(np.diff(final, 2)).max(initial=0.0) / dx**2
+    d3 = np.abs(np.diff(final, 3)).max(initial=0.0) / dx**3
+    contamination = fast.boundary_contamination(T)
+    osc = float(u0.max() - u0.min())
+    err = (
+        0.5 * T * second_diff_rate
+        + contamination * max(osc, 1.0)
+        + T * dx**2 * (stepper.mass_max * d2 / 8.0 + stepper.p_max * d3 / 6.0)
+    )
+    diagnostics = {
+        "cfl_number": fast.cfl_number(dt),
+        "dt": dt,
+        "n_steps": n_steps,
+        "monotone": bool(np.all((stepper.q2 >= dx * np.abs(stepper.drift)) | (stepper.drift == 0.0))),
+        "argmax_histogram": argmax_counts.tolist(),
+        "boundary_contamination": contamination,
+        "scheme_error_estimate": float(err),
+    }
+    return GridSolution(grid, np.linspace(0.0, T, n_steps + 1), layers, diagnostics)
+
+
+FINE = Grid1D(x_min=-6.0, x_max=8.0, nx=141, dt=5e-4, horizon=1.0)  # 2000 steps
+TENT = lambda x: np.maximum(1.0 - np.abs(x - 1.0), 0.0)
+STRIDED_CASES = {
+    "lam_11_clamped": (lambda: point_mass_family(np.linspace(1.0, 2.0, 11)), lambda x: np.minimum(x, 1.0)),
+    "lam_12_linear": (lambda: point_mass_family(np.linspace(1.0, 2.0, 5)), lambda x: x),
+    "diffusive_clamped": (ONE_ATOM_SETS["diffusive"], lambda x: np.minimum(x, 1.0)),
+    "duplicate_rough": (ONE_ATOM_SETS["duplicate"], lambda x: np.minimum(x, 1.0) + 0.3 * np.sin(3.0 * x)),
+}
+
+
+@pytest.fixture(scope="module")
+def references():
+    return {name: reference_solve_ipde(phi, make(), FINE) for name, (make, phi) in STRIDED_CASES.items()}
+
+
+@pytest.mark.parametrize("rows", [13, 201, 1001])
+@pytest.mark.parametrize("name", list(STRIDED_CASES))
+def test_strided_pruned_solve_matches_unpruned_all_layers(references, name, rows):
+    make, phi = STRIDED_CASES[name]
+    uset = make()
+    ref = references[name]
+    sol = solve_ipde(phi, uset, FINE, max_rows=rows)
+    pruned = sol.diagnostics.pop("pruned_triples")
+    assert pruned == [j for j in range(len(uset)) if j not in _Stepper(uset, FINE).rows]
+    # no pruned triple wins in the unpruned run, so the supremum and its argmax are the same
+    assert all(ref.diagnostics["argmax_histogram"][j] == 0 for j in pruned)
+    assert sol.diagnostics == ref.diagnostics
+    text, header = sol.to_csv(max_rows=rows)
+    want_text, want_header = ref.to_csv(max_rows=rows)
+    assert text == want_text
+    assert {k: v for k, v in header.items() if k != "pruned_triples"} == want_header
+    n_steps = FINE.steps_for(1.0)[0]
+    assert header["stride"] == sol.stride == math.ceil(n_steps / (rows - 1))
+    assert sol.values.shape == (header["rows"], FINE.nx) and header["rows"] <= rows
+    assert sol.final.tobytes() == ref.final.tobytes()
+
+
+def test_kept_layers_and_their_times(lam_12):
+    grid = Grid1D(x_min=-6.0, x_max=8.0, nx=141, dt=0.01, horizon=1.03)  # 103 steps
+    sol = solve_ipde(lambda x: np.minimum(x, 1.0), lam_12, grid, max_rows=11)
+    assert sol.stride == 11
+    assert np.array_equal(sol.times, np.linspace(0.0, 1.03, 104)[[0, 11, 22, 33, 44, 55, 66, 77, 88, 99, 103]])
+    assert np.array_equal(sol.values[0], np.minimum(grid.x, 1.0))
+    full = solve_ipde(lambda x: np.minimum(x, 1.0), lam_12, grid, max_rows=1000)
+    assert full.stride == 1 and full.values.shape[0] == 104
+    assert np.array_equal(sol.values, full.values[[0, 11, 22, 33, 44, 55, 66, 77, 88, 99, 103]])
+    # value(t, x) interpolates between kept layers
+    assert sol.value(sol.times[3], 0.5) == full.value(full.times[33], 0.5)
+    w = (0.4 - sol.times[3]) / (sol.times[4] - sol.times[3])
+    want = np.interp(0.5, grid.x, (1.0 - w) * sol.values[3] + w * sol.values[4])
+    assert sol.value(0.4, 0.5) == want
+    ends = solve_ipde(lambda x: np.minimum(x, 1.0), lam_12, grid, max_rows=2)
+    assert ends.values.shape[0] == 2 and ends.final.tobytes() == full.final.tobytes()
+    assert ends.diagnostics == full.diagnostics
+
+
+def test_tent_case_interior_win_by_rounding_agrees_to_1e12(lam_12):
+    # the unpruned scheme hands an interior intensity one node by rounding
+    grid = Grid1D(x_min=-6.0, x_max=8.0, nx=281, dt=2.5e-3, horizon=1.0)
+    ref = reference_solve_ipde(TENT, lam_12, grid)
+    sol = solve_ipde(TENT, lam_12, grid)
+    hist = ref.diagnostics["argmax_histogram"]
+    assert sum(hist[1:-1]) > 0
+    assert sol.diagnostics["pruned_triples"] == [1, 2, 3]
+    got = sol.diagnostics["argmax_histogram"]
+    assert got[1:-1] == [0, 0, 0] and sum(got) == sum(hist)
+    assert float(np.max(np.abs(sol.final - ref.final))) <= 1e-12
+    assert abs(sol.value_at_zero() - ref.value_at_zero()) <= 1e-12
+    assert sol.diagnostics["scheme_error_estimate"] == pytest.approx(
+        ref.diagnostics["scheme_error_estimate"], rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("name", list(MULTI_ATOM_SETS))
+def test_pruned_multi_atom_solve_agrees_with_unpruned(name):
+    uset = MULTI_ATOM_SETS[name]()
+    phi = lambda x: np.minimum(x, 1.0) + 0.3 * np.sin(3.0 * x)
+    ref = reference_solve_ipde(phi, uset, GRID)
+    sol = solve_ipde(phi, uset, GRID)
+    assert float(np.max(np.abs(sol.final - ref.final))) <= 1e-12
+
+
+def test_nan_contamination_aborts(lam_12):
+    st = _Stepper(lam_12, GRID)
+    u = np.minimum(GRID.x, 1.0)
+    u[70] = np.nan
+    with pytest.raises(NumericalAbortError) as exc:
+        st.evolve(u, 1.0, rows=201)
+    assert exc.value.diagnostics["step"] == 1
+
+
 # -- iterated and conditional expectation ------------------------------------
 
 COARSE = Grid1D(x_min=-5.0, x_max=7.0, nx=61, dt=0.02, horizon=1.0)
@@ -480,3 +709,48 @@ def test_gpoisson_classical_degeneration_matches_series():
 def test_gpoisson_rejects_bad_interval():
     with pytest.raises(InvalidInputError):
         g_poisson_distribution(2.0, 1.0, 1.0, lambda k: k)
+
+
+@pytest.mark.parametrize(
+    "args, n_steps",
+    [
+        ((1.0, math.inf, 1.0), None),
+        ((math.nan, 2.0, 1.0), None),
+        ((1.0, math.nan, 1.0), None),
+        ((1.0, 2.0, math.inf), None),
+        ((1.0, 2.0, math.nan), None),
+        ((1.0, 2.0, 0.0), None),
+        ((1.0, 2.0, 1.0), 0),
+        ((1.0, 2.0, 1.0), -4),
+    ],
+)
+def test_gpoisson_rejects_non_finite_or_zero_inputs(args, n_steps):
+    with pytest.raises(InvalidInputError):
+        g_poisson_distribution(*args, lambda k: k, n_steps=n_steps)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (-math.inf, 1.0, 11, 0.1, 1.0),
+        (0.0, math.inf, 11, 0.1, 1.0),
+        (math.nan, 1.0, 11, 0.1, 1.0),
+        (0.0, 1.0, 11, math.inf, 1.0),
+        (0.0, 1.0, 11, math.nan, 1.0),
+        (0.0, 1.0, 11, 0.0, 1.0),
+        (0.0, 1.0, 11, 0.1, math.inf),
+        (0.0, 1.0, 11, 0.1, math.nan),
+        (0.0, 1.0, 11, 0.1, 0.0),
+    ],
+)
+def test_grid_rejects_non_finite_or_zero_fields(fields):
+    with pytest.raises(InvalidInputError):
+        Grid1D(*fields)
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
+def test_steps_for_rejects_non_finite_or_zero_duration(duration):
+    with pytest.raises(InvalidInputError):
+        GRID.steps_for(duration)
+    with pytest.raises(InvalidInputError):
+        Grid1D(0.0, 1.0, 3, 5e-324, 1.0).steps_for(1.0)  # the step count overflows

@@ -12,6 +12,7 @@ from glevy import (
     CadlagPath,
     ControlPolicy,
     DiscreteLevyMeasure,
+    EvaluationError,
     ExplicitControl,
     InvalidInputError,
     InverseSquareTail,
@@ -412,6 +413,30 @@ def test_estimator_requires_two_paths(lam_12):
     pols = constant_policies(lam_12, 1.0)
     with pytest.raises(InvalidInputError):
         estimate_upper_expectation(lambda p: p.scalar_value(1.0), lam_12, pols, 1, 1, horizon=1.0)
+
+
+@pytest.mark.parametrize("horizon", [0.0, math.inf, math.nan])
+def test_estimator_and_scenarios_refuse_non_finite_or_zero_horizon(lam_12, horizon):
+    pols = constant_policies(lam_12, 1.0)
+    with pytest.raises(InvalidInputError):
+        estimate_upper_expectation(lambda p: p.scalar_value(1.0), lam_12, pols, 10, 1, horizon=horizon)
+    with pytest.raises(InvalidInputError):
+        draw_scenario(BaseJumpModel.from_uncertainty(lam_12), horizon, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("brownian_dt", [0.0, -0.1, math.inf, math.nan])
+def test_draw_scenario_refuses_non_finite_or_zero_brownian_step(lam_12, brownian_dt):
+    model = BaseJumpModel.from_uncertainty(lam_12)
+    with pytest.raises(InvalidInputError):
+        draw_scenario(model, 1.0, np.random.default_rng(1), with_brownian=True, brownian_dt=brownian_dt)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_estimator_refuses_non_finite_payoff_values(lam_12, bad):
+    pols = constant_policies(lam_12, 1.0)
+    xi = lambda p: bad if p.n_jumps == 3 else float(p.scalar_value(1.0))
+    with pytest.raises(EvaluationError):
+        estimate_upper_expectation(xi, lam_12, pols, 300, 1, horizon=1.0)
 
 
 def test_estimator_monotone_in_candidates(lam_12):
