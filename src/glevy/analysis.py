@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedError
+from .errors import InvalidInputError, UnsupportedError, _evaluate
 from .paths import CadlagPath
 from .pide import Grid1D, solve_ipde
 from .regions import Region
@@ -142,26 +142,18 @@ def pushforward_set(family, phi: Callable, region: Region | None = None) -> list
 
     Atoms are mapped through phi, images within 1e-12 of one another are
     merged by weight addition, and images within 1e-12 of the origin are
-    dropped (a jump measure puts no mass at zero).
+    dropped (a jump measure puts no mass at zero). A non-finite image raises
+    :class:`EvaluationError`.
     """
     ms = _measure_family(family)
     out = []
     for m in ms:
         restricted = m.restrict(region)
-        images = []
-        weights = []
-        for z, w in zip(restricted.atoms, restricted.weights):
-            arg = float(z[0]) if restricted.dim == 1 else z
-            img = np.atleast_1d(np.asarray(phi(arg), dtype=float))
-            if not np.all(np.isfinite(img)):
-                raise InvalidInputError(f"mark map returned non-finite value at {arg!r}")
-            images.append(img)
-            weights.append(w)
-        if not images:
+        if restricted.n_atoms == 0:
             out.append(DiscreteLevyMeasure.empty(m.dim))
             continue
-        pts = np.vstack(images)
-        ws = np.asarray(weights, dtype=float)
+        pts = _evaluate(phi, restricted.atoms, "mark map").reshape(restricted.n_atoms, -1)
+        ws = restricted.weights
         keep = np.linalg.norm(pts, axis=1) > 1e-12
         pts, ws = pts[keep], ws[keep]
         if pts.shape[0] == 0:
@@ -205,7 +197,7 @@ def restricted_product_set(uset: UncertaintySet, regions) -> UncertaintySet:
     for i, a in enumerate(regions):
         if not isinstance(a, Region):
             raise InvalidInputError("regions must be Region instances")
-        if a.closure().contains(np.zeros(d)):
+        if a.closure().contains(np.zeros((1, d)))[0]:
             raise InvalidInputError(f"region {i} has the origin in its closure")
     for i in range(n):
         for j in range(i + 1, n):

@@ -6,7 +6,21 @@ indicates malformed caller input derives from :class:`InvalidInputError` (a
 standing integrability assumptions are reported through flags on result objects
 where the contract says so; :class:`AssumptionError` is raised only where an
 operation cannot produce a meaningful result at all.
+
+Every user-supplied function (integrand, mark map, test function, initial
+data, payoff) is called through :func:`_evaluate`. Applied point by point, it
+hands a point of a 1-D or (n, 1) array to the function as a Python scalar (an
+int for an integer array) and a point of an (n, d) array with d > 1 as its row;
+applied whole, it makes one call with the given arguments. Either way the calls
+run with numpy floating-point warnings silenced, and a non-finite value is
+refused with :class:`EvaluationError`, whose message names what was evaluated
+and the first offending point (for a whole call, the arguments at the value's
+index when they have the result's shape, else that index).
 """
+
+from typing import Callable
+
+import numpy as np
 
 
 class GLevyError(Exception):
@@ -43,3 +57,23 @@ class NumericalAbortError(GLevyError):
 
 class ConfigError(GLevyError):
     """A config document failed to parse or validate."""
+
+
+def _evaluate(fn: Callable, points, what: str, *, each: bool = True) -> np.ndarray:
+    """fn at each point of ``points``, values stacked, or one call ``fn(*points)``: see above."""
+    if each:
+        pts = np.asarray(points)
+        args = pts.reshape(-1).tolist() if pts.ndim == 1 or pts.shape[1] == 1 else list(pts)
+    with np.errstate(all="ignore"):
+        vals = np.asarray([fn(a) for a in args] if each else fn(*points), dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        if each:
+            k = int(np.argmax(bad.reshape(len(args), -1).any(axis=1)))
+            at = repr(args[k])
+        else:
+            k = tuple(np.argwhere(bad)[0].tolist())
+            located = points and all(np.shape(a) == vals.shape for a in points)
+            at = repr(tuple(np.asarray(a)[k].item() for a in points)) if located else f"index {k} of the result"
+        raise EvaluationError(f"{what} evaluated to {vals[k].tolist()!r} at {at}")
+    return vals

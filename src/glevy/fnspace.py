@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidInputError
+from .errors import InvalidInputError, _evaluate
 from .regions import Region
 from .uncertainty import DiscreteLevyMeasure, _measure_family, v_capacity
 
@@ -54,18 +54,15 @@ _TIGHTNESS_LADDER = tuple(10.0 ** (-k) for k in range(1, 7))
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Evaluation rule plus declared discontinuity and support metadata.
+    """Evaluation rule plus declared discontinuity metadata.
 
     ``discontinuity`` is the declared set of discontinuity points (None means
     undeclared, which leaves the quasi-continuity test inconclusive; an empty
-    region declares the function continuous). ``support`` optionally declares
-    where the function can be nonzero; it is metadata for reporting, the
-    evaluation rule is always authoritative.
+    region declares the function continuous).
     """
 
     fn: Callable
     discontinuity: Region | None = None
-    support: Region | None = None
     name: str = "f"
 
     __test__ = False  # keep pytest from collecting the class by its name
@@ -74,15 +71,8 @@ class TestFunction:
         return self.fn(z)
 
     def values_on(self, measure: DiscreteLevyMeasure) -> np.ndarray:
-        """|f| evaluated on every atom, validated finite."""
-        out = np.empty(measure.n_atoms)
-        for i, z in enumerate(measure.atoms):
-            arg = float(z[0]) if measure.dim == 1 else z
-            val = float(self.fn(arg))
-            if not np.isfinite(val):
-                raise EvaluationError(f"{self.name} evaluated to {val!r} at atom {arg!r}")
-            out[i] = abs(val)
-        return out
+        """|f| evaluated on every atom; a non-finite value raises :class:`EvaluationError`."""
+        return np.abs(_evaluate(self.fn, measure.atoms, self.name))
 
 
 def _as_test_function(f) -> TestFunction:
@@ -90,7 +80,10 @@ def _as_test_function(f) -> TestFunction:
 
 
 def v_norm(f, region: Region | None, family, p: float) -> float:
-    """Worst-case p-norm: (sup over v of the p-th moment of f inside A)^(1/p)."""
+    """Worst-case p-norm: (sup over v of the p-th moment of f inside A)^(1/p).
+
+    A non-finite value of f on an atom raises :class:`EvaluationError`.
+    """
     if p < 1.0:
         raise InvalidInputError("the norm exponent must satisfy p >= 1")
     tf = _as_test_function(f)
@@ -228,7 +221,8 @@ def membership_lpb(f, region: Region | None, family, p: float) -> MembershipVerd
     the top of the fixed ladder is below an absolute threshold. Functions
     whose values on atoms exceed 2**40 can be refused even though every
     finite family is formally integrable; the verdict is explicit about being
-    relative to the ladder.
+    relative to the ladder. A non-finite value of f on an atom raises
+    :class:`EvaluationError` rather than failing the verdict.
     """
     tf = _as_test_function(f)
     ms = [m.restrict(region) for m in _measure_family(family)]

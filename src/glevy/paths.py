@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidInputError
+from .errors import InvalidInputError, _evaluate
 from .regions import Region
 
 __all__ = [
@@ -190,26 +190,20 @@ def poisson_integral(path: CadlagPath, phi: Callable, region: Region, t: float |
     """Sum of phi over jump sizes in the region with jump time <= t.
 
     phi may be scalar- or vector-valued; the return type follows phi (float
-    for scalar phi). Non-finite phi values raise :class:`EvaluationError`.
+    for scalar phi). The values are summed in jump order. A non-finite value
+    of phi raises :class:`EvaluationError`.
     """
     if t is None:
         t = path.horizon
     if not (0.0 <= t <= path.horizon):
         raise InvalidInputError("t must lie in [0, horizon]")
-    total = None
-    scalar = True
-    if path.n_jumps:
-        mask = (path.jump_times <= t) & region.contains(path.jump_sizes)
-        for z in path.jump_sizes[mask]:
-            arg = float(z[0]) if path.dim == 1 else z
-            val = np.asarray(phi(arg), dtype=float)
-            if not np.all(np.isfinite(val)):
-                raise EvaluationError(f"integrand returned non-finite value at jump {arg!r}")
-            scalar = scalar and val.ndim == 0
-            total = val if total is None else total + val
-    if total is None:
+    if path.n_jumps == 0:
         return 0.0
-    return float(total) if scalar else total
+    mask = (path.jump_times <= t) & region.contains(path.jump_sizes)
+    if not mask.any():
+        return 0.0
+    total = np.cumsum(_evaluate(phi, path.jump_sizes[mask], "integrand"), axis=0)[-1]
+    return float(total) if total.ndim == 0 else total
 
 
 class JumpTimes(NamedTuple):
@@ -230,7 +224,7 @@ def jump_times(path: CadlagPath, region: Region, k: int) -> JumpTimes:
     if not region.is_open():
         raise InvalidInputError("jump passage times require an open region")
     closure = region.closure()
-    if closure.contains(np.zeros(path.dim if region.dim is None else region.dim)):
+    if closure.contains(np.zeros((1, path.dim if region.dim is None else region.dim)))[0]:
         raise InvalidInputError("region closure must avoid the origin")
 
     def kth(hits: np.ndarray) -> float:

@@ -60,10 +60,10 @@ from scipy import optimize, stats
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (
-    EvaluationError,
     InvalidInputError,
     NumericalAbortError,
     UnsupportedError,
+    _evaluate,
 )
 from .uncertainty import DiscreteLevyMeasure, UncertaintySet
 
@@ -78,6 +78,7 @@ __all__ = [
 ]
 
 _MAX_TENSOR_CELLS = 20_000_000
+_POISSON_TAIL = 1e-8  # g_poisson_distribution's lattice leaves a Poisson tail below a tenth of this
 
 
 @dataclass(frozen=True)
@@ -112,16 +113,20 @@ class Grid1D:
         return np.linspace(self.x_min, self.x_max, self.nx)
 
     def steps_for(self, duration: float) -> tuple[int, float]:
-        """Number of Euler steps covering the duration with step <= dt.
-
-        A ratio duration/dt within a relative 1e-13 above an integer counts
-        as that integer, so dt = duration/n gives n steps for any n.
-        """
-        ratio = duration / self.dt
-        if not (duration > 0.0 and math.isfinite(ratio)):
-            raise InvalidInputError(f"cannot step over a duration of {duration!r} with dt = {self.dt!r}")
-        n = max(1, int(math.ceil(ratio * (1.0 - 1e-13))))
+        """Number of Euler steps covering the duration with step <= dt (see :func:`_step_count`)."""
+        n = _step_count(duration, self.dt)
         return n, duration / n
+
+
+def _step_count(duration: float, dt: float) -> int:
+    """Number of steps of length at most dt that cover the duration.
+
+    A ratio duration/dt within a relative 1e-13 above an integer counts as
+    that integer, so dt = duration/n gives n steps for any n.
+    """
+    if not (duration > 0.0 and 0.0 < dt < math.inf and math.isfinite(duration / dt)):
+        raise InvalidInputError(f"cannot step over a duration of {duration!r} with dt = {dt!r}")
+    return max(1, int(math.ceil(duration / dt * (1.0 - 1e-13))))
 
 
 def _hull_vertices(theta: np.ndarray) -> np.ndarray:
@@ -384,17 +389,14 @@ class GridSolution:
         return "\n".join(lines) + "\n", header
 
 
-def _eval_nodes(phi: Callable, nodes: np.ndarray, what: str, where: str) -> np.ndarray:
+def _eval_nodes(phi: Callable, nodes: np.ndarray, what: str) -> np.ndarray:
     """phi on every node: one vectorized call, else one call per node."""
-    with np.errstate(all="ignore"):  # non-finite values are refused below, not warned about
-        try:
-            vals = np.asarray(phi(nodes), dtype=float)
-        except (TypeError, ValueError):
-            vals = None
-        if vals is None or vals.shape != nodes.shape:
-            vals = np.array([float(phi(v)) for v in nodes.tolist()])
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError(f"{what} evaluated to non-finite values on the {where}")
+    try:
+        vals = _evaluate(phi, (nodes,), what, each=False)
+    except (TypeError, ValueError):
+        vals = None
+    if vals is None or vals.shape != nodes.shape:
+        vals = _evaluate(phi, nodes, what)
     return vals
 
 
@@ -416,12 +418,13 @@ def solve_ipde(
     pruned), the ``pruned_triples`` (indices of triples that are not vertices
     of the hull of parameter vectors, or repeat an earlier triple), the
     boundary-contamination bound and the composite ``scheme_error_estimate``.
+    A non-finite value of phi on the grid raises :class:`EvaluationError`.
     """
     T = grid.horizon if horizon is None else float(horizon)
     if not (0.0 < T < math.inf):
         raise InvalidInputError("horizon must be positive and finite")
     stepper = _Stepper(uset, grid)
-    u0 = _eval_nodes(phi, grid.x, "initial data", "grid")
+    u0 = _eval_nodes(phi, grid.x, "initial data")
     argmax_counts = np.zeros(len(uset), dtype=np.int64)
     u, layers, info = stepper.evolve(u0, T, rows=max_rows, argmax_counts=argmax_counts)
     n_steps, dt = info["n_steps"], info["dt"]
@@ -463,47 +466,34 @@ def apply_g(
 
     Derivatives at the origin come from the supplied callables when given,
     otherwise from central differences with the given step. Works in any
-    dimension of the uncertainty set.
+    dimension of the uncertainty set. A non-finite value of f, ``grad`` or
+    ``hess`` raises :class:`EvaluationError`.
     """
     if len(uset) == 0:
         raise InvalidInputError("uncertainty set is empty")
     d = uset.dim
 
-    def fv(z: np.ndarray) -> float:
-        val = float(f(float(z[0]) if d == 1 else z))
-        if not math.isfinite(val):
-            raise EvaluationError("test function returned a non-finite value")
-        return val
+    def fv(points: np.ndarray) -> np.ndarray:
+        return _evaluate(f, points, "test function")
 
-    zero = np.zeros(d)
-    if fv(zero) != 0.0:
+    zero = np.zeros((1, d))
+    if fv(zero)[0] != 0.0:
         raise InvalidInputError("test function must vanish at the origin")
 
+    e = np.diag(np.full(d, step))  # row i is step times the i-th unit vector
+    if grad is None or hess is None:
+        f_plus, f_minus = fv(e), fv(-e)
     if grad is not None:
-        g0 = np.atleast_1d(np.asarray(grad(zero if d > 1 else 0.0), dtype=float))
+        g0 = np.atleast_1d(_evaluate(grad, zero, "grad")[0])
     else:
-        g0 = np.empty(d)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = step
-            g0[i] = (fv(e) - fv(-e)) / (2.0 * step)
+        g0 = (f_plus - f_minus) / (2.0 * step)
     if hess is not None:
-        h0 = np.atleast_2d(np.asarray(hess(zero if d > 1 else 0.0), dtype=float))
+        h0 = np.atleast_2d(_evaluate(hess, zero, "hess")[0])
     else:
-        h0 = np.empty((d, d))
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = step
-            h0[i, i] = (fv(e) - 0.0 + fv(-e)) / step**2
-        for i in range(d):
-            for j in range(i + 1, d):
-                ei = np.zeros(d)
-                ej = np.zeros(d)
-                ei[i] = step
-                ej[j] = step
-                h0[i, j] = h0[j, i] = (fv(ei + ej) - fv(ei - ej) - fv(-ei + ej) + fv(-ei - ej)) / (
-                    4.0 * step**2
-                )
+        h0 = np.diag((f_plus - 0.0 + f_minus) / step**2)
+        i, j = np.triu_indices(d, 1)
+        ei, ej = e[i], e[j]
+        h0[i, j] = h0[j, i] = (fv(ei + ej) - fv(ei - ej) - fv(-ei + ej) + fv(-ei - ej)) / (4.0 * step**2)
 
     best = -math.inf
     for t in uset:
@@ -541,11 +531,9 @@ def _stage_tensors(
 
     x = grid.x
     mesh = np.meshgrid(*([x] * n), indexing="ij")
-    vals = np.asarray(phi(*mesh), dtype=float)
+    vals = _evaluate(phi, mesh, "phi", each=False)
     if vals.shape != mesh[0].shape:
         raise InvalidInputError("phi must broadcast over increment grids")
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("phi evaluated to non-finite values on the grid")
 
     stepper = _Stepper(uset, grid)
     durations = [ts[0]] + [b - a for a, b in zip(ts, ts[1:])]
@@ -570,7 +558,8 @@ def iterated_expectation(phi: Callable, times: Sequence[float], uset: Uncertaint
     stage, freezing the earlier increments on the spatial grid. Each step
     stacks one candidate tensor per vertex triple (the pruned triples cost
     nothing), so working memory grows with the number of vertex triples:
-    160 MB per vertex triple at the 2e7-cell cap.
+    160 MB per vertex triple at the 2e7-cell cap. A non-finite value of phi
+    on the increment grids raises :class:`EvaluationError`.
     """
     stages = _stage_tensors(phi, times, uset, grid)
     return float(np.asarray(stages[-1]).reshape(()))
@@ -588,7 +577,8 @@ def conditional_expectation(
 
     Evaluates the stage function of the backward recursion at the realized
     increments by multilinear interpolation; i = 0 returns the unconditional
-    value and i = n evaluates phi itself at the realized history.
+    value and i = n evaluates phi itself at the realized history. A
+    non-finite value of phi raises :class:`EvaluationError`.
     """
     n = len(times)
     realized = [float(r) for r in realized]
@@ -597,10 +587,7 @@ def conditional_expectation(
     if len(realized) != i:
         raise InvalidInputError("need exactly one realized increment per conditioned time")
     if i == n:
-        val = float(np.asarray(phi(*realized), dtype=float))
-        if not math.isfinite(val):
-            raise EvaluationError("phi returned a non-finite value at the realized history")
-        return val
+        return float(_evaluate(phi, realized, "phi", each=False))
     stages = _stage_tensors(phi, times, uset, grid)
     stage = stages[n - i]
     if i == 0:
@@ -625,14 +612,13 @@ def g_poisson_distribution(
     phi: Callable,
     *,
     n_steps: int | None = None,
-    tail: float = 1e-8,
 ) -> float:
     """Worst-case expectation of phi(N_t), intensity known within an interval.
 
     Integrates u'(s, k) = sup over lambda in [lambda_min, lambda_max] of
     lambda (u(s, k+1) - u(s, k)) on the lattice {0, ..., N_max}, the
     truncation level chosen so the Poisson(lambda_max t) tail is below
-    ``tail``. The lattice ODE is the PIDE on the unit grid over the lattice
+    1e-9. The lattice ODE is the PIDE on the unit grid over the lattice
     with the two-triple set (lambda_min delta_1, lambda_max delta_1), run by
     the shared explicit stepper; phi is evaluated on the integers. When no
     step count is given the count is chosen by step doubling: the scheme runs
@@ -642,7 +628,8 @@ def g_poisson_distribution(
     stability ceiling dt lambda_max <= 1/2. Passing an explicit ``n_steps``
     returns the raw Euler iterate at that count. For an intensity interval
     collapsed to a point the result matches the truncated Poisson series to
-    1e-6.
+    1e-6. A non-finite value of phi on the lattice raises
+    :class:`EvaluationError`.
     """
     if not (0.0 <= lambda_min <= lambda_max < math.inf) or lambda_max <= 0.0:
         raise InvalidInputError("need 0 <= lambda_min <= lambda_max < inf with lambda_max > 0")
@@ -652,8 +639,8 @@ def g_poisson_distribution(
         raise InvalidInputError("need at least one step")
 
     mu = lambda_max * t
-    n_max = int(stats.poisson.ppf(1.0 - min(tail, 1e-8) * 0.1, mu)) + 3
-    u0 = _eval_nodes(phi, np.arange(n_max + 1), "phi", "lattice")
+    n_max = int(stats.poisson.ppf(1.0 - _POISSON_TAIL * 0.1, mu)) + 3
+    u0 = _eval_nodes(phi, np.arange(n_max + 1), "phi")
     lattice = UncertaintySet.from_measures(
         [
             DiscreteLevyMeasure.delta(1.0, lambda_min) if lambda_min > 0.0 else DiscreteLevyMeasure.empty(),

@@ -166,9 +166,11 @@ class Region:
         return all((not b.closed_lo) and (not b.closed_hi) for b in self.boxes)
 
     def contains(self, z) -> np.ndarray | bool:
-        """Membership of one point (returns bool) or of an (n, d) batch."""
-        single = np.asarray(z, dtype=float).ndim <= 1
+        """Membership of one point, a scalar or a (d,) array (returns bool), or of a
+        batch, an (n, d) array or n > 1 values in d = 1 (returns n answers)."""
+        ndim = np.ndim(z)
         pts = _as_points(z, dim=self.dim)
+        single = ndim == 0 or (ndim == 1 and pts.shape[0] == 1)
         if self.full:
             out = np.linalg.norm(pts, axis=1) > 0.0
         else:

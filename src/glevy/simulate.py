@@ -40,8 +40,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy import stats
 
-from .errors import AssumptionError, EvaluationError, InvalidInputError, PolicyError
+from .errors import AssumptionError, InvalidInputError, PolicyError, _evaluate
 from .paths import CadlagPath
+from .pide import _step_count
 from .regions import Region
 from .uncertainty import DiscreteLevyMeasure, UncertaintySet, mass_layout
 
@@ -156,7 +157,8 @@ def draw_scenario(
     Keeping the draw order fixed means scenarios agree between runs that do
     and do not consume the Brownian block, which preserves determinism when a
     candidate list changes its diffusion needs. The Brownian increments have
-    the dimension of the model's marks, ``model.locations.shape[1]``.
+    the dimension of the model's marks, ``model.locations.shape[1]``; cells are
+    counted like PIDE steps, so brownian_dt = horizon/n gives n of them.
     """
     if not (0.0 < horizon < math.inf):
         raise InvalidInputError("horizon must be positive and finite")
@@ -167,9 +169,7 @@ def draw_scenario(
     segments = model.segments_of(coords) if n else np.empty(0, dtype=int)
     bt = bi = None
     if with_brownian:
-        if not (0.0 < brownian_dt < math.inf):
-            raise InvalidInputError("brownian_dt must be positive and finite")
-        m = max(1, int(math.ceil(horizon / brownian_dt - 1e-12)))
+        m = _step_count(horizon, brownian_dt)
         bt = np.linspace(0.0, horizon, m + 1)
         bi = rng.normal(0.0, math.sqrt(horizon / m), size=(m, model.locations.shape[1]))
     return BaseScenario(
@@ -461,10 +461,11 @@ def _path_stream(seed: int, path_index: int) -> np.random.Generator:
 def _block_values(
     xi: Callable[[CadlagPath], float], block: _Block, compiled: Sequence[_CompiledPolicy], horizon: float
 ) -> np.ndarray:
-    """xi of every path of a block under every candidate, shape (n, candidates)."""
+    """xi of every path of a block under every candidate, shape (n, candidates), checked once per block."""
     built = [_build_paths(block, comp, 0.0, horizon) for comp in compiled]
-    vals = np.empty((block.offsets.shape[0] - 1, len(compiled)))
-    with np.errstate(all="ignore"):  # non-finite values are refused below, not warned about
+
+    def payoffs() -> np.ndarray:
+        vals = np.empty((block.offsets.shape[0] - 1, len(compiled)))
         for i, row in enumerate(vals):
             # candidates realizing the same path on this scenario share one evaluation
             seen: dict[tuple[bytes, ...], float] = {}
@@ -474,9 +475,9 @@ def _block_values(
                 if key not in seen:
                     seen[key] = float(xi(CadlagPath(horizon, *arrays)))
                 row[ci] = seen[key]
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("payoff evaluated to non-finite values on a simulated path")
-    return vals
+        return vals
+
+    return _evaluate(payoffs, (), "payoff", each=False)
 
 
 def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -504,7 +505,7 @@ def estimate_upper_expectation(
 
     ``xi`` must be a deterministic function of the path: candidates that
     realize the identical path on a scenario are evaluated once and share
-    the value.
+    the value. A non-finite value of xi raises :class:`EvaluationError`.
     """
     if n_paths < 2:
         raise InvalidInputError("need at least two paths for a standard error")
@@ -633,7 +634,7 @@ def erlang_bound_check(
             return False
         j = idx[k - 1]
         tk = float(path.jump_times[j])
-        return bool(region_b.contains(path.jump_sizes[j])) and (c0 <= tk <= c1)
+        return bool(region_b.contains(path.jump_sizes[j : j + 1])[0]) and (c0 <= tk <= c1)
 
     est = estimate_capacity(
         event,

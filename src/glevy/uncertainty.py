@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidInputError, UnsupportedError
+from .errors import InvalidInputError, UnsupportedError, _evaluate
 from .regions import Region
 
 __all__ = [
@@ -135,17 +135,12 @@ class DiscreteLevyMeasure:
     def integrate(self, phi: Callable, region: Region | None = None) -> float:
         """sum over atoms in the region of phi(z) * w, phi scalar-valued.
 
-        For d = 1 the atom is passed to phi as a float. Non-finite values
-        raise :class:`EvaluationError`.
+        For d = 1 the atom is passed to phi as a float. A non-finite value
+        of phi raises :class:`EvaluationError`.
         """
         mask = self.mask_in(region)
         total = 0.0
-        for z, w in zip(self.atoms[mask], self.weights[mask]):
-            arg = float(z[0]) if self.dim == 1 else z
-            val = phi(arg)
-            v = float(val)
-            if not math.isfinite(v):
-                raise EvaluationError(f"integrand returned non-finite value {val!r} at atom {arg!r}")
+        for v, w in zip(_evaluate(phi, self.atoms[mask], "integrand"), self.weights[mask]):
             total += v * w
         return total
 
@@ -289,11 +284,6 @@ class UncertaintySet:
     def measures(self) -> list[DiscreteLevyMeasure]:
         return [t.measure for t in self.triples]
 
-    @property
-    def is_singleton_measure(self) -> bool:
-        ms = self.measures
-        return len(ms) > 0 and all(m.same_as(ms[0]) for m in ms[1:])
-
 
 def _measure_family(family) -> list[DiscreteLevyMeasure]:
     if isinstance(family, UncertaintySet):
@@ -328,7 +318,10 @@ def v_capacity(family, region: Region) -> SupResult:
 
 
 def sup_integral(family, phi: Callable, region: Region | None = None) -> SupResult:
-    """sup_v sum_{z in A} phi(z) v({z}) over the family, exact finite max."""
+    """sup_v sum_{z in A} phi(z) v({z}) over the family, exact finite max.
+
+    A non-finite value of phi raises :class:`EvaluationError`.
+    """
     ms = _measure_family(family)
     vals = [m.integrate(phi, region) for m in ms]
     idx = int(np.argmax(vals))

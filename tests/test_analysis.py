@@ -9,6 +9,7 @@ from glevy import (
     CadlagPath,
     DiscreteLevyMeasure,
     Grid1D,
+    EvaluationError,
     InvalidInputError,
     LevyTriple,
     MartingaleCheckResult,
@@ -147,7 +148,7 @@ def test_pushforward_drops_mass_at_origin():
 
 def test_pushforward_rejects_nonfinite_image():
     m = DiscreteLevyMeasure(np.array([[1.0]]), np.array([1.0]))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(EvaluationError):
         pushforward_set([m], lambda z: math.inf)
 
 

@@ -34,6 +34,20 @@ def test_contains_vectorized():
     assert got.tolist() == [False, True, True, False]
 
 
+def test_contains_answers_each_point_of_a_1d_batch():
+    a = Region.open_interval(0.0, 2.0)
+    got = a.contains(np.array([1.0, 3.0]))
+    assert isinstance(got, np.ndarray) and got.tolist() == [True, False]
+    assert Region.full_space().contains(np.array([0.0, 1.0])).tolist() == [False, True]
+    assert Region.point_set([1.0]).contains([1.0, 2.0, 1.0]).tolist() == [True, False, True]
+    assert a.contains(np.empty(0)).shape == (0,)
+    # a scalar, or a single (d,) point, is one point
+    assert a.contains(1.0) is True and a.contains(np.array([3.0])) is False
+    box = Region(boxes=(Box(np.zeros(2), np.ones(2)),))
+    assert box.contains(np.array([0.5, 0.5])) is True
+    assert box.contains(np.array([[0.5, 0.5], [2.0, 0.5]])).tolist() == [True, False]
+
+
 def test_empty_and_full():
     assert Region.empty().is_empty()
     assert not Region.full_space().is_empty()

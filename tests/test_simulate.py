@@ -123,6 +123,18 @@ def test_draw_scenario_brownian_grid(lam_12):
     assert sc.brownian_increments.shape[0] == sc.brownian_times.shape[0] - 1
 
 
+def test_brownian_step_of_horizon_over_n_gives_n_increments(lam_12):
+    # the same rule as Grid1D.steps_for: horizon/brownian_dt may land a few ulps above n
+    model = BaseJumpModel.from_uncertainty(lam_12)
+    sc = draw_scenario(model, 1.3, np.random.default_rng(0), with_brownian=True, brownian_dt=1.3 / 32000)
+    assert sc.brownian_increments.shape == (32000, 1)
+    rng = np.random.default_rng(11)
+    for t, n in zip(rng.uniform(0.01, 10.0, 300), rng.integers(1, 50_000, 300)):
+        sc = draw_scenario(model, t, np.random.default_rng(0), with_brownian=True, brownian_dt=t / n)
+        assert sc.brownian_increments.shape[0] == n
+        assert sc.brownian_times[-1] == t
+
+
 # -- simulate_path ------------------------------------------------------------
 
 def test_identity_control_reproduces_base_jumps():
