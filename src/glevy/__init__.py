@@ -78,6 +78,7 @@ from .simulate import (
     BaseJumpModel,
     ControlPolicy,
     ExplicitControl,
+    TerminalPayoff,
     constant_policies,
     draw_scenario,
     erlang_bound_check,
@@ -150,6 +151,7 @@ __all__ = [
     "BaseJumpModel",
     "ControlPolicy",
     "ExplicitControl",
+    "TerminalPayoff",
     "constant_policies",
     "draw_scenario",
     "simulate_path",

@@ -112,6 +112,7 @@ from .paths import (
 from .pide import Grid1D, g_poisson_distribution, solve_ipde
 from .regions import Region
 from .simulate import (
+    TerminalPayoff,
     constant_policies,
     erlang_bound_check,
     estimate_capacity,
@@ -270,7 +271,7 @@ def _cmd_expect(config, args, out_dir):
     if method in ("mc", "both"):
         n_paths, seed, brownian_dt = _mc_settings(config, args.seed)
         est = estimate_upper_expectation(
-            lambda p: float(payoff(p.scalar_value(T))),
+            TerminalPayoff(payoff),
             uset,
             constant_policies(uset, T),
             n_paths,

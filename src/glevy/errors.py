@@ -12,10 +12,12 @@ data, payoff) is called through :func:`_evaluate`. Applied point by point, it
 hands a point of a 1-D or (n, 1) array to the function as a Python scalar (an
 int for an integer array) and a point of an (n, d) array with d > 1 as its row;
 applied whole, it makes one call with the given arguments. Either way the calls
-run with numpy floating-point warnings silenced, and a non-finite value is
-refused with :class:`EvaluationError`, whose message names what was evaluated
-and the first offending point (for a whole call, the arguments at the value's
-index when they have the result's shape, else that index).
+run with numpy floating-point warnings silenced, and a returned value that
+does not convert to a float, or is non-finite, is refused with
+:class:`EvaluationError`, whose message names what was evaluated and the
+first offending point (for a whole call, the arguments at the value's index
+when they have the result's shape, else that index). An exception raised
+inside the function propagates unchanged.
 """
 
 from typing import Callable
@@ -65,7 +67,19 @@ def _evaluate(fn: Callable, points, what: str, *, each: bool = True) -> np.ndarr
         pts = np.asarray(points)
         args = pts.reshape(-1).tolist() if pts.ndim == 1 or pts.shape[1] == 1 else list(pts)
     with np.errstate(all="ignore"):
-        vals = np.asarray([fn(a) for a in args] if each else fn(*points), dtype=float)
+        raw = [fn(a) for a in args] if each else fn(*points)
+    try:
+        vals = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        # the values themselves are at fault, not fn: name the first that does not convert
+        if each:
+            k = next((k for k, v in enumerate(raw) if not _numeric(v) or np.shape(v) != np.shape(raw[0])), 0)
+            value, at = raw[k], repr(args[k])
+        else:
+            cells = np.asarray(raw, dtype=object)
+            k = next((k for k, v in np.ndenumerate(cells) if not _numeric(v)), ())
+            value, at = cells[k], _whole_call_point(points, cells.shape, k)
+        raise EvaluationError(f"{what} returned {value!r}, which does not convert to a float, at {at}") from None
     bad = ~np.isfinite(vals)
     if bad.any():
         if each:
@@ -73,7 +87,21 @@ def _evaluate(fn: Callable, points, what: str, *, each: bool = True) -> np.ndarr
             at = repr(args[k])
         else:
             k = tuple(np.argwhere(bad)[0].tolist())
-            located = points and all(np.shape(a) == vals.shape for a in points)
-            at = repr(tuple(np.asarray(a)[k].item() for a in points)) if located else f"index {k} of the result"
+            at = _whole_call_point(points, vals.shape, k)
         raise EvaluationError(f"{what} evaluated to {vals[k].tolist()!r} at {at}")
     return vals
+
+
+def _numeric(value) -> bool:
+    try:
+        np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
+def _whole_call_point(points, shape: tuple, k: tuple) -> str:
+    """The arguments at index k when they have the result's shape, else that index."""
+    if points and all(np.shape(a) == shape for a in points):
+        return repr(tuple(np.asarray(a)[k].item() for a in points))
+    return f"index {k} of the result"

@@ -106,6 +106,22 @@ class CadlagPath:
 
     # -- constructors ---------------------------------------------------------
 
+    @classmethod
+    def _unchecked(
+        cls, horizon: float, grid_times: np.ndarray, grid_values: np.ndarray, jump_times: np.ndarray, jump_sizes: np.ndarray
+    ) -> "CadlagPath":
+        """A path from data in the stored form that already meets every invariant.
+
+        The caller guarantees a float horizon, float (G,) grid times, (G, d)
+        grid values, (n,) jump times and (n, d) jump sizes that pass the
+        checks of ``__post_init__``, which does not run.
+        """
+        path = object.__new__(cls)
+        vars(path).update(
+            horizon=horizon, grid_times=grid_times, grid_values=grid_values, jump_times=jump_times, jump_sizes=jump_sizes
+        )
+        return path
+
     @staticmethod
     def zero(horizon: float, dim: int = 1) -> "CadlagPath":
         return CadlagPath(

@@ -390,7 +390,11 @@ class GridSolution:
 
 
 def _eval_nodes(phi: Callable, nodes: np.ndarray, what: str) -> np.ndarray:
-    """phi on every node: one vectorized call, else one call per node."""
+    """phi on every node: one vectorized call, else one call per node.
+
+    The per-node calls follow when phi raises TypeError or ValueError on the
+    array of nodes or returns another shape; a refusal of its values stands.
+    """
     try:
         vals = _evaluate(phi, (nodes,), what, each=False)
     except (TypeError, ValueError):

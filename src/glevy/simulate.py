@@ -27,8 +27,13 @@ The estimator draws the scenarios of a block of consecutive paths, one
 stream per path in path order as above, and relabels the whole block under
 each candidate at once: jumps of the block are stored flat with per-path
 offsets and the continuous parts of every path come from one cumulative sum.
-On each scenario, candidates that realize the identical path (equal grid,
-values, jump times and sizes) share one path object and one payoff call.
+Each such block is checked once, in one vectorized pass over every invariant
+of :class:`CadlagPath`, so the path objects handed to a payoff are not checked
+again. On each scenario, candidates that realize the identical path (equal
+grid, values, jump times and sizes) share one path object and one payoff call.
+A :class:`TerminalPayoff`, a function of X_T alone, never becomes paths: the
+terminal values of a whole block come from the block's arrays and its phi is
+applied to all of them at once.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from scipy import stats
 
 from .errors import AssumptionError, InvalidInputError, PolicyError, _evaluate
 from .paths import CadlagPath
-from .pide import _step_count
+from .pide import _eval_nodes, _step_count
 from .regions import Region
 from .uncertainty import DiscreteLevyMeasure, UncertaintySet, mass_layout
 
@@ -53,6 +58,7 @@ __all__ = [
     "ControlPolicy",
     "EstimateResult",
     "ErlangCheckResult",
+    "TerminalPayoff",
     "constant_policies",
     "draw_scenario",
     "simulate_path",
@@ -355,6 +361,18 @@ class _Paths(NamedTuple):
 
 
 def _build_paths(block: _Block, compiled: _CompiledPolicy, start: float, horizon: float) -> _Paths:
+    """Every path of a block under one policy, checked once for the whole block.
+
+    Data that overflow become non-finite values, which the check refuses;
+    no numpy warning escapes.
+    """
+    with np.errstate(all="ignore"):
+        paths = _assemble_paths(block, compiled, start, horizon)
+        _check_paths(paths, horizon)
+    return paths
+
+
+def _assemble_paths(block: _Block, compiled: _CompiledPolicy, start: float, horizon: float) -> _Paths:
     n, d = block.offsets.shape[0] - 1, compiled.drift.shape[1]
     bp = compiled.breakpoints
     last = compiled.drift.shape[0] - 1
@@ -417,6 +435,45 @@ def _build_paths(block: _Block, compiled: _CompiledPolicy, start: float, horizon
     return _Paths(grid_times, values, offsets, times, sizes)
 
 
+def _check_paths(paths: _Paths, horizon: float) -> None:
+    """Every invariant of :class:`CadlagPath` on every path of a block, in one pass.
+
+    The first path that breaks one goes to the ``CadlagPath`` constructor,
+    so the refusal is the constructor's own, with its class and message.
+    """
+    gt, gv, offsets, jt, js = paths
+    n = offsets.shape[0] - 1
+    T = float(horizon)
+    if jt.shape[0] != js.shape[0] or gv.shape[:2] != (n, gt.shape[0]):
+        # arrays that do not line up: each path on its own
+        suspects = range(n)
+    else:
+        grid_ok = (
+            0.0 < T < math.inf
+            and gt.shape[0] >= 2
+            and gt[0] == 0.0
+            and gt[-1] == T
+            and bool(np.all(np.diff(gt) > 0.0))
+            and bool(np.all(np.isfinite(gt)))
+        )
+        bad = np.any(gv[:, 0] != 0.0, axis=1) | ~np.all(np.isfinite(gv), axis=(1, 2)) | (not grid_ok)
+        owner = np.repeat(np.arange(n), np.diff(offsets))
+        jump_bad = (
+            (jt <= 0.0)
+            | (jt > T)
+            | ~np.isfinite(jt)
+            | ~np.all(np.isfinite(js), axis=1)
+            | (np.linalg.norm(js, axis=1) == 0.0)
+            | (js.shape[1] != gv.shape[2])
+        )
+        # jump times strictly increasing within each path
+        jump_bad[1:] |= (np.diff(jt) <= 0.0) & (owner[1:] == owner[:-1])
+        bad[owner[jump_bad]] = True
+        suspects = np.flatnonzero(bad)
+    for i in suspects:
+        CadlagPath(horizon, *paths.arrays(i))
+
+
 def simulate_path(
     scenario: BaseScenario,
     policy: ControlPolicy,
@@ -458,26 +515,67 @@ def _path_stream(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+@dataclass(frozen=True)
+class TerminalPayoff:
+    """The payoff phi(X_T) of a one-dimensional path's value at the horizon.
+
+    Called on a path it returns ``float(phi(path.scalar_value(path.horizon)))``,
+    so it serves wherever a path payoff does. :func:`estimate_upper_expectation`
+    recognizes it and builds no path objects: it sums the terminal values of a
+    whole block from the block's arrays, in the order ``scalar_value`` adds
+    them, and applies phi to all of them at once, one vectorized call when phi
+    maps an array to an array of its shape, else one call per value.
+    """
+
+    phi: Callable[[float], float]
+
+    def __call__(self, path: CadlagPath) -> float:
+        return float(self.phi(path.scalar_value(path.horizon)))
+
+
 def _block_values(
     xi: Callable[[CadlagPath], float], block: _Block, compiled: Sequence[_CompiledPolicy], horizon: float
 ) -> np.ndarray:
     """xi of every path of a block under every candidate, shape (n, candidates), checked once per block."""
     built = [_build_paths(block, comp, 0.0, horizon) for comp in compiled]
+    T = float(horizon)
 
     def payoffs() -> np.ndarray:
-        vals = np.empty((block.offsets.shape[0] - 1, len(compiled)))
+        # xi's values as returned; _evaluate converts them to floats and checks them
+        vals = np.empty((block.offsets.shape[0] - 1, len(compiled)), dtype=object)
         for i, row in enumerate(vals):
             # candidates realizing the same path on this scenario share one evaluation
-            seen: dict[tuple[bytes, ...], float] = {}
+            seen: dict[tuple[bytes, ...], object] = {}
             for ci, paths in enumerate(built):
                 arrays = paths.arrays(i)
                 key = tuple(a.tobytes() for a in arrays)
                 if key not in seen:
-                    seen[key] = float(xi(CadlagPath(horizon, *arrays)))
+                    seen[key] = xi(CadlagPath._unchecked(T, *arrays))
                 row[ci] = seen[key]
         return vals
 
     return _evaluate(payoffs, (), "payoff", each=False)
+
+
+def _terminal_values(
+    phi: Callable[[float], float], block: _Block, compiled: Sequence[_CompiledPolicy], horizon: float
+) -> np.ndarray:
+    """phi(X_T) of every path of a block under every candidate, shape (n, candidates), with no path objects."""
+    ends = np.empty((block.offsets.shape[0] - 1, len(compiled)))
+    for ci, comp in enumerate(compiled):
+        paths = _build_paths(block, comp, 0.0, horizon)
+        if paths.grid_values.shape[2] != 1:
+            raise InvalidInputError("scalar_value requires a one-dimensional path")
+        # the jump sizes of each path added in jump order from 0, one jump rank
+        # of the whole block at a time, then the continuous part: the float
+        # sequence of CadlagPath.values_at
+        counts = np.diff(paths.offsets)
+        jumps = np.zeros(counts.shape[0])
+        for k in range(int(counts.max(initial=0))):
+            has = counts > k
+            jumps[has] += paths.jump_sizes[paths.offsets[:-1][has] + k, 0]
+        ends[:, ci] = paths.grid_values[:, -1, 0] + jumps
+    return _eval_nodes(phi, ends.reshape(-1), "payoff").reshape(ends.shape)
 
 
 def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -505,7 +603,9 @@ def estimate_upper_expectation(
 
     ``xi`` must be a deterministic function of the path: candidates that
     realize the identical path on a scenario are evaluated once and share
-    the value. A non-finite value of xi raises :class:`EvaluationError`.
+    the value. A :class:`TerminalPayoff` gives the same result without
+    building a path object. A non-finite or non-numeric value of xi raises
+    :class:`EvaluationError`.
     """
     if n_paths < 2:
         raise InvalidInputError("need at least two paths for a standard error")
@@ -531,7 +631,10 @@ def estimate_upper_expectation(
                 for p in range(first, min(first + _BLOCK, n_paths))
             ]
         )
-        vals = _block_values(xi, block, compiled, horizon)
+        if isinstance(xi, TerminalPayoff):
+            vals = _terminal_values(xi.phi, block, compiled, horizon)
+        else:
+            vals = _block_values(xi, block, compiled, horizon)
         if first == 0:
             # the variance uses sums of values shifted by each candidate's first
             # value, so it does not cancel away when the payoff carries a large offset

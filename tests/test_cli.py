@@ -102,6 +102,28 @@ def test_expect_mc_only_and_seed_override(tmp_path):
     assert load(rec_file2)["seed"] == 99
 
 
+PAYOFF_KINDS = {
+    "linear": {"kind": "linear", "scale": 0.7},
+    "clampedLinear": {"kind": "clampedLinear", "scale": 1.0, "cap": 1.0},
+    "indicatorSmoothed": {"kind": "indicatorSmoothed", "lo": 0.5, "hi": 1.5},
+    "table": {"kind": "table", "xs": [-1.0, 0.0, 1.0, 2.5], "ys": [0.0, 0.1, 0.6, 1.0]},
+}
+
+
+@pytest.mark.parametrize("kind", list(PAYOFF_KINDS))
+def test_expect_mc_terminal_route_writes_the_path_route_record(tmp_path, monkeypatch, kind):
+    doc = {"uncertainty": UNC_MIXTURES, "horizon": 1.3, "payoff": PAYOFF_KINDS[kind], "mc": {"n_paths": 300, "seed": 8}}
+    terminal, path = tmp_path / "terminal", tmp_path / "path"
+    terminal.mkdir(), path.mkdir()
+    assert run(tmp_path, "expect", doc, "--method", "mc", out=terminal)[0] == 0
+    # the payoff as a plain path callable, which the estimator cannot see through
+    monkeypatch.setattr(glevy.cli, "TerminalPayoff", lambda phi: lambda p: float(phi(p.scalar_value(p.horizon))))
+    assert run(tmp_path, "expect", doc, "--method", "mc", out=path)[0] == 0
+    record = (terminal / "expect_result.json").read_bytes()
+    assert record == (path / "expect_result.json").read_bytes()
+    assert json.loads(record)["results"]["nPaths"] == 300
+
+
 def test_expect_both_reports_duality(tmp_path):
     doc = {
         "uncertainty": UNC_FAMILY,

@@ -12,6 +12,7 @@ from glevy import (
     EvaluationError,
     Grid1D,
     Region,
+    TerminalPayoff,
     TestFunction,
     apply_g,
     conditional_expectation,
@@ -60,6 +61,9 @@ ENTRY_POINTS = {
     "estimate_upper_expectation": lambda bad: estimate_upper_expectation(
         lambda p: bad(p.scalar_value(1.0)), LAM, constant_policies(LAM, 1.0), 10, 1, horizon=1.0
     ),
+    "TerminalPayoff": lambda bad: estimate_upper_expectation(
+        TerminalPayoff(bad), LAM, constant_policies(LAM, 1.0), 10, 1, horizon=1.0
+    ),
 }
 
 
@@ -93,3 +97,46 @@ def test_refusal_names_what_and_the_first_offending_point():
         _evaluate(lambda v: np.where(v > 0.5, np.inf, 0.0), (x,), "phi", each=False)
     with pytest.raises(EvaluationError, match=r"payoff evaluated to nan at index \(1, 0\) of the result"):
         _evaluate(lambda: np.array([[0.0, 1.0], [math.nan, 2.0]]), (), "payoff", each=False)
+
+
+NON_NUMERIC = {
+    "sup_integral": (lambda: sup_integral(LAM, lambda z: "x"), r"integrand returned 'x', which does not convert to a float, at 1\.0"),
+    "estimator-payoff": (
+        lambda: estimate_upper_expectation(
+            lambda p: "x" if p.n_jumps > 1 else 0.0, LAM, constant_policies(LAM, 1.0), 10, 1, horizon=1.0
+        ),
+        r"payoff returned 'x', which does not convert to a float, at index \(\d+, \d\) of the result",
+    ),
+    "int-too-large-for-a-float": (lambda: sup_integral(LAM, lambda z: 10**400), "which does not convert to a float, at 1"),
+    "TerminalPayoff": (
+        lambda: estimate_upper_expectation(
+            TerminalPayoff(lambda x: "x"), LAM, constant_policies(LAM, 1.0), 10, 1, horizon=1.0
+        ),
+        "payoff returned 'x', which does not convert to a float",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(NON_NUMERIC), ids=str)
+def test_non_numeric_values_are_refused(entry):
+    call, message = NON_NUMERIC[entry]
+    with pytest.raises(EvaluationError, match=message):
+        call()
+
+
+def test_non_numeric_refusal_names_the_first_offending_point():
+    with pytest.raises(EvaluationError, match=r"f returned 'no', which does not convert to a float, at 2"):
+        _evaluate(lambda z: "no" if z == 2 else 1.0, np.arange(4), "f")
+    with pytest.raises(EvaluationError, match=r"f returned 'b', which does not convert to a float, at \(2\.0,\)"):
+        _evaluate(lambda v: [1.0, "b"], (np.array([1.0, 2.0]),), "f", each=False)
+
+
+def test_exceptions_raised_inside_the_function_propagate_unchanged():
+    def fn(z):
+        raise KeyError("inside")
+
+    with pytest.raises(KeyError, match="inside"):
+        _evaluate(fn, np.arange(3), "f")
+    with pytest.raises(ValueError, match="inside fn") as info:
+        sup_integral(LAM, lambda z: float("inside fn"))
+    assert not isinstance(info.value, EvaluationError)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from glevy import (
@@ -19,6 +20,7 @@ from glevy import (
     LevyTriple,
     PolicyError,
     Region,
+    TerminalPayoff,
     UncertaintySet,
     constant_policies,
     draw_scenario,
@@ -28,7 +30,16 @@ from glevy import (
     simulate_path,
     transport_map,
 )
-from glevy.simulate import _BLOCK, BaseScenario, _compile_policy, _path_stream
+from glevy.simulate import (
+    _BLOCK,
+    BaseScenario,
+    _build_paths,
+    _check_paths,
+    _compile_policy,
+    _path_stream,
+    _Paths,
+    _stack,
+)
 from conftest import location_family, mixture_family, point_mass_family
 
 
@@ -592,6 +603,209 @@ def test_paths_differing_only_in_grid_times_are_evaluated_apart(lam_12):
     assert len(calls) == 200 * len(pols)
     assert est.argmax == 1 and est.value == pytest.approx(0.6)
     assert tuple(est) == reference_estimate(xi, lam_12, pols, 200, 8)
+
+
+# -- terminal payoffs: no path objects, the same numbers -------------------------
+
+def negative_drift_set():
+    return UncertaintySet(
+        (
+            LevyTriple(DiscreteLevyMeasure(np.array([[-1.0], [0.5]]), np.array([1.0, 0.7])), drift=0.3),
+            LevyTriple(DiscreteLevyMeasure(np.array([[-2.0], [1.0]]), np.array([0.4, 1.2])), drift=-0.2),
+        )
+    )
+
+
+TERMINAL_SETS = {
+    "intensities": lambda: point_mass_family(np.linspace(1.0, 2.0, 5)),
+    "mixtures": mixture_family,
+    "diffusive": diffusive_set,
+    "negative-atoms-drift": negative_drift_set,
+}
+
+
+def hexes(est):
+    return float.hex(est.value), float.hex(est.std_error), est.argmax
+
+
+@pytest.mark.parametrize("n_paths", [2, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("kind", list(TERMINAL_SETS))
+def test_terminal_payoff_matches_the_path_route(kind, n_paths):
+    uset = TERMINAL_SETS[kind]()
+    T = 1.3
+    switch = np.array([0.0, 0.4, T])
+    last = len(uset) - 1
+    phi = lambda x: np.tanh(x - 1.0) + 0.1 * np.asarray(x)
+    for candidates in (
+        constant_policies(uset, T),
+        constant_policies(uset, T) + [ControlPolicy(switch, (0, last)), ControlPolicy(switch, (last, 0))],
+    ):
+        kw = dict(horizon=T, brownian_dt=T / 32)
+        terminal = estimate_upper_expectation(TerminalPayoff(phi), uset, candidates, n_paths, 29, **kw)
+        path = estimate_upper_expectation(lambda p: float(phi(p.scalar_value(T))), uset, candidates, n_paths, 29, **kw)
+        assert hexes(terminal) == hexes(path)
+
+
+def test_terminal_payoff_falls_back_to_one_call_per_value(mixtures):
+    # a scalar-only phi cannot take the block's array of terminal values
+    phi = lambda x: 1.0 if x > 1.5 else x / 3.0
+    pols = constant_policies(mixtures, 1.0)
+    terminal = estimate_upper_expectation(TerminalPayoff(phi), mixtures, pols, 300, 5, horizon=1.0)
+    path = estimate_upper_expectation(lambda p: phi(p.scalar_value(1.0)), mixtures, pols, 300, 5, horizon=1.0)
+    assert hexes(terminal) == hexes(path)
+
+
+def test_terminal_payoff_on_a_path_is_phi_of_the_terminal_value():
+    path = CadlagPath(2.0, [0.0, 1.0, 2.0], [0.0, 0.5, -0.25], [0.3, 1.5], [1.0, 2.0])
+    assert TerminalPayoff(lambda x: x * x)(path) == path.scalar_value(2.0) ** 2
+
+
+def test_terminal_payoff_refuses_multidimensional_sets():
+    d2 = UncertaintySet((LevyTriple(DiscreteLevyMeasure(np.array([[1.0, 0.5]]), np.array([1.0]))),))
+    pols = constant_policies(d2, 1.0)
+    message = "scalar_value requires a one-dimensional path"
+    with pytest.raises(InvalidInputError, match=message):
+        estimate_upper_expectation(TerminalPayoff(lambda x: x), d2, pols, 10, 1, horizon=1.0)
+    with pytest.raises(InvalidInputError, match=message):
+        estimate_upper_expectation(lambda p: p.scalar_value(1.0), d2, pols, 10, 1, horizon=1.0)
+
+
+def test_terminal_payoff_refuses_a_non_finite_phi(lam_12):
+    phi = lambda x: np.where(np.asarray(x) > 2.0, math.nan, x)
+    with pytest.raises(EvaluationError, match="payoff evaluated to nan"):
+        estimate_upper_expectation(TerminalPayoff(phi), lam_12, constant_policies(lam_12, 1.0), 300, 1, horizon=1.0)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    raw = vars(owner)[name]
+    if isinstance(raw, classmethod):
+        fn = raw.__func__
+        monkeypatch.setattr(owner, name, classmethod(lambda *a, **k: calls.append(1) or fn(*a, **k)))
+    else:
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or raw(*a, **k))
+    return calls
+
+
+def test_estimators_do_not_recheck_paths(monkeypatch, mixtures):
+    checks = count_calls(monkeypatch, CadlagPath, "__post_init__")
+    built = count_calls(monkeypatch, CadlagPath, "_unchecked")
+    pols = constant_policies(mixtures, 1.0)
+    estimate_upper_expectation(lambda p: p.scalar_value(1.0), mixtures, pols, 300, 2, horizon=1.0)
+    estimate_capacity(lambda p: p.n_jumps > 1, diffusive_set(), constant_policies(diffusive_set(), 1.0), 50, 3, horizon=1.0)
+    erlang_bound_check(mixtures, Region.open_interval(0.5, 2.5), Region.open_interval(0.5, 1.5), 1, (0.0, 1.0), 50, 4)
+    assert checks == [] and built
+
+    built.clear()
+    estimate_upper_expectation(TerminalPayoff(lambda x: x), mixtures, pols, 300, 2, horizon=1.0)
+    estimate_upper_expectation(TerminalPayoff(lambda x: x), diffusive_set(), constant_policies(diffusive_set(), 1.0), 50, 3, horizon=1.0)
+    assert checks == [] and built == []
+
+
+# -- one check per block, the same refusals as CadlagPath -------------------------
+
+def valid_block():
+    """Three paths on the grid (0, 0.25, 0.5, 1] with 2, 0 and 2 jumps; horizon 1."""
+    gv = np.zeros((3, 4, 1))
+    gv[:, 1:, 0] = [[0.1, 0.2, 0.3], [-0.1, 0.0, 0.4], [0.5, 0.5, 0.5]]
+    return _Paths(
+        np.array([0.0, 0.25, 0.5, 1.0]),
+        gv,
+        np.array([0, 2, 2, 4]),
+        np.array([0.4, 0.9, 0.1, 1.0]),  # times fall across the path boundary
+        np.array([[1.0], [-2.0], [0.5], [3.0]]),
+    )
+
+
+def broken(field, edit):
+    arrays = valid_block()._asdict()
+    arrays[field] = edit(arrays[field].copy())
+    return _Paths(**arrays)
+
+
+def at(index, value):
+    def edit(a):
+        a[index] = value
+        return a
+
+    return edit
+
+
+BROKEN_BLOCKS = {
+    "grid-start": broken("grid_times", at(0, 0.1)),
+    "grid-end": broken("grid_times", at(-1, 0.9)),
+    "grid-order": broken("grid_times", at(1, 0.5)),
+    "grid-nan": broken("grid_times", at(2, math.nan)),
+    "grid-short": _Paths(np.array([1.0]), np.zeros((3, 1, 1)), *valid_block()[2:]),
+    "grid-value-rows": broken("grid_values", lambda a: a[:, :3]),
+    "start-not-zero": broken("grid_values", at((1, 0, 0), 0.3)),
+    "value-inf": broken("grid_values", at((2, 3, 0), math.inf)),
+    "jump-order": broken("jump_times", at(3, 0.05)),
+    "jump-tie": broken("jump_times", at(1, 0.4)),
+    "jump-at-zero": broken("jump_times", at(2, 0.0)),
+    "jump-after-horizon": broken("jump_times", at(3, 1.5)),
+    "jump-time-nan": broken("jump_times", at(1, math.nan)),
+    "jump-size-zero": broken("jump_sizes", at(2, 0.0)),
+    "jump-size-nan": broken("jump_sizes", at(0, math.nan)),
+    "jump-dimension": broken("jump_sizes", lambda a: np.hstack([a, a])),
+    "jump-count": broken("jump_sizes", lambda a: a[:3]),
+    "two-faults-first-wins": broken("jump_sizes", at(3, 0.0))._replace(
+        grid_values=broken("grid_values", at((1, 2, 0), math.nan)).grid_values
+    ),
+}
+
+
+def per_path_refusal(paths, horizon):
+    for i in range(paths.offsets.shape[0] - 1):
+        try:
+            CadlagPath(horizon, *paths.arrays(i))
+        except InvalidInputError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def test_valid_block_passes_the_block_check():
+    assert per_path_refusal(valid_block(), 1.0) is None
+    _check_paths(valid_block(), 1.0)
+
+
+@pytest.mark.parametrize("case", list(BROKEN_BLOCKS))
+def test_block_check_refuses_as_the_path_constructor(case):
+    paths = BROKEN_BLOCKS[case]
+    want = per_path_refusal(paths, 1.0)
+    assert want is not None
+    with pytest.raises(InvalidInputError) as info:
+        _check_paths(paths, 1.0)
+    assert (type(info.value), str(info.value)) == want
+
+
+def test_overflowing_drift_is_refused_without_a_warning():
+    uset = UncertaintySet((LevyTriple(DiscreteLevyMeasure.delta(1.0), drift=1e308),))
+    with pytest.raises(InvalidInputError, match="path data must be finite"):
+        estimate_upper_expectation(lambda p: p.scalar_value(2.0), uset, constant_policies(uset, 2.0), 10, 1, horizon=2.0)
+    with pytest.raises(InvalidInputError, match="path data must be finite"):
+        estimate_upper_expectation(TerminalPayoff(lambda x: x), uset, constant_policies(uset, 2.0), 10, 1, horizon=2.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["switching", "diffusive", "d2", "empty"]))
+def test_unchecked_paths_equal_checked_paths(seed, kind):
+    rng = np.random.default_rng(seed)
+    uset, policies, _ = random_case(rng, kind)
+    model = BaseJumpModel.from_uncertainty(uset)
+    block = _stack([draw_scenario(model, 1.0, rng, with_brownian=True, brownian_dt=0.2) for _ in range(5)])
+    for policy in policies:
+        try:
+            policy.check_covers(0.0, 1.0)
+            compiled = _compile_policy(policy, uset, model)
+        except PolicyError:
+            continue
+        paths = _build_paths(block, compiled, 0.0, 1.0)
+        for i in range(5):
+            fast = CadlagPath._unchecked(1.0, *paths.arrays(i))
+            checked = CadlagPath(1.0, *paths.arrays(i))
+            assert type(fast.horizon) is type(checked.horizon) and fast.horizon == checked.horizon
+            assert path_bytes(fast) == path_bytes(checked)
 
 
 # -- erlang bound -------------------------------------------------------------
