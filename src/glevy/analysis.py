@@ -197,7 +197,7 @@ def restricted_product_set(uset: UncertaintySet, regions) -> UncertaintySet:
     for i, a in enumerate(regions):
         if not isinstance(a, Region):
             raise InvalidInputError("regions must be Region instances")
-        if a.closure().contains(np.zeros((1, d)))[0]:
+        if np.zeros(d) in a.closure():
             raise InvalidInputError(f"region {i} has the origin in its closure")
     for i in range(n):
         for j in range(i + 1, n):

@@ -313,6 +313,8 @@ def _cmd_capacity(config, args, out_dir):
     sec = _get(config, "capacity", _mapping)
     region = _get(sec, "region", Region.from_dict)
     min_count = _get(sec, "min_count", int, 1)
+    if min_count < 0:
+        raise ConfigError(f"capacity min_count must be >= 0, got {min_count}")
     uset = _uset(config)
     T = _horizon(config)
     n_paths, seed, brownian_dt = _mc_settings(config, args.seed)

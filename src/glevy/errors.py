@@ -17,7 +17,9 @@ does not convert to a float, or is non-finite, is refused with
 :class:`EvaluationError`, whose message names what was evaluated and the
 first offending point (for a whole call, the arguments at the value's index
 when they have the result's shape, else that index). An exception raised
-inside the function propagates unchanged.
+inside the function propagates unchanged. :func:`_eval_nodes` evaluates a
+function on a node array with one vectorized call, falling back to one call
+per node.
 """
 
 from typing import Callable
@@ -89,6 +91,21 @@ def _evaluate(fn: Callable, points, what: str, *, each: bool = True) -> np.ndarr
             k = tuple(np.argwhere(bad)[0].tolist())
             at = _whole_call_point(points, vals.shape, k)
         raise EvaluationError(f"{what} evaluated to {vals[k].tolist()!r} at {at}")
+    return vals
+
+
+def _eval_nodes(phi: Callable, nodes: np.ndarray, what: str) -> np.ndarray:
+    """phi on every node: one vectorized call, else one call per node.
+
+    The per-node calls follow when phi raises TypeError or ValueError on the
+    array of nodes or returns another shape; a refusal of its values stands.
+    """
+    try:
+        vals = _evaluate(phi, (nodes,), what, each=False)
+    except (TypeError, ValueError):
+        vals = None
+    if vals is None or vals.shape != nodes.shape:
+        vals = _evaluate(phi, nodes, what)
     return vals
 
 

@@ -240,7 +240,7 @@ def jump_times(path: CadlagPath, region: Region, k: int) -> JumpTimes:
     if not region.is_open():
         raise InvalidInputError("jump passage times require an open region")
     closure = region.closure()
-    if closure.contains(np.zeros((1, path.dim if region.dim is None else region.dim)))[0]:
+    if np.zeros(path.dim if region.dim is None else region.dim) in closure:
         raise InvalidInputError("region closure must avoid the origin")
 
     def kth(hits: np.ndarray) -> float:

@@ -63,6 +63,7 @@ from .errors import (
     InvalidInputError,
     NumericalAbortError,
     UnsupportedError,
+    _eval_nodes,
     _evaluate,
 )
 from .uncertainty import DiscreteLevyMeasure, UncertaintySet
@@ -389,21 +390,6 @@ class GridSolution:
         return "\n".join(lines) + "\n", header
 
 
-def _eval_nodes(phi: Callable, nodes: np.ndarray, what: str) -> np.ndarray:
-    """phi on every node: one vectorized call, else one call per node.
-
-    The per-node calls follow when phi raises TypeError or ValueError on the
-    array of nodes or returns another shape; a refusal of its values stands.
-    """
-    try:
-        vals = _evaluate(phi, (nodes,), what, each=False)
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or vals.shape != nodes.shape:
-        vals = _evaluate(phi, nodes, what)
-    return vals
-
-
 def solve_ipde(
     phi: Callable,
     uset: UncertaintySet,
@@ -513,6 +499,18 @@ def apply_g(
 # ---------------------------------------------------------------------------
 
 
+def _check_times(times: Sequence[float]) -> list[float]:
+    """The evaluation times as floats, refused unless one to three, positive and strictly increasing."""
+    ts = [float(t) for t in times]
+    if not ts:
+        raise InvalidInputError("need at least one evaluation time")
+    if len(ts) > 3:
+        raise UnsupportedError("iterated expectations support at most three increments")
+    if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise InvalidInputError("times must be strictly increasing and positive")
+    return ts
+
+
 def _stage_tensors(
     phi: Callable,
     times: Sequence[float],
@@ -520,14 +518,8 @@ def _stage_tensors(
     grid: Grid1D,
 ) -> list[np.ndarray]:
     """Backward recursion tensors; stages[j] depends on the first n-j increments."""
-    ts = [float(t) for t in times]
+    ts = _check_times(times)
     n = len(ts)
-    if n == 0:
-        raise InvalidInputError("need at least one evaluation time")
-    if n > 3:
-        raise UnsupportedError("iterated expectations support at most three increments")
-    if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise InvalidInputError("times must be strictly increasing and positive")
     if grid.nx**n > _MAX_TENSOR_CELLS:
         raise InvalidInputError(
             f"tensor of {grid.nx}^{n} cells exceeds the desk-scale memory bound"
@@ -584,7 +576,7 @@ def conditional_expectation(
     value and i = n evaluates phi itself at the realized history. A
     non-finite value of phi raises :class:`EvaluationError`.
     """
-    n = len(times)
+    n = len(_check_times(times))
     realized = [float(r) for r in realized]
     if not (0 <= i <= n):
         raise InvalidInputError("conditioning index must lie in [0, n]")

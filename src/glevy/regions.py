@@ -7,6 +7,11 @@ explicit finite point set. Membership is only ever evaluated at finitely many
 points (measure atoms, realized jump sizes), which keeps capacity and
 supremum computations exact.
 
+Membership has one contract. :meth:`Region.contains` takes an (n, d) array
+and returns n bools; d must equal the region's dimension when it has boxes or
+atoms. ``z in region`` tests one point, a scalar in d = 1 or a (d,) vector.
+Any other shape is refused with :class:`InvalidInputError`.
+
 The ``full`` flag denotes all of R^d with the origin removed, the maximal
 admissible jump-size window.
 """
@@ -18,24 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-
-
-def _as_points(z, dim: int | None = None) -> np.ndarray:
-    """Coerce scalar / vector / matrix input to an (n, d) float array."""
-    a = np.asarray(z, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
-        # ambiguous: interpret as n points in d=1 unless a dim hint says otherwise
-        if dim is not None and dim > 1:
-            if a.shape[0] != dim:
-                raise InvalidInputError(f"expected a point in R^{dim}, got shape {a.shape}")
-            a = a.reshape(1, dim)
-        else:
-            a = a.reshape(-1, 1)
-    elif a.ndim != 2:
-        raise InvalidInputError(f"points must be at most 2-dimensional, got shape {a.shape}")
-    return a
 
 
 @dataclass(frozen=True)
@@ -101,7 +88,7 @@ class Region:
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
-        if atoms.ndim == 1:
+        if atoms.ndim < 2:
             atoms = atoms.reshape(-1, 1)
         if atoms.ndim != 2:
             raise InvalidInputError("region atoms must form an (m, d) array")
@@ -129,7 +116,8 @@ class Region:
 
     @staticmethod
     def point_set(points) -> "Region":
-        return Region(atoms=_as_points(points))
+        """Atoms from an (m, d) array, or from a scalar or m values in d = 1."""
+        return Region(atoms=points)
 
     @staticmethod
     def full_space() -> "Region":
@@ -165,24 +153,33 @@ class Region:
             return False
         return all((not b.closed_lo) and (not b.closed_hi) for b in self.boxes)
 
-    def contains(self, z) -> np.ndarray | bool:
-        """Membership of one point, a scalar or a (d,) array (returns bool), or of a
-        batch, an (n, d) array or n > 1 values in d = 1 (returns n answers)."""
-        ndim = np.ndim(z)
-        pts = _as_points(z, dim=self.dim)
-        single = ndim == 0 or (ndim == 1 and pts.shape[0] == 1)
+    def contains(self, points) -> np.ndarray:
+        """Membership of each row of an (n, d) array: n bools.
+
+        d must equal :attr:`dim` when the region has boxes or atoms; any other
+        shape raises :class:`InvalidInputError`. Use ``z in region`` for one point.
+        """
+        pts = np.asarray(points, dtype=float)
+        dim = self.dim
+        if pts.ndim != 2 or pts.shape[1] == 0 or (dim is not None and pts.shape[1] != dim):
+            raise InvalidInputError(
+                f"contains takes an (n, {dim or 'd'}) array of points, got shape {pts.shape}"
+            )
         if self.full:
-            out = np.linalg.norm(pts, axis=1) > 0.0
-        else:
-            out = np.zeros(pts.shape[0], dtype=bool)
-            for b in self.boxes:
-                out |= b.contains(pts)
-            if self.atoms.shape[0]:
-                if pts.shape[1] != self.atoms.shape[1]:
-                    raise InvalidInputError("point dimension does not match region atoms")
-                for a in self.atoms:
-                    out |= np.all(pts == a, axis=1)
-        return bool(out[0]) if single else out
+            return np.linalg.norm(pts, axis=1) > 0.0
+        out = np.zeros(pts.shape[0], dtype=bool)
+        for b in self.boxes:
+            out |= b.contains(pts)
+        if self.atoms.shape[0]:
+            out |= (pts[:, None, :] == self.atoms).all(axis=2).any(axis=1)
+        return out
+
+    def __contains__(self, z) -> bool:
+        """Membership of one point: a scalar in d = 1 or a (d,) vector."""
+        pt = np.asarray(z, dtype=float)
+        if pt.ndim > 1:
+            raise InvalidInputError(f"`in` tests one point, a scalar or a (d,) vector; got shape {pt.shape}")
+        return bool(self.contains(pt.reshape(1, -1)).item())
 
     def closure(self) -> "Region":
         if self.full:
@@ -303,10 +300,10 @@ def _boxes_intersect(a: Box, b: Box) -> bool:
         if lo > hi:
             return False
         if lo == hi:
-            one = np.array([[lo]])
-            a_line = Box([a.lo[k]], [a.hi[k]], closed_lo=a.closed_lo, closed_hi=a.closed_hi)
-            b_line = Box([b.lo[k]], [b.hi[k]], closed_lo=b.closed_lo, closed_hi=b.closed_hi)
-            if not (a_line.contains(one)[0] and b_line.contains(one)[0]):
+            # the boxes meet only at lo on this axis: both must include it
+            if not all(
+                lo in Region.interval(x.lo[k], x.hi[k], closed_lo=x.closed_lo, closed_hi=x.closed_hi) for x in (a, b)
+            ):
                 return False
     return True
 

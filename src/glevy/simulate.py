@@ -45,9 +45,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy import stats
 
-from .errors import AssumptionError, InvalidInputError, PolicyError, _evaluate
+from .errors import AssumptionError, InvalidInputError, PolicyError, _eval_nodes, _evaluate
 from .paths import CadlagPath
-from .pide import _eval_nodes, _step_count
+from .pide import _step_count
 from .regions import Region
 from .uncertainty import DiscreteLevyMeasure, UncertaintySet, mass_layout
 
@@ -737,7 +737,7 @@ def erlang_bound_check(
             return False
         j = idx[k - 1]
         tk = float(path.jump_times[j])
-        return bool(region_b.contains(path.jump_sizes[j : j + 1])[0]) and (c0 <= tk <= c1)
+        return path.jump_sizes[j] in region_b and (c0 <= tk <= c1)
 
     est = estimate_capacity(
         event,

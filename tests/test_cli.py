@@ -393,6 +393,15 @@ MALFORMED = {
             "mc": {"n_paths": 10, "seed": 1},
         },
     ),
+    "capacity-min_count-negative": (
+        "capacity",
+        {
+            "uncertainty": UNC_FAMILY,
+            "horizon": 1.0,
+            "capacity": {"region": {"interval": [0.5, 1.5]}, "min_count": -1},
+            "mc": {"n_paths": 10, "seed": 1},
+        },
+    ),
     "erlang-missing-region_a": (
         "erlang-bound",
         {"uncertainty": UNC_MIXTURES, "erlang": {"region_b": ERLANG["region_b"]}, "mc": {"seed": 1}},

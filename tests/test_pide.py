@@ -14,6 +14,7 @@ from glevy import (
     LevyTriple,
     NumericalAbortError,
     UncertaintySet,
+    UnsupportedError,
     apply_g,
     conditional_expectation,
     g_poisson_distribution,
@@ -585,6 +586,16 @@ def test_conditional_realized_count_checked(lam_12):
     with pytest.raises(InvalidInputError):
         conditional_expectation(
             lambda x1, x2: x1 + x2, [0.3, 0.6], lam_12, COARSE, i=1, realized=[1.0, 2.0]
+        )
+
+
+def test_conditional_on_everything_checks_times_first(lam_12):
+    # the i = n shortcut evaluates phi directly, but the times must still be valid
+    with pytest.raises(InvalidInputError, match="strictly increasing"):
+        conditional_expectation(lambda a, b: a + b, [1.0, 0.5], lam_12, COARSE, 2, [0.1, 0.2])
+    with pytest.raises(UnsupportedError):
+        conditional_expectation(
+            lambda a, b, c, d: a + b + c + d, [0.1, 0.2, 0.3, 0.4], lam_12, COARSE, 4, [0.0] * 4
         )
 
 
