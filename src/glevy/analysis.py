@@ -171,14 +171,8 @@ def _merge_close(pts: np.ndarray, ws: np.ndarray, tol: float):
     for i in range(1, pts.shape[0]):
         if np.max(np.abs(pts[i] - pts[groups[-1]])) > tol:
             groups.append(i)
-    reps = pts[groups]
-    sums = np.zeros(len(groups))
-    gi = -1
-    for i in range(pts.shape[0]):
-        if gi + 1 < len(groups) and i == groups[gi + 1]:
-            gi += 1
-        sums[gi] += ws[i]
-    return reps, sums
+    group_ids = np.repeat(np.arange(len(groups)), np.diff(groups + [pts.shape[0]]))
+    return pts[groups], np.bincount(group_ids, weights=ws)
 
 
 def restricted_product_set(uset: UncertaintySet, regions) -> UncertaintySet:
@@ -274,9 +268,7 @@ class MartingaleCheckResult(NamedTuple):
 def _increment_set(spec: ProcessSpec) -> UncertaintySet:
     """Uncertainty set whose process matches the spec's increments in law."""
     if spec.kind == "rawJumpPart":
-        return UncertaintySet(
-            tuple(LevyTriple(m, np.zeros(m.dim), np.zeros((m.dim, m.dim))) for m in spec.uset.measures)
-        )
+        return UncertaintySet.from_measures(spec.uset.measures)
     if spec.kind == "compensatedJumpPart":
         shift = mean_of_jump_part(spec.uset, 1.0)
         return UncertaintySet(

@@ -105,6 +105,7 @@ from .fnspace import (
 from .paths import (
     counterexample_family,
     poisson_integral,
+    prm_count,
     read_records,
     skorohod_distance_upper,
     write_records,
@@ -319,13 +320,9 @@ def _cmd_capacity(config, args, out_dir):
     T = _horizon(config)
     n_paths, seed, brownian_dt = _mc_settings(config, args.seed)
 
-    def event(path):
-        if path.n_jumps == 0:
-            return min_count == 0
-        return int(region.contains(path.jump_sizes).sum()) >= min_count
-
     est = estimate_capacity(
-        event, uset, constant_policies(uset, T), n_paths, seed, horizon=T, brownian_dt=brownian_dt
+        lambda path: prm_count(path, 0.0, path.horizon, region) >= min_count,
+        uset, constant_policies(uset, T), n_paths, seed, horizon=T, brownian_dt=brownian_dt
     )
     return {
         "capacity": est.value,

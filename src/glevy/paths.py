@@ -7,7 +7,11 @@ measure of the path is known exactly rather than inferred from increments:
     value(t) = interp(grid)(t) + sum of jump sizes with jump time <= t.
 
 Jumps act at their time stamp (right-continuous convention) and the path
-starts at zero. On top of this representation the module provides
+starts at zero. Many paths on one sample grid also have a block form,
+``_Paths``, with the jumps of all paths stored flat; the Monte Carlo estimator
+builds paths this way. ``_check_paths`` is the one statement of what a valid
+path is: it checks a whole block at once, and the constructor checks its
+path as a one-path block. On top of this representation the module provides
 
 * exact counting of jumps with sizes in a region over half-open windows
   (s, t], and sums of a function of the jump sizes up to a time,
@@ -67,42 +71,16 @@ class CadlagPath:
 
     def __post_init__(self):
         T = float(self.horizon)
-        if not (T > 0.0 and math.isfinite(T)):
-            raise InvalidInputError("horizon must be positive and finite")
         gt = np.asarray(self.grid_times, dtype=float).reshape(-1)
         gv = np.asarray(self.grid_values, dtype=float)
         if gv.ndim == 1:
             gv = gv.reshape(-1, 1)
-        if gv.shape[0] != gt.shape[0] or gt.shape[0] < 2:
-            raise InvalidInputError("grid needs at least the two endpoint samples")
-        if gt[0] != 0.0 or gt[-1] != T:
-            raise InvalidInputError("sample grid must start at 0 and end at the horizon")
-        if np.any(np.diff(gt) <= 0.0):
-            raise InvalidInputError("sample grid times must be strictly increasing")
-        if np.any(gv[0] != 0.0):
-            raise InvalidInputError("paths start at zero")
         jt = np.asarray(self.jump_times, dtype=float).reshape(-1)
         js = np.asarray(self.jump_sizes, dtype=float)
         if js.ndim == 1:
             js = js.reshape(-1, 1)
-        if js.shape[0] != jt.shape[0]:
-            raise InvalidInputError("jump times and sizes must have equal length")
-        if jt.shape[0]:
-            if np.any(np.diff(jt) <= 0.0):
-                raise InvalidInputError("jump times must be strictly increasing")
-            if jt[0] <= 0.0 or jt[-1] > T:
-                raise InvalidInputError("jump times must lie in (0, horizon]")
-            if np.any(np.linalg.norm(js, axis=1) == 0.0):
-                raise InvalidInputError("jump sizes must be nonzero")
-            if js.shape[1] != gv.shape[1]:
-                raise InvalidInputError("jump dimension must match sample dimension")
-        if not (np.all(np.isfinite(gt)) and np.all(np.isfinite(gv)) and np.all(np.isfinite(jt)) and np.all(np.isfinite(js))):
-            raise InvalidInputError("path data must be finite")
-        object.__setattr__(self, "horizon", T)
-        object.__setattr__(self, "grid_times", gt)
-        object.__setattr__(self, "grid_values", gv)
-        object.__setattr__(self, "jump_times", jt)
-        object.__setattr__(self, "jump_sizes", js)
+        _check_paths(_Paths(gt, gv[None], np.array([0, jt.shape[0]]), jt, js), T)
+        vars(self).update(horizon=T, grid_times=gt, grid_values=gv, jump_times=jt, jump_sizes=js)
 
     # -- constructors ---------------------------------------------------------
 
@@ -113,8 +91,8 @@ class CadlagPath:
         """A path from data in the stored form that already meets every invariant.
 
         The caller guarantees a float horizon, float (G,) grid times, (G, d)
-        grid values, (n,) jump times and (n, d) jump sizes that pass the
-        checks of ``__post_init__``, which does not run.
+        grid values, (n,) jump times and (n, d) jump sizes that pass
+        :func:`_check_paths`, which does not run.
         """
         path = object.__new__(cls)
         vars(path).update(
@@ -183,6 +161,95 @@ class CadlagPath:
     def event_times(self) -> np.ndarray:
         """Sorted union of sample and jump times (always contains 0 and T)."""
         return np.unique(np.concatenate([self.grid_times, self.jump_times]))
+
+
+# ---------------------------------------------------------------------------
+# blocks of paths and the path invariants
+# ---------------------------------------------------------------------------
+
+
+class _Paths(NamedTuple):
+    """Paths on one sample grid, jumps stored flat (CSR by path).
+
+    Path i is ``CadlagPath(horizon, *paths.arrays(i))``; a single path is the
+    block with one row of grid values and offsets ``[0, n_jumps]``.
+    """
+
+    grid_times: np.ndarray  # (G,) shared by the block
+    grid_values: np.ndarray  # (n, G, d); may broadcast one row to every path
+    offsets: np.ndarray  # (n+1,) start of each path's jumps in the flat arrays
+    jump_times: np.ndarray  # (J,)
+    jump_sizes: np.ndarray  # (J, d)
+
+    def arrays(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The four arrays of path i, in :class:`CadlagPath` field order."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return self.grid_times, self.grid_values[i], self.jump_times[lo:hi], self.jump_sizes[lo:hi]
+
+    def terminal_values(self) -> np.ndarray:
+        """The value of every path at the horizon, shape (n, d), in the float order of ``values_at``.
+
+        Jump sizes are added in jump order from 0, one jump rank of the whole
+        block at a time, then the continuous part.
+        """
+        counts = np.diff(self.offsets)
+        jumps = np.zeros((counts.shape[0], self.jump_sizes.shape[1]))
+        for k in range(int(counts.max(initial=0))):
+            has = counts > k
+            jumps[has] += self.jump_sizes[self.offsets[:-1][has] + k]
+        return self.grid_values[:, -1] + jumps
+
+
+def _check_paths(paths: _Paths, horizon: float) -> None:
+    """Refuse a block that holds a path breaking an invariant of :class:`CadlagPath`.
+
+    The refusal names the first invariant, in the order of :func:`_faults`,
+    broken by the lowest-index bad path. No numpy warning escapes.
+    """
+    n = paths.offsets.shape[0] - 1
+    first, message = n, None
+    with np.errstate(all="ignore"):
+        for text, bad in _faults(paths, float(horizon)):
+            bad = bad[:first] if isinstance(bad, np.ndarray) else np.full(first, bad)
+            if bad.any():
+                first, message = int(bad.argmax()), text
+            if first == 0:  # later checks may index arrays the earlier ones refused
+                break
+    if message is not None:
+        raise InvalidInputError(message)
+
+
+def _faults(paths: _Paths, T: float):
+    """(message, bad) per path invariant in check order; bad flags the block or each path."""
+    gt, gv, offsets, jt, js = paths
+    n = offsets.shape[0] - 1
+    yield "horizon must be positive and finite", not (T > 0.0 and math.isfinite(T))
+    yield "grid needs at least the two endpoint samples", gt.shape[0] < 2 or gv.shape[:2] != (n, gt.shape[0])
+    yield "sample grid must start at 0 and end at the horizon", gt[0] != 0.0 or gt[-1] != T
+    yield "sample grid times must be strictly increasing", bool((gt[1:] - gt[:-1] <= 0.0).any())
+    yield "paths start at zero", (gv[:, 0] != 0.0).any(axis=1)
+    yield "jump times and sizes must have equal length", jt.shape[0] != js.shape[0]
+    owner = np.repeat(np.arange(n), np.diff(offsets))
+    has = offsets[1:] > offsets[:-1]
+
+    def paths_with(jump_bad: np.ndarray) -> np.ndarray:
+        return np.bincount(owner[jump_bad], minlength=n) > 0
+
+    # differences, not comparisons: two infinite times give NaN, not a step back
+    back = (jt[1:] - jt[:-1] <= 0.0) & (owner[1:] == owner[:-1])
+    yield "jump times must be strictly increasing", np.bincount(owner[1:][back], minlength=n) > 0
+    # the times between a path's first and last jump increase, or are not
+    # finite, which the last check refuses
+    outside = np.zeros(n, dtype=bool)
+    outside[has] = (jt[offsets[:-1][has]] <= 0.0) | (jt[offsets[1:][has] - 1] > T)
+    yield "jump times must lie in (0, horizon]", outside
+    yield "jump sizes must be nonzero", paths_with(np.linalg.norm(js, axis=1) == 0.0)
+    yield "jump dimension must match sample dimension", has & (js.shape[1] != gv.shape[2])
+    yield "path data must be finite", (
+        ~np.isfinite(gv).all(axis=(1, 2))
+        | paths_with(~np.isfinite(jt) | ~np.isfinite(js).all(axis=1))
+        | (not np.isfinite(gt).all())
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -192,10 +192,11 @@ class Region:
         Exact for the intended inputs (boxes with nonempty interior or
         degenerate faces, isolated points); no attempt is made to cancel
         overlapping unions, which only ever enlarges the reported boundary.
+        Regions live in the punctured space, where the full space is its own
+        closure and interior, so its boundary is empty in every dimension.
         """
         if self.full:
-            d = 1
-            return Region(atoms=np.zeros((1, d)))
+            return Region.empty()
         faces: list[Box] = []
         for b in self.boxes:
             faces.extend(b.faces())

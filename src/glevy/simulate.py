@@ -23,12 +23,12 @@ Randomness is drawn from counter-based Philox streams keyed by (master seed,
 path index), jump draws before Brownian draws, reductions in fixed index
 order; repeated runs with identical inputs are bit-identical.
 
-The estimator draws the scenarios of a block of consecutive paths, one
-stream per path in path order as above, and relabels the whole block under
-each candidate at once: jumps of the block are stored flat with per-path
-offsets and the continuous parts of every path come from one cumulative sum.
-Each such block is checked once, in one vectorized pass over every invariant
-of :class:`CadlagPath`, so the path objects handed to a payoff are not checked
+The estimator draws the scenarios of a block of consecutive paths, one stream
+per path in path order as above, and relabels the whole block under each
+candidate at once: jumps of the block are stored flat with per-path offsets
+and the continuous parts of every path come from one cumulative sum. Each such
+block is checked once by :func:`glevy.paths._check_paths`, the one statement
+of the path invariants, so the path objects handed to a payoff are not checked
 again. On each scenario, candidates that realize the identical path (equal
 grid, values, jump times and sizes) share one path object and one payoff call.
 A :class:`TerminalPayoff`, a function of X_T alone, never becomes paths: the
@@ -46,7 +46,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import AssumptionError, InvalidInputError, PolicyError, _eval_nodes, _evaluate
-from .paths import CadlagPath
+from .paths import CadlagPath, _check_paths, _Paths
 from .pide import _step_count
 from .regions import Region
 from .uncertainty import DiscreteLevyMeasure, UncertaintySet, mass_layout
@@ -345,21 +345,6 @@ def _stack(scenarios: Sequence[BaseScenario]) -> _Block:
     )
 
 
-class _Paths(NamedTuple):
-    """Every path of a block under one policy, jumps stored flat (CSR by path)."""
-
-    grid_times: np.ndarray  # (G,) shared by the block
-    grid_values: np.ndarray  # (n, G, d); one broadcast row when the policy does not diffuse
-    offsets: np.ndarray  # (n+1,)
-    jump_times: np.ndarray  # (J,)
-    jump_sizes: np.ndarray  # (J, d)
-
-    def arrays(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The four arrays of path i, in :class:`CadlagPath` field order."""
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return self.grid_times, self.grid_values[i], self.jump_times[lo:hi], self.jump_sizes[lo:hi]
-
-
 def _build_paths(block: _Block, compiled: _CompiledPolicy, start: float, horizon: float) -> _Paths:
     """Every path of a block under one policy, checked once for the whole block.
 
@@ -368,7 +353,7 @@ def _build_paths(block: _Block, compiled: _CompiledPolicy, start: float, horizon
     """
     with np.errstate(all="ignore"):
         paths = _assemble_paths(block, compiled, start, horizon)
-        _check_paths(paths, horizon)
+    _check_paths(paths, horizon)
     return paths
 
 
@@ -435,45 +420,6 @@ def _assemble_paths(block: _Block, compiled: _CompiledPolicy, start: float, hori
     return _Paths(grid_times, values, offsets, times, sizes)
 
 
-def _check_paths(paths: _Paths, horizon: float) -> None:
-    """Every invariant of :class:`CadlagPath` on every path of a block, in one pass.
-
-    The first path that breaks one goes to the ``CadlagPath`` constructor,
-    so the refusal is the constructor's own, with its class and message.
-    """
-    gt, gv, offsets, jt, js = paths
-    n = offsets.shape[0] - 1
-    T = float(horizon)
-    if jt.shape[0] != js.shape[0] or gv.shape[:2] != (n, gt.shape[0]):
-        # arrays that do not line up: each path on its own
-        suspects = range(n)
-    else:
-        grid_ok = (
-            0.0 < T < math.inf
-            and gt.shape[0] >= 2
-            and gt[0] == 0.0
-            and gt[-1] == T
-            and bool(np.all(np.diff(gt) > 0.0))
-            and bool(np.all(np.isfinite(gt)))
-        )
-        bad = np.any(gv[:, 0] != 0.0, axis=1) | ~np.all(np.isfinite(gv), axis=(1, 2)) | (not grid_ok)
-        owner = np.repeat(np.arange(n), np.diff(offsets))
-        jump_bad = (
-            (jt <= 0.0)
-            | (jt > T)
-            | ~np.isfinite(jt)
-            | ~np.all(np.isfinite(js), axis=1)
-            | (np.linalg.norm(js, axis=1) == 0.0)
-            | (js.shape[1] != gv.shape[2])
-        )
-        # jump times strictly increasing within each path
-        jump_bad[1:] |= (np.diff(jt) <= 0.0) & (owner[1:] == owner[:-1])
-        bad[owner[jump_bad]] = True
-        suspects = np.flatnonzero(bad)
-    for i in suspects:
-        CadlagPath(horizon, *paths.arrays(i))
-
-
 def simulate_path(
     scenario: BaseScenario,
     policy: ControlPolicy,
@@ -488,12 +434,12 @@ def simulate_path(
     checked). Drift integrates exactly; diffusion uses the scenario's Euler
     grid with the control frozen at the left endpoint of each cell.
     """
-    T = scenario.horizon if horizon is None else float(horizon)
+    T = float(scenario.horizon if horizon is None else horizon)
     if not (0.0 <= start < T <= scenario.horizon):
         raise InvalidInputError("need 0 <= start < horizon <= scenario horizon")
     policy.check_covers(start, T)
     compiled = _compile_policy(policy, uset, scenario.model)
-    return CadlagPath(T, *_build_paths(_stack([scenario]), compiled, start, T).arrays(0))
+    return CadlagPath._unchecked(T, *_build_paths(_stack([scenario]), compiled, start, T).arrays(0))
 
 
 # ---------------------------------------------------------------------------
@@ -566,15 +512,7 @@ def _terminal_values(
         paths = _build_paths(block, comp, 0.0, horizon)
         if paths.grid_values.shape[2] != 1:
             raise InvalidInputError("scalar_value requires a one-dimensional path")
-        # the jump sizes of each path added in jump order from 0, one jump rank
-        # of the whole block at a time, then the continuous part: the float
-        # sequence of CadlagPath.values_at
-        counts = np.diff(paths.offsets)
-        jumps = np.zeros(counts.shape[0])
-        for k in range(int(counts.max(initial=0))):
-            has = counts > k
-            jumps[has] += paths.jump_sizes[paths.offsets[:-1][has] + k, 0]
-        ends[:, ci] = paths.grid_values[:, -1, 0] + jumps
+        ends[:, ci] = paths.terminal_values()[:, 0]
     return _eval_nodes(phi, ends.reshape(-1), "payoff").reshape(ends.shape)
 
 

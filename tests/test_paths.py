@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,17 @@ def test_path_rejects_zero_jump():
 def test_path_rejects_jump_outside_horizon():
     with pytest.raises(InvalidInputError):
         jump_path([(1.5, 1.0)], horizon=1.0)
+
+
+def test_infinite_jump_times_are_refused_before_any_warning():
+    # inf - inf between the two jump times is a numpy "invalid value"
+    records = dumps_records(CadlagPath.zero(1.0)) + '{"kind": "jump", "time": Infinity, "size": [1.0]}\n' * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=r"jump times must lie in \(0, horizon\]"):
+            CadlagPath(1.0, [0, 1], [0, 0], [math.inf, math.inf], [1, 1])
+        with pytest.raises(InvalidInputError, match=r"jump times must lie in \(0, horizon\]"):
+            loads_records(records)
 
 
 # -- prm_count ----------------------------------------------------------------

@@ -99,6 +99,14 @@ def test_boundary_of_interval_is_endpoint_pair():
     assert 1.0 not in b
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_full_space_has_empty_boundary(d):
+    # regions live in the punctured space, where the full space is closed and open
+    b = Region.full_space().boundary()
+    assert b.is_empty()
+    assert np.zeros(d) not in b
+
+
 def test_overlaps_basic():
     assert Region.interval(0.0, 1.0).overlaps(Region.interval(0.5, 2.0))
     assert not Region.interval(0.0, 1.0).overlaps(Region.interval(2.0, 3.0))

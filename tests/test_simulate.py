@@ -691,6 +691,8 @@ def test_estimators_do_not_recheck_paths(monkeypatch, mixtures):
     checks = count_calls(monkeypatch, CadlagPath, "__post_init__")
     built = count_calls(monkeypatch, CadlagPath, "_unchecked")
     pols = constant_policies(mixtures, 1.0)
+    model = BaseJumpModel.from_uncertainty(mixtures)
+    simulate_path(draw_scenario(model, 1.0, np.random.default_rng(1)), pols[0], mixtures)
     estimate_upper_expectation(lambda p: p.scalar_value(1.0), mixtures, pols, 300, 2, horizon=1.0)
     estimate_capacity(lambda p: p.n_jumps > 1, diffusive_set(), constant_policies(diffusive_set(), 1.0), 50, 3, horizon=1.0)
     erlang_bound_check(mixtures, Region.open_interval(0.5, 2.5), Region.open_interval(0.5, 1.5), 1, (0.0, 1.0), 50, 4)
@@ -702,7 +704,7 @@ def test_estimators_do_not_recheck_paths(monkeypatch, mixtures):
     assert checks == [] and built == []
 
 
-# -- one check per block, the same refusals as CadlagPath -------------------------
+# -- one check per block, the refusals of CadlagPath ------------------------------
 
 def valid_block():
     """Three paths on the grid (0, 0.25, 0.5, 1] with 2, 0 and 2 jumps; horizon 1."""
@@ -731,26 +733,34 @@ def at(index, value):
     return edit
 
 
+GRID_ENDS = "sample grid must start at 0 and end at the horizon"
+GRID_SHORT = "grid needs at least the two endpoint samples"
+JUMP_ORDER = "jump times must be strictly increasing"
+JUMP_RANGE = "jump times must lie in (0, horizon]"
+FINITE = "path data must be finite"
+
+# each broken block and the refusal of its lowest-index bad path
 BROKEN_BLOCKS = {
-    "grid-start": broken("grid_times", at(0, 0.1)),
-    "grid-end": broken("grid_times", at(-1, 0.9)),
-    "grid-order": broken("grid_times", at(1, 0.5)),
-    "grid-nan": broken("grid_times", at(2, math.nan)),
-    "grid-short": _Paths(np.array([1.0]), np.zeros((3, 1, 1)), *valid_block()[2:]),
-    "grid-value-rows": broken("grid_values", lambda a: a[:, :3]),
-    "start-not-zero": broken("grid_values", at((1, 0, 0), 0.3)),
-    "value-inf": broken("grid_values", at((2, 3, 0), math.inf)),
-    "jump-order": broken("jump_times", at(3, 0.05)),
-    "jump-tie": broken("jump_times", at(1, 0.4)),
-    "jump-at-zero": broken("jump_times", at(2, 0.0)),
-    "jump-after-horizon": broken("jump_times", at(3, 1.5)),
-    "jump-time-nan": broken("jump_times", at(1, math.nan)),
-    "jump-size-zero": broken("jump_sizes", at(2, 0.0)),
-    "jump-size-nan": broken("jump_sizes", at(0, math.nan)),
-    "jump-dimension": broken("jump_sizes", lambda a: np.hstack([a, a])),
-    "jump-count": broken("jump_sizes", lambda a: a[:3]),
-    "two-faults-first-wins": broken("jump_sizes", at(3, 0.0))._replace(
-        grid_values=broken("grid_values", at((1, 2, 0), math.nan)).grid_values
+    "grid-start": (broken("grid_times", at(0, 0.1)), GRID_ENDS),
+    "grid-end": (broken("grid_times", at(-1, 0.9)), GRID_ENDS),
+    "grid-order": (broken("grid_times", at(1, 0.5)), "sample grid times must be strictly increasing"),
+    "grid-nan": (broken("grid_times", at(2, math.nan)), FINITE),
+    "grid-short": (_Paths(np.array([1.0]), np.zeros((3, 1, 1)), *valid_block()[2:]), GRID_SHORT),
+    "grid-value-rows": (broken("grid_values", lambda a: a[:, :3]), GRID_SHORT),
+    "start-not-zero": (broken("grid_values", at((1, 0, 0), 0.3)), "paths start at zero"),
+    "value-inf": (broken("grid_values", at((2, 3, 0), math.inf)), FINITE),
+    "jump-order": (broken("jump_times", at(3, 0.05)), JUMP_ORDER),
+    "jump-tie": (broken("jump_times", at(1, 0.4)), JUMP_ORDER),
+    "jump-at-zero": (broken("jump_times", at(2, 0.0)), JUMP_RANGE),
+    "jump-after-horizon": (broken("jump_times", at(3, 1.5)), JUMP_RANGE),
+    "jump-time-nan": (broken("jump_times", at(1, math.nan)), FINITE),
+    "jump-size-zero": (broken("jump_sizes", at(2, 0.0)), "jump sizes must be nonzero"),
+    "jump-size-nan": (broken("jump_sizes", at(0, math.nan)), FINITE),
+    "jump-dimension": (broken("jump_sizes", lambda a: np.hstack([a, a])), "jump dimension must match sample dimension"),
+    "jump-count": (broken("jump_sizes", lambda a: a[:3]), "jump times and sizes must have equal length"),
+    "two-faults-first-wins": (
+        broken("jump_sizes", at(3, 0.0))._replace(grid_values=broken("grid_values", at((1, 2, 0), math.nan)).grid_values),
+        FINITE,
     ),
 }
 
@@ -771,12 +781,11 @@ def test_valid_block_passes_the_block_check():
 
 @pytest.mark.parametrize("case", list(BROKEN_BLOCKS))
 def test_block_check_refuses_as_the_path_constructor(case):
-    paths = BROKEN_BLOCKS[case]
-    want = per_path_refusal(paths, 1.0)
-    assert want is not None
+    paths, message = BROKEN_BLOCKS[case]
+    assert per_path_refusal(paths, 1.0) == (InvalidInputError, message)
     with pytest.raises(InvalidInputError) as info:
         _check_paths(paths, 1.0)
-    assert (type(info.value), str(info.value)) == want
+    assert (type(info.value), str(info.value)) == (InvalidInputError, message)
 
 
 def test_overflowing_drift_is_refused_without_a_warning():
