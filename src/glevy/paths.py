@@ -225,6 +225,7 @@ def _faults(paths: _Paths, T: float):
     n = offsets.shape[0] - 1
     yield "horizon must be positive and finite", not (T > 0.0 and math.isfinite(T))
     yield "grid needs at least the two endpoint samples", gt.shape[0] < 2 or gv.shape[:2] != (n, gt.shape[0])
+    yield "grid values must be (G, d) per path", gv.ndim != 3
     yield "sample grid must start at 0 and end at the horizon", gt[0] != 0.0 or gt[-1] != T
     yield "sample grid times must be strictly increasing", bool((gt[1:] - gt[:-1] <= 0.0).any())
     yield "paths start at zero", (gv[:, 0] != 0.0).any(axis=1)

@@ -7,8 +7,8 @@ estimator restricts the search to deterministic piecewise-constant policies,
 evaluates each candidate by Monte Carlo on scenarios shared across candidates
 (common random numbers) and reports the best candidate mean. The result is a
 lower bound up to Monte Carlo error; enlarging the candidate list at a fixed
-seed can only increase it, because scenarios depend on the uncertainty set
-and the seed alone.
+seed can only increase it, because scenarios depend on the uncertainty set,
+the seed and the number of paths alone.
 
 Jump randomness uses a single base jump process for all measures in the set.
 Each measure is laid out on a mass axis by :func:`glevy.uncertainty.mass_layout`,
@@ -19,19 +19,27 @@ produce no jump). Scenario jumps carry a uniform mass coordinate, so
 relabeling a scenario to any measure of the set is exact: the pushforward of
 the base onto v recovers v atom by atom.
 
-Randomness is drawn from counter-based Philox streams keyed by (master seed,
-path index), jump draws before Brownian draws, reductions in fixed index
-order; repeated runs with identical inputs are bit-identical.
+The estimator draws its paths in blocks of ``_BLOCK`` consecutive paths.
+Block b comes from one counter-based Philox generator keyed by (seed, b), as
+in Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC 2011),
+through four calls in a fixed order: the Poisson jump count of every path,
+the uniform jump times (then sorted within each path), the uniform mass
+coordinates, and last the normal Brownian increments of every path. ``_BLOCK``
+is therefore part of the stream definition, and so is ``n_paths``: the last
+block holds the paths left over, and its draws change with their number.
+Jump draws come before Brownian draws, so scenarios agree between runs that
+do and do not need diffusion. Reductions run in fixed index order; repeated
+runs with identical inputs are bit-identical.
 
-The estimator draws the scenarios of a block of consecutive paths, one stream
-per path in path order as above, and relabels the whole block under each
-candidate at once: jumps of the block are stored flat with per-path offsets
-and the continuous parts of every path come from one cumulative sum. Each such
-block is checked once by :func:`glevy.paths._check_paths`, the one statement
-of the path invariants, so the path objects handed to a payoff are not checked
-again. On each scenario, candidates that realize the identical path (equal
-grid, values, jump times and sizes) share one path object and one payoff call.
-A :class:`TerminalPayoff`, a function of X_T alone, never becomes paths: the
+A scenario holds the shared randomness of consecutive paths with the jumps
+stored flat and per-path offsets, and the estimator relabels a whole block
+under each candidate at once: the continuous parts of every path come from
+one cumulative sum. Each such block is checked once by
+:func:`glevy.paths._check_paths`, the one statement of the path invariants,
+so the path objects handed to a payoff are not checked again. On each
+scenario, candidates that realize the identical path (equal grid, values,
+jump times and sizes) share one path object and one payoff call. A
+:class:`TerminalPayoff`, a function of X_T alone, never becomes paths: the
 terminal values of a whole block come from the block's arrays and its phi is
 applied to all of them at once.
 """
@@ -139,15 +147,24 @@ class BaseJumpModel:
 
 @dataclass(frozen=True)
 class BaseScenario:
-    """One draw of shared randomness: base jumps plus optional Brownian grid."""
+    """Shared randomness of consecutive paths: base jumps plus optional Brownian grid.
+
+    The jumps of all paths are stored flat; path i owns the entries
+    ``offsets[i]:offsets[i + 1]``.
+    """
 
     horizon: float
     model: BaseJumpModel
-    jump_times: np.ndarray  # (n,) sorted
-    jump_mass_coords: np.ndarray  # (n,) uniforms on [0, budget)
-    jump_segments: np.ndarray  # (n,) ints
-    brownian_times: np.ndarray | None = None  # (M+1,) uniform grid incl. endpoints
-    brownian_increments: np.ndarray | None = None  # (M, d) N(0, dt) per coordinate
+    offsets: np.ndarray  # (n+1,) start of each path's jumps in the flat arrays
+    jump_times: np.ndarray  # (J,) sorted within each path
+    jump_mass_coords: np.ndarray  # (J,) uniforms on [0, budget)
+    jump_segments: np.ndarray  # (J,) ints
+    brownian_times: np.ndarray | None = None  # (M+1,) uniform grid incl. endpoints, shared
+    brownian_increments: np.ndarray | None = None  # (n, M, d) N(0, dt) per coordinate
+
+    @property
+    def n_paths(self) -> int:
+        return self.offsets.shape[0] - 1
 
 
 def draw_scenario(
@@ -157,30 +174,40 @@ def draw_scenario(
     *,
     with_brownian: bool = False,
     brownian_dt: float = 0.01,
+    n_paths: int = 1,
 ) -> BaseScenario:
-    """Draw one scenario; jump randomness first, Brownian last.
+    """Draw the scenarios of n_paths paths; jump randomness first, Brownian last.
 
-    Keeping the draw order fixed means scenarios agree between runs that do
-    and do not consume the Brownian block, which preserves determinism when a
-    candidate list changes its diffusion needs. The Brownian increments have
-    the dimension of the model's marks, ``model.locations.shape[1]``; cells are
+    Four generator calls serve every path at once: the jump counts, the jump
+    times, the mass coordinates, the Brownian increments. Keeping the draw
+    order fixed means scenarios agree between runs that do and do not
+    consume the Brownian block, which preserves determinism when a candidate
+    list changes its diffusion needs. The Brownian increments have the
+    dimension of the model's marks, ``model.locations.shape[1]``; cells are
     counted like PIDE steps, so brownian_dt = horizon/n gives n of them.
     """
     if not (0.0 < horizon < math.inf):
         raise InvalidInputError("horizon must be positive and finite")
+    if n_paths < 1:
+        raise InvalidInputError("need at least one path")
     budget = model.budget
-    n = int(rng.poisson(budget * horizon)) if budget > 0.0 else 0
-    times = np.sort(rng.uniform(0.0, horizon, n))
+    counts = rng.poisson(budget * horizon, n_paths) if budget > 0.0 else np.zeros(n_paths, dtype=np.intp)
+    offsets = np.zeros(n_paths + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    n = int(offsets[-1])
+    times = rng.uniform(0.0, horizon, n)
+    times = times[np.lexsort((times, np.repeat(np.arange(n_paths), counts)))]
     coords = rng.uniform(0.0, budget, n) if n else np.empty(0)
     segments = model.segments_of(coords) if n else np.empty(0, dtype=int)
     bt = bi = None
     if with_brownian:
         m = _step_count(horizon, brownian_dt)
         bt = np.linspace(0.0, horizon, m + 1)
-        bi = rng.normal(0.0, math.sqrt(horizon / m), size=(m, model.locations.shape[1]))
+        bi = rng.normal(0.0, math.sqrt(horizon / m), size=(n_paths, m, model.locations.shape[1]))
     return BaseScenario(
         horizon=float(horizon),
         model=model,
+        offsets=offsets,
         jump_times=times,
         jump_mass_coords=coords,
         jump_segments=segments,
@@ -318,35 +345,8 @@ def _compile_policy(policy: ControlPolicy, uset: UncertaintySet, model: BaseJump
 # ---------------------------------------------------------------------------
 
 
-class _Block(NamedTuple):
-    """Scenarios of consecutive paths, jumps stored flat (CSR by path)."""
-
-    offsets: np.ndarray  # (n+1,) start of each path's jumps in the flat arrays
-    jump_times: np.ndarray  # (J,)
-    jump_segments: np.ndarray  # (J,)
-    brownian_times: np.ndarray | None  # (M+1,) grid shared by every scenario
-    brownian_increments: np.ndarray | None  # (n, M, d)
-
-
-def _stack(scenarios: Sequence[BaseScenario]) -> _Block:
-    """Block of scenarios drawn on one horizon and one Brownian step."""
-    offsets = np.zeros(len(scenarios) + 1, dtype=np.intp)
-    np.cumsum([s.jump_times.shape[0] for s in scenarios], out=offsets[1:])
-    first = scenarios[0]
-    increments = None
-    if first.brownian_increments is not None:
-        increments = np.stack([s.brownian_increments for s in scenarios])
-    return _Block(
-        offsets,
-        np.concatenate([s.jump_times for s in scenarios]),
-        np.concatenate([s.jump_segments for s in scenarios]),
-        first.brownian_times,
-        increments,
-    )
-
-
-def _build_paths(block: _Block, compiled: _CompiledPolicy, start: float, horizon: float) -> _Paths:
-    """Every path of a block under one policy, checked once for the whole block.
+def _build_paths(block: BaseScenario, compiled: _CompiledPolicy, start: float, horizon: float) -> _Paths:
+    """Every path of a scenario block under one policy, checked once for the whole block.
 
     Data that overflow become non-finite values, which the check refuses;
     no numpy warning escapes.
@@ -357,8 +357,8 @@ def _build_paths(block: _Block, compiled: _CompiledPolicy, start: float, horizon
     return paths
 
 
-def _assemble_paths(block: _Block, compiled: _CompiledPolicy, start: float, horizon: float) -> _Paths:
-    n, d = block.offsets.shape[0] - 1, compiled.drift.shape[1]
+def _assemble_paths(block: BaseScenario, compiled: _CompiledPolicy, start: float, horizon: float) -> _Paths:
+    n, d = block.n_paths, compiled.drift.shape[1]
     bp = compiled.breakpoints
     last = compiled.drift.shape[0] - 1
 
@@ -427,19 +427,21 @@ def simulate_path(
     start: float = 0.0,
     horizon: float | None = None,
 ) -> CadlagPath:
-    """Realize one controlled path from shared scenario randomness.
+    """Realize one controlled path from the randomness of a one-path scenario.
 
     The policy must cover (start, horizon]; its values must lie in the
     admissible set (triple indices do by construction, explicit mark maps are
     checked). Drift integrates exactly; diffusion uses the scenario's Euler
     grid with the control frozen at the left endpoint of each cell.
     """
+    if scenario.n_paths != 1:
+        raise InvalidInputError("simulate_path takes a one-path scenario")
     T = float(scenario.horizon if horizon is None else horizon)
     if not (0.0 <= start < T <= scenario.horizon):
         raise InvalidInputError("need 0 <= start < horizon <= scenario horizon")
     policy.check_covers(start, T)
     compiled = _compile_policy(policy, uset, scenario.model)
-    return CadlagPath._unchecked(T, *_build_paths(_stack([scenario]), compiled, start, T).arrays(0))
+    return CadlagPath._unchecked(T, *_build_paths(scenario, compiled, start, T).arrays(0))
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +455,11 @@ class EstimateResult(NamedTuple):
     argmax: int
 
 
-_BLOCK = 256  # consecutive paths whose scenarios are relabeled together
+_BLOCK = 256  # consecutive paths drawn from one stream and relabeled together
 
 
-def _path_stream(seed: int, path_index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(path_index)], dtype=np.uint64)
+def _block_stream(seed: int, block_index: int) -> np.random.Generator:
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block_index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -480,7 +482,7 @@ class TerminalPayoff:
 
 
 def _block_values(
-    xi: Callable[[CadlagPath], float], block: _Block, compiled: Sequence[_CompiledPolicy], horizon: float
+    xi: Callable[[CadlagPath], float], block: BaseScenario, compiled: Sequence[_CompiledPolicy], horizon: float
 ) -> np.ndarray:
     """xi of every path of a block under every candidate, shape (n, candidates), checked once per block."""
     built = [_build_paths(block, comp, 0.0, horizon) for comp in compiled]
@@ -488,7 +490,7 @@ def _block_values(
 
     def payoffs() -> np.ndarray:
         # xi's values as returned; _evaluate converts them to floats and checks them
-        vals = np.empty((block.offsets.shape[0] - 1, len(compiled)), dtype=object)
+        vals = np.empty((block.n_paths, len(compiled)), dtype=object)
         for i, row in enumerate(vals):
             # candidates realizing the same path on this scenario share one evaluation
             seen: dict[tuple[bytes, ...], object] = {}
@@ -504,10 +506,10 @@ def _block_values(
 
 
 def _terminal_values(
-    phi: Callable[[float], float], block: _Block, compiled: Sequence[_CompiledPolicy], horizon: float
+    phi: Callable[[float], float], block: BaseScenario, compiled: Sequence[_CompiledPolicy], horizon: float
 ) -> np.ndarray:
     """phi(X_T) of every path of a block under every candidate, shape (n, candidates), with no path objects."""
-    ends = np.empty((block.offsets.shape[0] - 1, len(compiled)))
+    ends = np.empty((block.n_paths, len(compiled)))
     for ci, comp in enumerate(compiled):
         paths = _build_paths(block, comp, 0.0, horizon)
         if paths.grid_values.shape[2] != 1:
@@ -533,8 +535,12 @@ def estimate_upper_expectation(
 ) -> EstimateResult:
     """Best candidate mean of xi under common random numbers; a lower bound.
 
-    The candidate policies are evaluated on identical scenarios drawn from
-    per-path Philox streams keyed by (seed, path index); the reported standard
+    The candidate policies are evaluated on identical scenarios. Paths are
+    drawn in blocks of ``_BLOCK``, block b from one Philox stream keyed by
+    (seed, b), so ``_BLOCK`` is part of the stream definition and the last
+    block, which holds the paths left over, depends on ``n_paths``. Scenarios
+    do not depend on the candidates, so growing the candidate list at a fixed
+    seed and ``n_paths`` can only raise the value. The reported standard
     error is that of the winning candidate. Ties in the maximum go to the
     lowest candidate index. The value estimates the worst-case expectation
     from below (finitely many controls, finitely many paths).
@@ -561,13 +567,13 @@ def estimate_upper_expectation(
     dev_sums = np.zeros(len(candidates))
     dev_sumsq = np.zeros(len(candidates))
     for first in range(0, n_paths, _BLOCK):
-        block = _stack(
-            [
-                draw_scenario(
-                    model, horizon, _path_stream(seed, p), with_brownian=needs_brownian, brownian_dt=brownian_dt
-                )
-                for p in range(first, min(first + _BLOCK, n_paths))
-            ]
+        block = draw_scenario(
+            model,
+            horizon,
+            _block_stream(seed, first // _BLOCK),
+            with_brownian=needs_brownian,
+            brownian_dt=brownian_dt,
+            n_paths=min(_BLOCK, n_paths - first),
         )
         if isinstance(xi, TerminalPayoff):
             vals = _terminal_values(xi.phi, block, compiled, horizon)

@@ -21,7 +21,7 @@ from glevy import (
     prm_count,
     skorohod_distance_upper,
 )
-from glevy.paths import dumps_records, loads_records, read_records, write_records
+from glevy.paths import _check_paths, _Paths, dumps_records, loads_records, read_records, write_records
 
 
 TWO_JUMPS = CadlagPath.from_jumps([(0.3, 1.5), (0.7, 0.5)], horizon=1.0)
@@ -71,6 +71,19 @@ def test_infinite_jump_times_are_refused_before_any_warning():
             CadlagPath(1.0, [0, 1], [0, 0], [math.inf, math.inf], [1, 1])
         with pytest.raises(InvalidInputError, match=r"jump times must lie in \(0, horizon\]"):
             loads_records(records)
+
+
+def test_grid_values_not_of_shape_grid_by_dim_are_refused():
+    message = r"grid values must be \(G, d\) per path"
+    with pytest.raises(InvalidInputError, match=message):
+        CadlagPath(1.0, [0, 1], np.zeros((2, 1, 1)), [], [])
+    with pytest.raises(InvalidInputError, match=message):
+        CadlagPath(1.0, [0, 1], np.zeros((2, 1, 1)), [0.5], [1.0])
+    one_jump = (np.array([0, 1]), np.array([0.5]), np.ones((1, 1)))
+    for values in (np.zeros((1, 2, 1, 1)), np.zeros((1, 2))):
+        with pytest.raises(InvalidInputError, match=message):
+            _check_paths(_Paths(np.array([0.0, 1.0]), values, *one_jump), 1.0)
+    _check_paths(_Paths(np.array([0.0, 1.0]), np.zeros((1, 2, 1)), *one_jump), 1.0)
 
 
 # -- prm_count ----------------------------------------------------------------

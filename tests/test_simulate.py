@@ -1,5 +1,6 @@
 """Scenario sampling, controlled paths, worst-case Monte Carlo, capacity bounds."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -36,9 +37,7 @@ from glevy.simulate import (
     _build_paths,
     _check_paths,
     _compile_policy,
-    _path_stream,
     _Paths,
-    _stack,
 )
 from conftest import location_family, mixture_family, point_mass_family
 
@@ -131,19 +130,122 @@ def test_draw_scenario_brownian_grid(lam_12):
     sc = draw_scenario(model, 1.0, np.random.default_rng(2), with_brownian=True, brownian_dt=0.25)
     assert sc.brownian_times is not None
     assert sc.brownian_times[0] == 0.0 and sc.brownian_times[-1] == 1.0
-    assert sc.brownian_increments.shape[0] == sc.brownian_times.shape[0] - 1
+    assert sc.brownian_increments.shape == (1, sc.brownian_times.shape[0] - 1, 1)
 
 
 def test_brownian_step_of_horizon_over_n_gives_n_increments(lam_12):
     # the same rule as Grid1D.steps_for: horizon/brownian_dt may land a few ulps above n
     model = BaseJumpModel.from_uncertainty(lam_12)
     sc = draw_scenario(model, 1.3, np.random.default_rng(0), with_brownian=True, brownian_dt=1.3 / 32000)
-    assert sc.brownian_increments.shape == (32000, 1)
+    assert sc.brownian_increments.shape == (1, 32000, 1)
     rng = np.random.default_rng(11)
     for t, n in zip(rng.uniform(0.01, 10.0, 300), rng.integers(1, 50_000, 300)):
         sc = draw_scenario(model, t, np.random.default_rng(0), with_brownian=True, brownian_dt=t / n)
-        assert sc.brownian_increments.shape[0] == n
+        assert sc.brownian_increments.shape[1] == n
         assert sc.brownian_times[-1] == t
+
+
+def pin_sets():
+    d2 = UncertaintySet(
+        (
+            LevyTriple(
+                DiscreteLevyMeasure(np.array([[1.0, -0.5], [0.0, 2.0]]), np.array([1.5, 0.5])),
+                drift=np.zeros(2),
+                cov_root=np.eye(2) * 0.3,
+            ),
+            LevyTriple(DiscreteLevyMeasure(np.array([[1.0, -0.5]]), np.array([2.5])), drift=np.zeros(2), cov_root=np.zeros((2, 2))),
+        )
+    )
+    return {
+        "lam_12": point_mass_family(np.linspace(1.0, 2.0, 5)),
+        "mixtures": mixture_family(),
+        "locations": location_family(),
+        "d2": d2,
+        "empty": UncertaintySet((LevyTriple(DiscreteLevyMeasure.empty(1), drift=0.5, cov_root=0.3),)),
+        "busy": point_mass_family([20.0, 40.0]),
+    }
+
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+EMPTY = digest(np.empty(0))
+
+# (set, seed, horizon, brownian_dt or None) -> jump count, sha256 prefixes of
+# the jump times, mass coordinates, segments and Brownian increments, and the
+# next uniform of the generator, recorded before paths were drawn in blocks:
+# a one-path draw reads the generator as a lone scenario draw did
+PINNED_DRAWS = {
+    ("lam_12", 5, 1.0, None): (3, "d6e667aef7bf3965", "c0780b9734c30dbd", "aefbdb1098288d5d", None, "0x1.4e0352fe61c86p-1"),
+    ("mixtures", 9, 2.0, 0.25): (3, "c373970023a455ac", "1b536d2d68c21a5e", "77064a0cfbf65675", "69d6672d865fb8cb", "0x1.325c85f3dfe64p-2"),
+    ("locations", 4, 0.7, 0.1): (1, "373583cf74dcaa69", "5929fe373f4bbe4f", "af5570f5a1810b7a", "dc983e35d213067c", "0x1.e89aeef03e002p-2"),
+    ("d2", 11, 1.0, 0.2): (1, "7876ff92330a2f8a", "f9cca9040846baa0", "af5570f5a1810b7a", "3c7813eee7edb90f", "0x1.1a8f0146d882cp-3"),
+    ("empty", 1, 1.5, 0.5): (0, EMPTY, EMPTY, EMPTY, "5698a06afb4e5775", "0x1.e5b5615da558dp-1"),
+    ("busy", 42, 3.0, 0.01): (129, "f7afe9ef6a5c7de0", "48eb8fd94862092d", "8c002155b9ae36f2", "88ed30dd2933e6c7", "0x1.ee277cd9530dap-2"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_DRAWS))
+def test_one_path_draw_is_pinned(case):
+    name, seed, horizon, dt = case
+    model = BaseJumpModel.from_uncertainty(pin_sets()[name])
+    rng = np.random.default_rng(seed)
+    sc = draw_scenario(model, horizon, rng, with_brownian=dt is not None, brownian_dt=dt or 0.01)
+    increments = None if sc.brownian_increments is None else digest(sc.brownian_increments)
+    got = (
+        sc.jump_times.shape[0],
+        digest(sc.jump_times),
+        digest(sc.jump_mass_coords),
+        digest(sc.jump_segments.astype(np.int64)),
+        increments,
+        float(rng.random()).hex(),
+    )
+    assert got == PINNED_DRAWS[case]
+    assert sc.n_paths == 1 and list(sc.offsets) == [0, got[0]]
+
+
+def block_stream(seed, block_index):
+    """The estimator's stream: one Philox generator per (seed, block index)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64)))
+
+
+def test_block_stream_statistics():
+    # per-path jump counts Poisson(budget T), times sorted in (0, T] within
+    # each path and uniform whatever the path's place in the block, Brownian
+    # increments N(0, dt)
+    uset = point_mass_family([1.5, 3.0])
+    model = BaseJumpModel.from_uncertainty(uset)
+    T, dt = 1.5, 0.1
+    counts, increments, halves = [], [], ([], [])
+    for seed in (1, 2, 3):
+        for b in range(4):
+            sc = draw_scenario(model, T, block_stream(seed, b), with_brownian=True, brownian_dt=dt, n_paths=_BLOCK)
+            assert sc.n_paths == _BLOCK and sc.offsets[0] == 0
+            owner = np.repeat(np.arange(_BLOCK), np.diff(sc.offsets))
+            same = owner[1:] == owner[:-1]
+            assert np.all(np.diff(sc.jump_times)[same] > 0.0)
+            assert np.all((sc.jump_times > 0.0) & (sc.jump_times <= T))
+            assert np.array_equal(sc.jump_segments, model.segments_of(sc.jump_mass_coords))
+            assert sc.brownian_increments.shape == (_BLOCK, 15, 1)
+            counts.append(np.diff(sc.offsets))
+            increments.append(sc.brownian_increments.reshape(-1))
+            halves[0].append(sc.jump_times[owner < _BLOCK // 2])
+            halves[1].append(sc.jump_times[owner >= _BLOCK // 2])
+    for times in map(np.concatenate, halves):
+        assert abs(times.mean() - T / 2) <= 4.0 * T / math.sqrt(12.0 * times.shape[0])
+    counts, increments = np.concatenate(counts), np.concatenate(increments)
+    lam, n, m = model.budget * T, counts.shape[0], increments.shape[0]
+    assert abs(counts.mean() - lam) <= 4.0 * math.sqrt(lam / n)
+    assert abs(counts.var(ddof=1) - lam) <= 4.0 * math.sqrt((lam + 2.0 * lam * lam) / n)
+    assert abs(increments.mean()) <= 4.0 * math.sqrt(dt / m)
+    assert abs(increments.var(ddof=1) - dt) <= 4.0 * dt * math.sqrt(2.0 / m)
+
+
+def test_draw_scenario_refuses_no_paths(lam_12):
+    model = BaseJumpModel.from_uncertainty(lam_12)
+    with pytest.raises(InvalidInputError):
+        draw_scenario(model, 1.0, np.random.default_rng(1), n_paths=0)
 
 
 # -- simulate_path ------------------------------------------------------------
@@ -197,6 +299,13 @@ def test_explicit_control_must_land_in_the_set():
         simulate_path(sc, ControlPolicy.constant(wrong_drift, 0.0, 1.0), uset)
 
 
+def test_simulate_path_refuses_a_block_of_several_paths(lam_12):
+    model = BaseJumpModel.from_uncertainty(lam_12)
+    sc = draw_scenario(model, 1.0, np.random.default_rng(1), n_paths=2)
+    with pytest.raises(InvalidInputError, match="one-path scenario"):
+        simulate_path(sc, ControlPolicy.constant(0, 0.0, 1.0), lam_12)
+
+
 def test_policy_must_cover_the_horizon():
     uset = point_mass_family([1.0])
     model = BaseJumpModel.from_uncertainty(uset)
@@ -240,7 +349,7 @@ def test_two_dimensional_diffusive_path():
     model = BaseJumpModel.from_uncertainty(uset)
     sc = draw_scenario(model, 1.0, np.random.default_rng(3), with_brownian=True)
     path = simulate_path(sc, ControlPolicy.constant(0, 0.0, 1.0), uset)
-    assert sc.brownian_increments.shape[1] == 2
+    assert sc.brownian_increments.shape == (1, 100, 2)
     assert path.value(1.0).shape == (2,)
 
 
@@ -293,7 +402,7 @@ def reference_path(scenario, policy, uset, start=0.0, horizon=None):
         v = value_index(t_lo, "right")
         x = x + compiled.drift[v] * (t_hi - t_lo)
         if compiled.needs_brownian:
-            x = x + (compiled.cov_root[v] @ scenario.brownian_increments[m]) * math.sqrt((t_hi - t_lo) / (hi - lo))
+            x = x + (compiled.cov_root[v] @ scenario.brownian_increments[0, m]) * math.sqrt((t_hi - t_lo) / (hi - lo))
         if times[-1] != t_hi:
             times.append(t_hi)
             vals.append(x)
@@ -398,7 +507,8 @@ def test_merged_jump_times_match_loop_reference(mixtures):
         model = BaseJumpModel.from_uncertainty(uset)
         times = np.array([0.1, 0.4, 0.4, 0.4, 0.7, 0.7, 0.9])
         for segments in ([0, 1, 0, 1, 1, 0, 1], [1, 0, 1, 1, 0, 1, 0]):
-            sc = BaseScenario(1.0, model, times, np.zeros(times.shape[0]), np.array(segments) % model.n_segments)
+            segments = np.array(segments) % model.n_segments
+            sc = BaseScenario(1.0, model, np.array([0, times.shape[0]]), times, np.zeros(times.shape[0]), segments)
             for i in range(len(uset)):
                 policy = ControlPolicy.constant(i, 0.0, 1.0)
                 path = simulate_path(sc, policy, uset)
@@ -534,14 +644,42 @@ def test_capacity_at_least_one_jump(lam_12):
 
 # -- block estimator against a per-path reference ------------------------------
 
+def one_path_scenarios(block):
+    """The scenarios of a block as one-path scenarios, in path order."""
+    o, bi = block.offsets, block.brownian_increments
+    return [
+        BaseScenario(
+            block.horizon,
+            block.model,
+            np.array([0, o[i + 1] - o[i]]),
+            block.jump_times[o[i] : o[i + 1]],
+            block.jump_mass_coords[o[i] : o[i + 1]],
+            block.jump_segments[o[i] : o[i + 1]],
+            block.brownian_times,
+            None if bi is None else bi[i : i + 1],
+        )
+        for i in range(block.n_paths)
+    ]
+
+
 def reference_estimate(xi, uset, candidates, n_paths, seed, horizon=1.0, brownian_dt=0.01):
-    """One scenario and one simulate_path per (path, candidate), running sums."""
+    """One simulate_path per (path, candidate) on the split blocks, running sums."""
     model = BaseJumpModel.from_uncertainty(uset)
     needs = any(_compile_policy(c, uset, model).needs_brownian for c in candidates)
+    scenarios = []
+    for first in range(0, n_paths, _BLOCK):
+        block = draw_scenario(
+            model,
+            horizon,
+            block_stream(seed, first // _BLOCK),
+            with_brownian=needs,
+            brownian_dt=brownian_dt,
+            n_paths=min(_BLOCK, n_paths - first),
+        )
+        scenarios += one_path_scenarios(block)
     C = len(candidates)
     sums, shifts, dev_sums, dev_sumsq = [0.0] * C, [0.0] * C, [0.0] * C, [0.0] * C
-    for p in range(n_paths):
-        sc = draw_scenario(model, horizon, _path_stream(seed, p), with_brownian=needs, brownian_dt=brownian_dt)
+    for p, sc in enumerate(scenarios):
         for ci, c in enumerate(candidates):
             val = float(xi(simulate_path(sc, c, uset, 0.0, horizon)))
             if p == 0:
@@ -687,6 +825,27 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+@pytest.mark.parametrize("n_paths", [2, _BLOCK, _BLOCK + 1, 3 * _BLOCK - 5])
+def test_estimator_draws_each_block_with_one_draw_scenario_call(monkeypatch, lam_12, n_paths):
+    # the module-level name is the one a tracer wraps
+    import glevy.simulate
+
+    sizes = []
+    raw = glevy.simulate.draw_scenario
+
+    def counted(*args, **kwargs):
+        sizes.append(kwargs["n_paths"])
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(glevy.simulate, "draw_scenario", counted)
+    pols = constant_policies(lam_12, 1.0)
+    for xi in (lambda p: p.scalar_value(1.0), TerminalPayoff(lambda x: x)):
+        sizes.clear()
+        estimate_upper_expectation(xi, lam_12, pols, n_paths, 5, horizon=1.0)
+        assert len(sizes) == -(-n_paths // _BLOCK)
+        assert sum(sizes) == n_paths
+
+
 def test_estimators_do_not_recheck_paths(monkeypatch, mixtures):
     checks = count_calls(monkeypatch, CadlagPath, "__post_init__")
     built = count_calls(monkeypatch, CadlagPath, "_unchecked")
@@ -758,6 +917,7 @@ BROKEN_BLOCKS = {
     "jump-size-nan": (broken("jump_sizes", at(0, math.nan)), FINITE),
     "jump-dimension": (broken("jump_sizes", lambda a: np.hstack([a, a])), "jump dimension must match sample dimension"),
     "jump-count": (broken("jump_sizes", lambda a: a[:3]), "jump times and sizes must have equal length"),
+    "grid-value-rank": (broken("grid_values", lambda a: a[..., None]), "grid values must be (G, d) per path"),
     "two-faults-first-wins": (
         broken("jump_sizes", at(3, 0.0))._replace(grid_values=broken("grid_values", at((1, 2, 0), math.nan)).grid_values),
         FINITE,
@@ -802,7 +962,7 @@ def test_unchecked_paths_equal_checked_paths(seed, kind):
     rng = np.random.default_rng(seed)
     uset, policies, _ = random_case(rng, kind)
     model = BaseJumpModel.from_uncertainty(uset)
-    block = _stack([draw_scenario(model, 1.0, rng, with_brownian=True, brownian_dt=0.2) for _ in range(5)])
+    block = draw_scenario(model, 1.0, rng, with_brownian=True, brownian_dt=0.2, n_paths=5)
     for policy in policies:
         try:
             policy.check_covers(0.0, 1.0)
