@@ -27,7 +27,7 @@ from .errors import InvalidInputError, UnsupportedError, _evaluate
 from .paths import CadlagPath
 from .pide import Grid1D, solve_ipde
 from .regions import Region
-from .uncertainty import DiscreteLevyMeasure, LevyTriple, UncertaintySet, _measure_family
+from .uncertainty import DiscreteLevyMeasure, LevyTriple, UncertaintySet, _measure_family, _merge_atoms
 
 __all__ = [
     "ProcessSpec",
@@ -140,10 +140,13 @@ def symmetric_compensated_set(family):
 def pushforward_set(family, phi: Callable, region: Region | None = None) -> list[DiscreteLevyMeasure]:
     """Image measures v o phi^{-1} restricted to atoms inside the region.
 
-    Atoms are mapped through phi, images within 1e-12 of one another are
-    merged by weight addition, and images within 1e-12 of the origin are
-    dropped (a jump measure puts no mass at zero). A non-finite image raises
-    :class:`EvaluationError`.
+    Atoms are mapped through phi, and images within 1e-12 of the origin are
+    dropped (a jump measure puts no mass at zero). The other images are
+    sorted lexicographically and merged by weight addition wherever one lies
+    within 1e-12 (max norm) of the previous one, so a chain of images each
+    within 1e-12 of the next becomes one atom, at its lexicographically
+    first image (:func:`~glevy.uncertainty._merge_atoms`). A non-finite
+    image raises :class:`EvaluationError`.
     """
     ms = _measure_family(family)
     out = []
@@ -159,20 +162,8 @@ def pushforward_set(family, phi: Callable, region: Region | None = None) -> list
         if pts.shape[0] == 0:
             out.append(DiscreteLevyMeasure.empty(m.dim))
             continue
-        merged_pts, merged_ws = _merge_close(pts, ws, 1e-12)
-        out.append(DiscreteLevyMeasure(merged_pts, merged_ws))
+        out.append(_merge_atoms(pts, ws, 1e-12))
     return out
-
-
-def _merge_close(pts: np.ndarray, ws: np.ndarray, tol: float):
-    order = np.lexsort(pts.T[::-1])
-    pts, ws = pts[order], ws[order]
-    groups = [0]
-    for i in range(1, pts.shape[0]):
-        if np.max(np.abs(pts[i] - pts[groups[-1]])) > tol:
-            groups.append(i)
-    group_ids = np.repeat(np.arange(len(groups)), np.diff(groups + [pts.shape[0]]))
-    return pts[groups], np.bincount(group_ids, weights=ws)
 
 
 def restricted_product_set(uset: UncertaintySet, regions) -> UncertaintySet:

@@ -30,7 +30,7 @@ needs them)::
       dt: 2.0e-4
       horizon: 1.0
       export_solution: false  # expect only: write solution.csv + header in record
-      export_rows: 201        # time-layer cap for the exported matrix and the layers the solve keeps
+      export_rows: 201        # >= 2; the solve keeps 2 to export_rows layers and exports them all
 
     mc:                     # Monte Carlo settings (expect/capacity/erlang-bound)
       n_paths: 10000
@@ -266,7 +266,7 @@ def _cmd_expect(config, args, out_dir):
         results["schemeError"] = sol.diagnostics["scheme_error_estimate"]
         results["pideDiagnostics"] = sol.diagnostics
         if export:
-            text, header = sol.to_csv(max_rows=rows)
+            text, header = sol.to_csv()
             csvs["solution.csv"] = text
             results["solutionHeader"] = header
     if method in ("mc", "both"):

@@ -246,11 +246,10 @@ class _Stepper:
             d2u[..., -1] = (u[..., -2] - u[..., -1]) / dx**2
             cand += self.drift[:, None] * du[..., None, :]
             cand += (0.5 * self.q2)[:, None] * d2u[..., None, :]
-        if argmax_counts is None:
-            return cand.max(axis=-2)
-        winner = cand.argmax(axis=-2)
-        argmax_counts[self.rows] += np.bincount(winner.ravel(), minlength=self.rows.shape[0])
-        return np.take_along_axis(cand, winner[..., None, :], axis=-2)[..., 0, :]
+        if argmax_counts is not None:
+            winner = cand.argmax(axis=-2)
+            argmax_counts[self.rows] += np.bincount(winner.ravel(), minlength=self.rows.shape[0])
+        return cand.max(axis=-2)
 
     def evolve(
         self,
@@ -261,13 +260,13 @@ class _Stepper:
     ):
         """Run Euler steps over the duration; optionally keep strided layers.
 
-        Returns (final_layer, kept_or_None, info). With ``rows`` the layers at
-        steps 0, s, 2s, ... and the last, s = ceil(n_steps / (rows - 1)), are
-        kept in one array, and info adds the kept ``steps``, the ``stride`` s
-        and ``second_diff_rate``: the largest |(u_{k+1} - 2 u_k) + u_{k-1}|
-        over the interior nodes, divided by dt, taken while stepping over the
-        last three layers. Refuses when the step bound fails; aborts on NaN
-        contamination.
+        Returns (final_layer, kept_or_None, info). With ``rows`` (at least 2)
+        the layers at steps 0, s, 2s, ... and the last, s = ceil(n_steps /
+        (rows - 1)), are kept in one array, and info adds the kept ``steps``,
+        the ``stride`` s and ``second_diff_rate``: the largest
+        |(u_{k+1} - 2 u_k) + u_{k-1}| over the interior nodes, divided by dt,
+        taken while stepping over the last three layers. Refuses when the
+        step bound fails; aborts on NaN contamination.
         """
         n_steps, dt = self.grid.steps_for(duration)
         cfl = self.cfl_number(dt)
@@ -280,7 +279,7 @@ class _Stepper:
         u = np.array(u0, dtype=float)
         kept = older = None
         if rows is not None:
-            stride = max(1, int(math.ceil(n_steps / max(rows - 1, 1))))
+            stride = int(math.ceil(n_steps / (rows - 1)))
             steps = list(range(0, n_steps + 1, stride))
             if steps[-1] != n_steps:
                 steps.append(n_steps)
@@ -328,9 +327,10 @@ class GridSolution:
     """Kept solution layers with diagnostics and bilinear evaluation.
 
     ``values`` holds the layers at ``times``: every ``stride``-th Euler step
-    and the last one. ``value(t, x)`` interpolates linearly between kept
-    layers, so between them it is coarser than the scheme itself; the final
-    layer is the scheme's own.
+    and the last one, at least 2 and at most the solve's ``max_rows`` layers,
+    all of which ``to_csv`` exports. ``value(t, x)`` interpolates linearly
+    between kept layers, so between them it is coarser than the scheme
+    itself; the final layer is the scheme's own.
     """
 
     grid: Grid1D
@@ -361,30 +361,24 @@ class GridSolution:
     def value_at_zero(self, t: float | None = None) -> float:
         return self.value(self.times[-1] if t is None else t, 0.0)
 
-    def to_csv(self, max_rows: int = 201) -> tuple[str, dict]:
-        """Matrix export (rows = time layers, columns = grid nodes).
+    def to_csv(self) -> tuple[str, dict]:
+        """Matrix export of every kept layer (rows = time layers, columns = grid nodes).
 
-        Kept layers are strided down to at most ``max_rows`` rows, always
-        keeping the first and last; the header's ``stride`` counts Euler
-        steps. A solution solved with ``max_rows`` rows exports all its kept
-        layers here. Returns the CSV text and a JSON-ready header with the
-        grid metadata and diagnostics.
+        Which layers a solution keeps is decided once, by ``solve_ipde``'s
+        ``max_rows``; the export writes all of them. Returns the CSV text and
+        a JSON-ready header with the grid metadata, the kept ``rows``, the
+        ``stride`` in Euler steps and the diagnostics.
         """
-        n = self.values.shape[0]
-        stride = max(1, int(math.ceil((n - 1) / max(max_rows - 1, 1)))) if n > 1 else 1
-        rows = list(range(0, n, stride))
-        if rows[-1] != n - 1:
-            rows.append(n - 1)
         lines = ["t," + ",".join(repr(float(x)) for x in self.grid.x)]
-        for k in rows:
-            lines.append(repr(float(self.times[k])) + "," + ",".join(repr(float(v)) for v in self.values[k]))
+        for t, layer in zip(self.times, self.values):
+            lines.append(repr(float(t)) + "," + ",".join(repr(float(v)) for v in layer))
         header = {
             "x_min": self.grid.x_min,
             "x_max": self.grid.x_max,
             "nx": self.grid.nx,
             "dt": self.grid.dt,
-            "rows": len(rows),
-            "stride": stride * self.stride,
+            "rows": self.values.shape[0],
+            "stride": self.stride,
             **self.diagnostics,
         }
         return "\n".join(lines) + "\n", header
@@ -400,19 +394,24 @@ def solve_ipde(
     """Solve the worst-case integro-PDE up to the horizon.
 
     phi is the initial data evaluated on the grid (vectorized or scalar
-    callable). The solution keeps the layers ``to_csv(max_rows)`` exports:
-    steps 0, s, 2s, ... and the last, s = ceil(n_steps / (max_rows - 1)),
-    so memory grows with ``max_rows`` and not with the step count. The
-    diagnostics carry the step-bound number, the monotonicity flag, the
-    argmax histogram over the triples of the set (0 for a triple the stepper
-    pruned), the ``pruned_triples`` (indices of triples that are not vertices
-    of the hull of parameter vectors, or repeat an earlier triple), the
-    boundary-contamination bound and the composite ``scheme_error_estimate``.
+    callable). The solution keeps at least 2 and at most ``max_rows``
+    layers: steps 0, s, 2s, ... and the last, s = ceil(n_steps / (max_rows -
+    1)), so memory grows with ``max_rows`` and not with the step count, and
+    ``GridSolution.to_csv`` exports all of them. ``max_rows`` below 2 raises
+    :class:`InvalidInputError`, since the first and last layers are always
+    kept. The diagnostics carry the step-bound number, the monotonicity
+    flag, the argmax histogram over the triples of the set (0 for a triple
+    the stepper pruned), the ``pruned_triples`` (indices of triples that are
+    not vertices of the hull of parameter vectors, or repeat an earlier
+    triple), the boundary-contamination bound and the composite
+    ``scheme_error_estimate``.
     A non-finite value of phi on the grid raises :class:`EvaluationError`.
     """
     T = grid.horizon if horizon is None else float(horizon)
     if not (0.0 < T < math.inf):
         raise InvalidInputError("horizon must be positive and finite")
+    if max_rows < 2:
+        raise InvalidInputError(f"max_rows must be at least 2 (the first and last layers are kept): {max_rows!r}")
     stepper = _Stepper(uset, grid)
     u0 = _eval_nodes(phi, grid.x, "initial data")
     argmax_counts = np.zeros(len(uset), dtype=np.int64)
@@ -620,12 +619,15 @@ def g_poisson_distribution(
     step count is given the count is chosen by step doubling: the scheme runs
     at n and 2n steps and the pair is combined by Richardson extrapolation
     (2 u_{2n} - u_n, cancelling the first-order term), doubling until
-    successive combined values agree to 2.5e-7; every run stays below the
-    stability ceiling dt lambda_max <= 1/2. Passing an explicit ``n_steps``
-    returns the raw Euler iterate at that count. For an intensity interval
-    collapsed to a point the result matches the truncated Poisson series to
-    1e-6. A non-finite value of phi on the lattice raises
-    :class:`EvaluationError`.
+    successive combined values agree to 2.5e-7 * max(1, max |phi| on the
+    lattice), so the rule scales with phi; every run stays below the
+    stability ceiling dt lambda_max <= 1/2. Doubling stops once the coarser
+    run of a pair has at least 2,000,000 steps: that pair's combined value
+    is then returned although it did not meet the rule. Passing an explicit
+    ``n_steps`` returns the raw Euler iterate at that count. For an
+    intensity interval collapsed to a point the result matches the
+    truncated Poisson series to 1e-6. A non-finite value of phi on the
+    lattice raises :class:`EvaluationError`.
     """
     if not (0.0 <= lambda_min <= lambda_max < math.inf) or lambda_max <= 0.0:
         raise InvalidInputError("need 0 <= lambda_min <= lambda_max < inf with lambda_max > 0")
@@ -656,6 +658,7 @@ def g_poisson_distribution(
     if n_steps is not None:
         return euler(int(n_steps))
 
+    tol = 2.5e-7 * max(1.0, float(np.abs(u0).max()))
     n = max(int(math.ceil(2.0 * lambda_max * t)), 1000)
     coarse, fine = euler(n), euler(2 * n)
     combined = 2.0 * fine - coarse
@@ -663,7 +666,7 @@ def g_poisson_distribution(
         n *= 2
         coarse, fine = fine, euler(2 * n)
         refined = 2.0 * fine - coarse
-        if abs(refined - combined) <= 2.5e-7:
+        if abs(refined - combined) <= tol:
             return refined
         combined = refined
     return combined

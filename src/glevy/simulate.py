@@ -57,7 +57,7 @@ from .errors import AssumptionError, InvalidInputError, PolicyError, _eval_nodes
 from .paths import CadlagPath, _check_paths, _Paths
 from .pide import _step_count
 from .regions import Region
-from .uncertainty import DiscreteLevyMeasure, UncertaintySet, mass_layout
+from .uncertainty import DiscreteLevyMeasure, UncertaintySet, _merge_atoms, mass_layout
 
 __all__ = [
     "BaseJumpModel",
@@ -131,13 +131,12 @@ class BaseJumpModel:
         return self.relabel(self.targets[triple_index], self.active[triple_index])
 
     def relabel(self, targets: np.ndarray, active: np.ndarray) -> DiscreteLevyMeasure:
-        """Image of the base under segment targets (K, d); inactive segments do not jump."""
-        if not active.any():
-            return DiscreteLevyMeasure.empty(targets.shape[1])
-        uniq, inv = np.unique(targets[active], axis=0, return_inverse=True)
-        weights = np.zeros(uniq.shape[0])
-        np.add.at(weights, inv, np.diff(self.cuts)[active])
-        return DiscreteLevyMeasure(uniq, weights)
+        """Image of the base under segment targets (K, d); inactive segments do not jump.
+
+        Segments with equal targets merge into one atom (:func:`_merge_atoms`
+        with tolerance 0).
+        """
+        return _merge_atoms(targets[active], np.diff(self.cuts)[active], 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,23 @@ class DiscreteLevyMeasure:
         )
 
 
+def _merge_atoms(points: np.ndarray, weights: np.ndarray, tol: float) -> DiscreteLevyMeasure:
+    """The measure with the given (n, d) points as atoms, near points merged.
+
+    The points are sorted lexicographically, and a new atom starts wherever
+    the max-norm gap to the previous point exceeds ``tol``. Each atom sits
+    at its group's first point in that order and carries the group's
+    weights summed in input order. With ``tol = 0`` only equal points merge; with ``tol > 0``
+    a chain of points, each within ``tol`` of the next, merges into one atom
+    however far apart its ends lie.
+    """
+    order = np.lexsort(points.T[::-1])
+    points, weights = points[order], weights[order]
+    starts = np.ones(points.shape[0], dtype=bool)
+    starts[1:] = np.abs(np.diff(points, axis=0)).max(axis=1) > tol
+    return DiscreteLevyMeasure(points[starts], np.bincount(np.cumsum(starts) - 1, weights=weights))
+
+
 def _vec(x, dim: int, name: str) -> np.ndarray:
     a = np.atleast_1d(np.asarray(x, dtype=float))
     if a.shape == (1,) and dim > 1:
@@ -553,16 +570,30 @@ def _family_rule(name: str):
     return deco
 
 
+def _rule_measure(locations, weights) -> DiscreteLevyMeasure:
+    """The measure of a family rule's atoms of nonzero weight.
+
+    An endpoint of a rule's parameter range may give an atom weight 0 (an
+    intensity of 0, a mixture weight of 0 or 1); that atom is left out, so
+    the endpoint is a valid, possibly empty, measure. Negative and
+    non-finite weights are kept and refused by :class:`DiscreteLevyMeasure`.
+    """
+    atoms = np.array([np.atleast_1d(np.asarray(z, dtype=float)) for z in locations])
+    weights = np.array(weights, dtype=float)
+    keep = weights != 0.0
+    return DiscreteLevyMeasure(atoms[keep], weights[keep])
+
+
 @_family_rule("scaled_point_mass")
 def _rule_scaled_point_mass(*, location: float = 1.0, drift: float = 0.0, cov_root: float = 0.0, intensity: float):
     """intensity * delta_location; the intensity is the grid parameter."""
-    return LevyTriple(DiscreteLevyMeasure.delta(location, intensity), drift, cov_root)
+    return LevyTriple(_rule_measure([location], [intensity]), drift, cov_root)
 
 
 @_family_rule("moving_point_mass")
 def _rule_moving_point_mass(*, weight: float = 1.0, drift: float = 0.0, cov_root: float = 0.0, location: float):
     """weight * delta_location; the location is the grid parameter."""
-    return LevyTriple(DiscreteLevyMeasure.delta(location, weight), drift, cov_root)
+    return LevyTriple(_rule_measure([location], [weight]), drift, cov_root)
 
 
 @_family_rule("two_point_mixture")
@@ -576,13 +607,8 @@ def _rule_two_point_mixture(
     alpha: float,
 ):
     """total_mass * (alpha delta_a + (1 - alpha) delta_b); alpha on the grid."""
-    return LevyTriple(
-        DiscreteLevyMeasure.from_pairs(
-            [(location_a, total_mass * alpha), (location_b, total_mass * (1.0 - alpha))]
-        ),
-        drift,
-        cov_root,
-    )
+    weights = [total_mass * alpha, total_mass * (1.0 - alpha)]
+    return LevyTriple(_rule_measure([location_a, location_b], weights), drift, cov_root)
 
 
 def uncertainty_set_from_config(doc: dict) -> UncertaintySet:

@@ -140,6 +140,13 @@ def test_pushforward_merges_collisions():
     assert img.atoms[0, 0] == pytest.approx(1.0)
 
 
+def test_pushforward_merges_a_chain_of_close_images():
+    # images 1, 1 + 0.8e-12 and 1 + 1.6e-12: each within 1e-12 of the next, so one atom at the first
+    m = DiscreteLevyMeasure(np.array([[1.0], [2.0], [3.0]]), np.array([0.5, 0.25, 0.125]))
+    (img,) = pushforward_set([m], lambda z: 1.0 + 0.8e-12 * (z - 1.0))
+    assert img.atoms.tolist() == [[1.0]] and img.weights.tolist() == [0.875]
+
+
 def test_pushforward_drops_mass_at_origin():
     m = DiscreteLevyMeasure(np.array([[1.0], [2.0]]), np.array([0.5, 0.25]))
     (img,) = pushforward_set([m], lambda z: 0.0 if z < 1.5 else z)

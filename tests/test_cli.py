@@ -172,6 +172,21 @@ def test_export_rows_bounds_the_kept_layers(tmp_path, rows):
     assert len((tmp_path / "solution.csv").read_text().splitlines()) == header["rows"] + 1
 
 
+def test_expect_family_with_zero_intensity_endpoint(tmp_path):
+    # intensity 0 is the empty measure, as in gpoisson with lambda_min 0
+    params = {"intensity": {"min": 0.0, "max": 2.0, "count": 5}}
+    doc = {
+        "uncertainty": {"family": {**UNC_FAMILY["family"], "params": params}},
+        "grid": GRID,
+        "payoff": {"kind": "clampedLinear"},
+    }
+    code, rec_file = run(tmp_path, "expect", doc, "--method", "pide")
+    assert code == 0
+    res = load(rec_file)["results"]
+    assert res["pideValue"] == pytest.approx(1.0 - math.exp(-2.0), abs=5e-3)
+    assert res["pideDiagnostics"]["pruned_triples"] == [1, 2, 3]
+
+
 def test_gpoisson_command(tmp_path):
     doc = {
         "gpoisson": {"lambda_min": 1.0, "lambda_max": 1.0, "t": 1.0},
@@ -376,11 +391,30 @@ MALFORMED = {
         "validate",
         {"uncertainty": {"triples": [{"drift": 0.0}]}, "validate": {"q": 0.5, "p": 2.0}},
     ),
+    "validate-measure-unparsable": (
+        "validate",
+        {"uncertainty": {"triples": [{"measure": {"points": [1.0]}}]}, "validate": {"q": 0.5, "p": 2.0}},
+    ),
+    "validate-uncertainty-without-section": (
+        "validate",
+        {"uncertainty": {"measures": []}, "validate": {"q": 0.5, "p": 2.0}},
+    ),
+    "validate-uncertainty-list": (
+        "validate",
+        {"uncertainty": [UNC_FAMILY], "validate": {"q": 0.5, "p": 2.0}},
+    ),
     "martingale-missing-t": (
         "martingale-check",
         {"uncertainty": UNC_FAMILY, "grid": GRID, "martingale": {"kind": "compensatedJumpPart"}},
     ),
     "expect-non-finite-payoff": ("expect", {**EXPECT_PIDE, "payoff": {"kind": "linear", "scale": math.inf}}),
+    **{
+        f"expect-export_rows-{rows}": (
+            "expect",
+            {**EXPECT_PIDE, "grid": {**GRID, "export_solution": True, "export_rows": rows}},
+        )
+        for rows in (1, 0, -5)
+    },
     "expect-nx-text": ("expect", {**EXPECT_PIDE, "grid": {**GRID, "nx": "many"}}),
     "expect-n_paths-text": ("expect", {**EXPECT_MC, "mc": {"n_paths": "lots", "seed": 1}}),
     "expect-mc-list": ("expect", {**EXPECT_MC, "mc": [1]}),

@@ -1,5 +1,6 @@
 """Finite-difference solver: generator evaluation, evolution, multi-time recursion, lattice ODE."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -174,8 +175,8 @@ def test_solution_interpolation_between_layers(lam_12):
 
 
 def test_to_csv_round_trip(lam_12):
-    sol = solve_ipde(lambda x: np.minimum(x, 1.0), lam_12, GRID)
-    text, header = sol.to_csv(max_rows=13)
+    sol = solve_ipde(lambda x: np.minimum(x, 1.0), lam_12, GRID, max_rows=13)
+    text, header = sol.to_csv()
     lines = text.strip().splitlines()
     assert lines[0].startswith("t,")
     assert header["rows"] == len(lines) - 1
@@ -453,6 +454,16 @@ def reference_solve_ipde(phi, uset, grid):
     return GridSolution(grid, np.linspace(0.0, T, n_steps + 1), layers, diagnostics)
 
 
+def strided(sol, rows):
+    """The solution keeping every s-th layer and the last, s = ceil((n - 1) / (rows - 1)) of its n."""
+    n = sol.values.shape[0]
+    s = math.ceil((n - 1) / (rows - 1))
+    keep = list(range(0, n, s))
+    if keep[-1] != n - 1:
+        keep.append(n - 1)
+    return dataclasses.replace(sol, times=sol.times[keep], values=sol.values[keep], stride=s * sol.stride)
+
+
 FINE = Grid1D(x_min=-6.0, x_max=8.0, nx=141, dt=5e-4, horizon=1.0)  # 2000 steps
 TENT = lambda x: np.maximum(1.0 - np.abs(x - 1.0), 0.0)
 STRIDED_CASES = {
@@ -480,8 +491,8 @@ def test_strided_pruned_solve_matches_unpruned_all_layers(references, name, rows
     # no pruned triple wins in the unpruned run, so the supremum and its argmax are the same
     assert all(ref.diagnostics["argmax_histogram"][j] == 0 for j in pruned)
     assert sol.diagnostics == ref.diagnostics
-    text, header = sol.to_csv(max_rows=rows)
-    want_text, want_header = ref.to_csv(max_rows=rows)
+    text, header = sol.to_csv()
+    want_text, want_header = strided(ref, rows).to_csv()
     assert text == want_text
     assert {k: v for k, v in header.items() if k != "pruned_triples"} == want_header
     n_steps = FINE.steps_for(1.0)[0]
@@ -507,6 +518,16 @@ def test_kept_layers_and_their_times(lam_12):
     ends = solve_ipde(lambda x: np.minimum(x, 1.0), lam_12, grid, max_rows=2)
     assert ends.values.shape[0] == 2 and ends.final.tobytes() == full.final.tobytes()
     assert ends.diagnostics == full.diagnostics
+    # the export writes exactly the kept layers, with the solve's stride
+    text, header = sol.to_csv()
+    assert header["rows"] == len(text.splitlines()) - 1 == sol.values.shape[0] == 11
+    assert header["stride"] == sol.stride
+
+
+@pytest.mark.parametrize("rows", [1, 0, -5])
+def test_fewer_than_two_kept_layers_is_refused(lam_12, rows):
+    with pytest.raises(InvalidInputError, match="max_rows"):
+        solve_ipde(lambda x: x, lam_12, GRID, max_rows=rows)
 
 
 def test_tent_case_interior_win_by_rounding_agrees_to_1e12(lam_12):
@@ -646,6 +667,7 @@ def reference_g_poisson(lambda_min, lambda_max, t, phi, n_steps=None, tail=1e-8)
 
     if n_steps is not None:
         return euler(n_steps)
+    tol = 2.5e-7 * max(1.0, float(np.abs(u0).max()))
     n = max(int(math.ceil(2.0 * lambda_max * t)), 1000)
     coarse, fine = euler(n), euler(2 * n)
     combined = 2.0 * fine - coarse
@@ -653,7 +675,7 @@ def reference_g_poisson(lambda_min, lambda_max, t, phi, n_steps=None, tail=1e-8)
         n *= 2
         coarse, fine = fine, euler(2 * n)
         refined = 2.0 * fine - coarse
-        if abs(refined - combined) <= 2.5e-7:
+        if abs(refined - combined) <= tol:
             return refined
         combined = refined
     return combined
@@ -715,6 +737,19 @@ def test_gpoisson_classical_degeneration_matches_series():
             want = poisson_series(lam, 1.0, phi)
             got = g_poisson_distribution(lam, lam, 1.0, phi)
             assert got == pytest.approx(want, abs=1e-6)
+
+
+def test_gpoisson_stopping_rule_scales_with_phi(monkeypatch):
+    # the doubling stops on a tolerance relative to max |phi|, so a scaled phi
+    # stops after the same three runs and returns the scaled value
+    calls = []
+    evolve = _Stepper.evolve
+    monkeypatch.setattr(_Stepper, "evolve", lambda self, *a, **kw: calls.append(1) or evolve(self, *a, **kw))
+    base = g_poisson_distribution(1.0, 2.0, 1.0, _clamp)
+    assert len(calls) == 3
+    scaled = g_poisson_distribution(1.0, 2.0, 1.0, lambda k: 1e9 * np.minimum(k, 1.0))
+    assert len(calls) == 6
+    assert scaled == pytest.approx(1e9 * base, rel=1e-12, abs=0.0)
 
 
 def test_gpoisson_rejects_bad_interval():

@@ -95,6 +95,26 @@ def test_transport_and_base_model_share_the_layout():
         assert [sh.target for sh in shells] == model.targets[0, :, 0].tolist()
 
 
+@pytest.mark.parametrize("fixture", ["lam_12", "mixtures", "locations"])
+def test_transport_map_is_the_base_relabel_of_mass_coordinate_one_over_y(request, fixture):
+    # the reference mark y carries mass coordinate mu((y, inf)) = 1/y
+    uset = request.getfixturevalue(fixture)
+    model = BaseJumpModel.from_uncertainty(uset)
+    rng = np.random.default_rng(47)
+    for j, triple in enumerate(uset.triples):
+        g = transport_map(triple.measure)
+        assert isinstance(g(2.0), float)
+        below = g.inner_radius * np.array([1.0, 0.5, 1e-3, 0.0])
+        assert np.array_equal(g(below), np.zeros(4)) and g(g.inner_radius) == 0.0
+        # random marks inside the shells: at a shell bound c, 1/(1/c) need not equal c
+        y = 1.0 / rng.uniform(0.0, triple.measure.total_mass, size=2000)
+        y = y[y > g.inner_radius]
+        segs = model.segments_of(1.0 / y)
+        got = g(y)
+        assert isinstance(got, np.ndarray) and got.shape == y.shape and np.all(got != 0.0)
+        assert np.array_equal(got, np.where(model.active[j, segs], model.targets[j, segs, 0], 0.0))
+
+
 def test_segments_partition_the_budget(mixtures):
     model = BaseJumpModel.from_uncertainty(mixtures)
     assert model.cuts[0] == 0.0

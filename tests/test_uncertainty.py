@@ -18,6 +18,7 @@ from glevy import (
     v_capacity,
     validate,
 )
+from glevy.uncertainty import _merge_atoms
 from conftest import location_family, mixture_family, point_mass_family
 
 
@@ -277,3 +278,102 @@ def test_config_parametric_family():
 def test_config_rejects_unknown_rule():
     with pytest.raises(InvalidInputError):
         uncertainty_set_from_config({"family": {"rule": "nope", "params": {}}})
+
+
+def _family(rule, fixed, **params):
+    return {"family": {"rule": rule, "fixed": fixed, "params": params}}
+
+
+def test_config_intensity_zero_endpoint_is_the_empty_measure():
+    uset = uncertainty_set_from_config(
+        _family("scaled_point_mass", {"location": 1.0}, intensity={"min": 0.0, "max": 2.0, "count": 3})
+    )
+    assert uset.triples[0].measure.n_atoms == 0 and uset.dim == 1
+    assert [t.measure.weights.tolist() for t in uset.triples[1:]] == [[1.0], [2.0]]
+
+
+def test_config_two_point_mixture_keeps_only_atoms_of_nonzero_weight():
+    uset = uncertainty_set_from_config(
+        _family(
+            "two_point_mixture",
+            {"location_a": 1.0, "location_b": -2.0, "total_mass": 2.0},
+            alpha={"min": 0.0, "max": 1.0, "count": 3},
+        )
+    )
+    measures = [t.measure for t in uset.triples]
+    assert measures[0].atoms.tolist() == [[-2.0]] and measures[0].weights.tolist() == [2.0]
+    assert measures[1].atoms.tolist() == [[1.0], [-2.0]] and measures[1].weights.tolist() == [1.0, 1.0]
+    assert measures[2].atoms.tolist() == [[1.0]] and measures[2].weights.tolist() == [2.0]
+
+
+def test_config_moving_point_mass():
+    uset = uncertainty_set_from_config(
+        _family("moving_point_mass", {"weight": 0.5, "drift": 0.1}, location={"min": 1.0, "max": 3.0, "count": 3})
+    )
+    assert [t.measure.atoms.tolist() for t in uset.triples] == [[[1.0]], [[2.0]], [[3.0]]]
+    assert all(t.measure.weights.tolist() == [0.5] and t.drift1 == 0.1 for t in uset.triples)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _family("scaled_point_mass", {"location": 1.0}, intensity={"min": -1.0, "max": 2.0, "count": 2}),
+        _family("scaled_point_mass", {"location": 1.0}, intensity={"min": 1.0, "max": float("nan"), "count": 2}),
+        _family("moving_point_mass", {"weight": -0.5}, location={"min": 1.0, "max": 2.0, "count": 2}),
+        _family("two_point_mixture", {}, alpha={"min": 0.0, "max": 1.5, "count": 2}),
+    ],
+    ids=["negative-intensity", "nan-intensity", "negative-weight", "alpha-above-1"],
+)
+def test_config_rules_still_refuse_negative_and_non_finite_weights(doc):
+    with pytest.raises(InvalidInputError, match="weights must be finite and strictly positive"):
+        uncertainty_set_from_config(doc)
+
+
+def test_config_locations_weights_measure_form():
+    uset = uncertainty_set_from_config(
+        {"triples": [{"measure": {"locations": [[1.0], [-0.5]], "weights": [0.25, 2.0]}, "cov_root": 0.3}]}
+    )
+    m = uset.triples[0].measure
+    assert m.atoms.tolist() == [[1.0], [-0.5]] and m.weights.tolist() == [0.25, 2.0]
+    assert uset.triples[0].cov_root1 == 0.3
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"triples": [{"measure": {"points": [1.0]}}]}, "cannot parse measure config"),
+        ({"triples": [{"measure": [[1.0, 2.0]]}]}, "cannot parse measure config"),
+        ({"measures": []}, "needs a 'triples' or 'family' section"),
+        ([{"measure": {"atoms": [[1.0, 1.0]]}}], "must be a mapping"),
+    ],
+    ids=["unknown-measure-keys", "measure-list", "no-section", "list"],
+)
+def test_config_refusals(doc, message):
+    with pytest.raises(InvalidInputError, match=message):
+        uncertainty_set_from_config(doc)
+
+
+# -- atom merge ----------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_merge_atoms_at_tolerance_0_is_unique_and_add_at(d):
+    # the merge relabel used before: np.unique rows, weights added with np.add.at
+    rng = np.random.default_rng(d)
+    for _ in range(50):
+        n = int(rng.integers(1, 30))
+        pts = rng.choice([-2.0, -0.5, 1.0, 3.0], size=(n, d))
+        ws = rng.uniform(0.1, 2.0, size=n)
+        uniq, inv = np.unique(pts, axis=0, return_inverse=True)
+        want = np.zeros(uniq.shape[0])
+        np.add.at(want, inv.reshape(-1), ws)
+        got = _merge_atoms(pts, ws, 0.0)
+        assert got.atoms.tobytes() == uniq.tobytes() and got.weights.tobytes() == want.tobytes()
+
+
+def test_merge_atoms_chains_near_points_and_keeps_the_first():
+    pts = np.array([[1.0 + 1.6e-12], [3.0], [1.0], [1.0 + 0.8e-12], [3.0 + 2e-12]])
+    got = _merge_atoms(pts, np.array([0.5, 1.0, 0.25, 0.125, 2.0]), 1e-12)
+    # 1 + 1.6e-12 lies 1.6e-12 from 1 but joins through 1 + 0.8e-12; 3 + 2e-12 is a gap apart
+    assert got.atoms.tolist() == [[1.0], [3.0], [3.0 + 2e-12]]
+    assert got.weights.tolist() == [0.25 + 0.125 + 0.5, 1.0, 2.0]
+    assert _merge_atoms(np.empty((0, 2)), np.empty(0), 0.0).atoms.shape == (0, 2)
