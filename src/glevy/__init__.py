@@ -77,7 +77,6 @@ from .pide import (
 from .simulate import (
     BaseJumpModel,
     ControlPolicy,
-    ExplicitControl,
     TerminalPayoff,
     constant_policies,
     draw_scenario,
@@ -150,7 +149,6 @@ __all__ = [
     "g_poisson_distribution",
     "BaseJumpModel",
     "ControlPolicy",
-    "ExplicitControl",
     "TerminalPayoff",
     "constant_policies",
     "draw_scenario",

@@ -142,11 +142,11 @@ def pushforward_set(family, phi: Callable, region: Region | None = None) -> list
 
     Atoms are mapped through phi, and images within 1e-12 of the origin are
     dropped (a jump measure puts no mass at zero). The other images are
-    sorted lexicographically and merged by weight addition wherever one lies
-    within 1e-12 (max norm) of the previous one, so a chain of images each
-    within 1e-12 of the next becomes one atom, at its lexicographically
-    first image (:func:`~glevy.uncertainty._merge_atoms`). A non-finite
-    image raises :class:`EvaluationError`.
+    merged by weight addition wherever two lie within 1e-12 of each other
+    (max norm), so a chain of images, each within 1e-12 of another, becomes
+    one atom at its lexicographically first image, in any dimension
+    (:func:`~glevy.uncertainty._merge_atoms`). A non-finite image raises
+    :class:`EvaluationError`.
     """
     ms = _measure_family(family)
     out = []

@@ -36,7 +36,9 @@ proven bound: an Euler term from the largest discrete second time difference
 discrete derivatives of the final layer, and a boundary-contamination term
 bounding the influence of the constant extrapolation by a Poisson tail (jumps
 need margin/|z|_max arrivals to carry boundary error to the evaluation
-point).
+point) times the oscillation of the initial data on the grid. Every term is
+linear in the data, so the estimate scales with phi and ignores a constant
+added to it.
 
 The module also provides the iterated (backward) evaluation of functionals of
 finitely many increments, its conditional variant at a realized history, and
@@ -404,7 +406,8 @@ def solve_ipde(
     the stepper pruned), the ``pruned_triples`` (indices of triples that are
     not vertices of the hull of parameter vectors, or repeat an earlier
     triple), the boundary-contamination bound and the composite
-    ``scheme_error_estimate``.
+    ``scheme_error_estimate`` (the module docstring's error model; it scales
+    with phi and does not move when a constant is added to phi).
     A non-finite value of phi on the grid raises :class:`EvaluationError`.
     """
     T = grid.horizon if horizon is None else float(horizon)
@@ -427,7 +430,7 @@ def solve_ipde(
     osc = float(u0.max() - u0.min())
     err = (
         0.5 * T * info["second_diff_rate"]
-        + contamination * max(osc, 1.0)
+        + contamination * osc
         + T * dx**2 * (stepper.mass_max * d2 / 8.0 + stepper.p_max * d3 / 6.0)
     )
     diagnostics = {

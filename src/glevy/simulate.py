@@ -2,8 +2,11 @@
 
 The representation behind this module: the worst-case expectation is a
 supremum of classical expectations over admissible controls, each control
-choosing at every instant a triple (v, p, Q) from the uncertainty set. The
-estimator restricts the search to deterministic piecewise-constant policies,
+choosing at every instant a triple (v, p, Q) from the uncertainty set (the
+characteristics representation of Neufeld and Nutz, "Nonlinear Levy processes
+and their characteristics", Trans. AMS 2017). A control value is therefore a
+point of the set, named by its triple index. The estimator restricts the
+search to deterministic piecewise-constant policies, vectors of such indices,
 evaluates each candidate by Monte Carlo on scenarios shared across candidates
 (common random numbers) and reports the best candidate mean. The result is a
 lower bound up to Monte Carlo error; enlarging the candidate list at a fixed
@@ -15,9 +18,9 @@ Each measure is laid out on a mass axis by :func:`glevy.uncertainty.mass_layout`
 the layout that also cuts the nested transport shells; the union of all cut
 points defines base segments, and a segment maps under measure v to the atom
 of v whose mass interval contains it (segments beyond the total mass of v
-produce no jump). Scenario jumps carry a uniform mass coordinate, so
-relabeling a scenario to any measure of the set is exact: the pushforward of
-the base onto v recovers v atom by atom.
+produce no jump). Scenario jumps carry a uniform mass coordinate, so mapping
+a scenario's marks to any measure of the set is exact: the pushforward of the
+base onto v recovers v atom by atom.
 
 The estimator draws its paths in blocks of ``_BLOCK`` consecutive paths.
 Block b comes from one counter-based Philox generator keyed by (seed, b), as
@@ -32,7 +35,7 @@ do and do not need diffusion. Reductions run in fixed index order; repeated
 runs with identical inputs are bit-identical.
 
 A scenario holds the shared randomness of consecutive paths with the jumps
-stored flat and per-path offsets, and the estimator relabels a whole block
+stored flat and per-path offsets, and the estimator maps a whole block
 under each candidate at once: the continuous parts of every path come from
 one cumulative sum. Each such block is checked once by
 :func:`glevy.paths._check_paths`, the one statement of the path invariants,
@@ -62,7 +65,6 @@ from .uncertainty import DiscreteLevyMeasure, UncertaintySet, _merge_atoms, mass
 __all__ = [
     "BaseJumpModel",
     "BaseScenario",
-    "ExplicitControl",
     "ControlPolicy",
     "EstimateResult",
     "ErlangCheckResult",
@@ -86,8 +88,7 @@ class BaseJumpModel:
     """Common refinement of the mass layouts of all measures in the set."""
 
     cuts: np.ndarray  # (K+1,) cumulative mass cut points, cuts[0] = 0
-    locations: np.ndarray  # (K, d) representative base marks
-    targets: np.ndarray  # (n_triples, K, d) relabeled jump sizes
+    targets: np.ndarray  # (n_triples, K, d) jump size of each segment per triple
     active: np.ndarray  # (n_triples, K) whether the segment jumps at all
 
     @property
@@ -96,7 +97,7 @@ class BaseJumpModel:
 
     @property
     def n_segments(self) -> int:
-        return self.locations.shape[0]
+        return self.targets.shape[1]
 
     @staticmethod
     def from_uncertainty(uset: UncertaintySet) -> "BaseJumpModel":
@@ -108,8 +109,6 @@ class BaseJumpModel:
         K = cuts.shape[0] - 1
         targets = np.zeros((len(uset), max(K, 0), d))
         active = np.zeros((len(uset), max(K, 0)), dtype=bool)
-        locations = np.zeros((max(K, 0), d))
-        loc_set = np.zeros(max(K, 0), dtype=bool)
         mids = 0.5 * (cuts[:-1] + cuts[1:]) if K else np.empty(0)
         for j, (atoms, _, cum) in enumerate(layouts):
             if atoms.shape[0] == 0 or K == 0:
@@ -118,25 +117,19 @@ class BaseJumpModel:
             inside = (mids < cum[-1]) & (idx >= 0) & (idx < atoms.shape[0])
             targets[j, inside] = atoms[idx[inside]]
             active[j, inside] = True
-            newly = inside & ~loc_set
-            locations[newly] = atoms[idx[newly]]
-            loc_set |= inside
-        return BaseJumpModel(cuts=cuts, locations=locations, targets=targets, active=active)
+        return BaseJumpModel(cuts=cuts, targets=targets, active=active)
 
     def segments_of(self, mass_coords: np.ndarray) -> np.ndarray:
         return np.clip(np.searchsorted(self.cuts, mass_coords, side="right") - 1, 0, self.n_segments - 1)
 
     def pushforward(self, triple_index: int) -> DiscreteLevyMeasure:
-        """Measure realized by relabeling the base onto the given triple; exact."""
-        return self.relabel(self.targets[triple_index], self.active[triple_index])
+        """Measure realized by mapping the base onto the given triple; exact.
 
-    def relabel(self, targets: np.ndarray, active: np.ndarray) -> DiscreteLevyMeasure:
-        """Image of the base under segment targets (K, d); inactive segments do not jump.
-
-        Segments with equal targets merge into one atom (:func:`_merge_atoms`
-        with tolerance 0).
+        Inactive segments do not jump, and segments with equal targets merge
+        into one atom (:func:`_merge_atoms` with tolerance 0).
         """
-        return _merge_atoms(targets[active], np.diff(self.cuts)[active], 0.0)
+        active = self.active[triple_index]
+        return _merge_atoms(self.targets[triple_index][active], np.diff(self.cuts)[active], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +175,7 @@ def draw_scenario(
     order fixed means scenarios agree between runs that do and do not
     consume the Brownian block, which preserves determinism when a candidate
     list changes its diffusion needs. The Brownian increments have the
-    dimension of the model's marks, ``model.locations.shape[1]``; cells are
+    dimension of the model's jump sizes, ``model.targets.shape[2]``; cells are
     counted like PIDE steps, so brownian_dt = horizon/n gives n of them.
     """
     if not (0.0 < horizon < math.inf):
@@ -202,7 +195,7 @@ def draw_scenario(
     if with_brownian:
         m = _step_count(horizon, brownian_dt)
         bt = np.linspace(0.0, horizon, m + 1)
-        bi = rng.normal(0.0, math.sqrt(horizon / m), size=(n_paths, m, model.locations.shape[1]))
+        bi = rng.normal(0.0, math.sqrt(horizon / m), size=(n_paths, m, model.targets.shape[2]))
     return BaseScenario(
         horizon=float(horizon),
         model=model,
@@ -221,26 +214,16 @@ def draw_scenario(
 
 
 @dataclass(frozen=True)
-class ExplicitControl:
-    """Direct mark relabeling: base atom value -> target jump size, d = 1.
-
-    The relabeled measure must coincide with some measure of the uncertainty
-    set and the attached (drift, cov_root) must match that triple; this is
-    checked when the policy is compiled against the set.
-    """
-
-    mark_map: dict
-    drift: float = 0.0
-    cov_root: float = 0.0
-
-
-@dataclass(frozen=True)
 class ControlPolicy:
     """Piecewise-constant control on (breakpoints[0], breakpoints[-1]].
 
     ``values[i]`` applies on the half-open-from-the-left interval
-    (breakpoints[i], breakpoints[i+1]]; each value is a triple index into the
-    uncertainty set or an :class:`ExplicitControl`.
+    (breakpoints[i], breakpoints[i+1]]. A control value is the index of a
+    triple (v, p, Q) of the uncertainty set, so a policy is a vector of
+    triple indices. Values that are not integers (a bool, a float, a string,
+    None) raise :class:`PolicyError` here and are stored as Python ints; an
+    index outside the set raises it when the policy is compiled against the
+    set.
     """
 
     breakpoints: np.ndarray
@@ -252,11 +235,14 @@ class ControlPolicy:
             raise PolicyError("breakpoints must be strictly increasing with at least two entries")
         if len(self.values) != bp.shape[0] - 1:
             raise PolicyError("need exactly one control value per interval")
+        for v in self.values:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise PolicyError(f"a control value is a triple index, got {v!r}")
         object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
 
     @staticmethod
-    def constant(value, start: float, end: float) -> "ControlPolicy":
+    def constant(value: int, start: float, end: float) -> "ControlPolicy":
         return ControlPolicy(np.array([start, end]), (value,))
 
     def check_covers(self, start: float, end: float) -> None:
@@ -272,49 +258,6 @@ def constant_policies(uset: UncertaintySet, horizon: float, start: float = 0.0) 
     return [ControlPolicy.constant(i, start, horizon) for i in range(len(uset))]
 
 
-class _CompiledValue(NamedTuple):
-    targets: np.ndarray  # (K, d)
-    active: np.ndarray  # (K,)
-    drift: np.ndarray  # (d,)
-    cov_root: np.ndarray  # (d, d)
-
-
-def _compile_value(value, uset: UncertaintySet, model: BaseJumpModel) -> _CompiledValue:
-    if isinstance(value, (int, np.integer)):
-        i = int(value)
-        if not (0 <= i < len(uset)):
-            raise PolicyError(f"triple index {i} outside the uncertainty set")
-        t = uset.triples[i]
-        return _CompiledValue(model.targets[i], model.active[i], t.drift, t.cov_root)
-    if isinstance(value, ExplicitControl):
-        d = uset.dim
-        if d != 1:
-            raise PolicyError("explicit mark maps are one-dimensional")
-        K = model.n_segments
-        targets = np.zeros((K, d))
-        active = np.zeros(K, dtype=bool)
-        keys = np.array(sorted(value.mark_map), dtype=float)
-        vals = np.array([value.mark_map[k] for k in sorted(value.mark_map)], dtype=float)
-        for s in range(K):
-            loc = model.locations[s, 0]
-            hit = np.nonzero(np.abs(keys - loc) <= 1e-12)[0]
-            if hit.shape[0] and vals[hit[0]] != 0.0:
-                targets[s, 0] = vals[hit[0]]
-                active[s] = True
-        pushed = model.relabel(targets, active)
-        drift = np.atleast_1d(np.asarray(value.drift, dtype=float))
-        cov = np.atleast_2d(np.asarray(value.cov_root, dtype=float))
-        for t in uset:
-            if (
-                t.measure.same_as(pushed)
-                and np.allclose(t.drift, drift, atol=1e-12, rtol=0.0)
-                and np.allclose(t.cov_root, cov, atol=1e-12, rtol=0.0)
-            ):
-                return _CompiledValue(targets, active, t.drift, t.cov_root)
-        raise PolicyError("explicit control does not realize any triple of the uncertainty set")
-    raise PolicyError(f"unsupported control value {value!r}")
-
-
 class _CompiledPolicy(NamedTuple):
     """A policy's control values stacked into arrays, one row per interval."""
 
@@ -327,13 +270,16 @@ class _CompiledPolicy(NamedTuple):
 
 
 def _compile_policy(policy: ControlPolicy, uset: UncertaintySet, model: BaseJumpModel) -> _CompiledPolicy:
-    values = [_compile_value(v, uset, model) for v in policy.values]
-    cov_root = np.stack([v.cov_root for v in values])
+    idx = np.array(policy.values)
+    outside = idx[(idx < 0) | (idx >= len(uset))]
+    if outside.shape[0]:
+        raise PolicyError(f"triple index {outside[0]} outside the uncertainty set")
+    cov_root = np.stack([t.cov_root for t in uset])[idx]
     return _CompiledPolicy(
         policy.breakpoints,
-        np.stack([v.targets for v in values]),
-        np.stack([v.active for v in values]),
-        np.stack([v.drift for v in values]),
+        model.targets[idx],
+        model.active[idx],
+        np.stack([t.drift for t in uset])[idx],
         cov_root,
         bool(np.any(cov_root != 0.0)),
     )
@@ -398,7 +344,7 @@ def _assemble_paths(block: BaseScenario, compiled: _CompiledPolicy, start: float
     grid_times = np.concatenate([[0.0, start] if start > 0.0 else [0.0], t_hi])
     values = np.broadcast_to(values, (n,) + values.shape[1:])
 
-    # jumps: relabel scenario marks through the control value active at each
+    # jumps: map scenario marks through the control value active at each
     # jump time, merge equal times within a path, drop zero sizes
     times, segments = block.jump_times, block.jump_segments
     owner = np.repeat(np.arange(n), np.diff(block.offsets))
@@ -428,9 +374,8 @@ def simulate_path(
 ) -> CadlagPath:
     """Realize one controlled path from the randomness of a one-path scenario.
 
-    The policy must cover (start, horizon]; its values must lie in the
-    admissible set (triple indices do by construction, explicit mark maps are
-    checked). Drift integrates exactly; diffusion uses the scenario's Euler
+    The policy must cover (start, horizon] and name triples of the set.
+    Drift integrates exactly; diffusion uses the scenario's Euler
     grid with the control frozen at the left endpoint of each cell.
     """
     if scenario.n_paths != 1:
@@ -454,7 +399,7 @@ class EstimateResult(NamedTuple):
     argmax: int
 
 
-_BLOCK = 256  # consecutive paths drawn from one stream and relabeled together
+_BLOCK = 256  # consecutive paths drawn from one stream and mapped together
 
 
 def _block_stream(seed: int, block_index: int) -> np.random.Generator:

@@ -28,6 +28,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError, UnsupportedError, _evaluate
 from .regions import Region
@@ -165,18 +168,23 @@ class DiscreteLevyMeasure:
 def _merge_atoms(points: np.ndarray, weights: np.ndarray, tol: float) -> DiscreteLevyMeasure:
     """The measure with the given (n, d) points as atoms, near points merged.
 
-    The points are sorted lexicographically, and a new atom starts wherever
-    the max-norm gap to the previous point exceeds ``tol``. Each atom sits
-    at its group's first point in that order and carries the group's
-    weights summed in input order. With ``tol = 0`` only equal points merge; with ``tol > 0``
-    a chain of points, each within ``tol`` of the next, merges into one atom
-    however far apart its ends lie.
+    The points are sorted lexicographically and joined wherever two lie
+    within ``tol`` of each other in the max norm. Each connected component
+    of that graph becomes one atom, at its first point in sorted order,
+    carrying the component's weights summed in that order. With ``tol = 0``
+    only equal points merge; with ``tol > 0`` a chain of points, each within
+    ``tol`` of another, merges into one atom however far apart its ends lie,
+    in any dimension.
     """
     order = np.lexsort(points.T[::-1])
     points, weights = points[order], weights[order]
-    starts = np.ones(points.shape[0], dtype=bool)
-    starts[1:] = np.abs(np.diff(points, axis=0)).max(axis=1) > tol
-    return DiscreteLevyMeasure(points[starts], np.bincount(np.cumsum(starts) - 1, weights=weights))
+    n = points.shape[0]
+    pairs = cKDTree(points).query_pairs(tol, p=np.inf, output_type="ndarray")
+    graph = coo_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    # labels number the components in the order of their first points
+    _, labels = connected_components(graph, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    return DiscreteLevyMeasure(points[first], np.bincount(labels, weights=weights))
 
 
 def _vec(x, dim: int, name: str) -> np.ndarray:
@@ -515,7 +523,7 @@ def mass_layout(v: DiscreteLevyMeasure) -> tuple[np.ndarray, np.ndarray, np.ndar
     modulus, ties broken by location in lexicographic order, their weights,
     and the (n+1,) cumulative masses [0, w1, w1 + w2, ...]; the k-th atom owns
     the mass interval [cum[k], cum[k+1]). Transport shells and the Monte Carlo
-    base segments are both cut from this layout, so they relabel marks alike.
+    base segments are both cut from this layout, so they map marks alike.
     """
     mags = np.linalg.norm(v.atoms, axis=1)
     order = np.lexsort(tuple(v.atoms[:, k] for k in range(v.dim - 1, -1, -1)) + (-mags,))

@@ -155,6 +155,22 @@ def test_refinement_shrinks_error():
     ] + fine.diagnostics["scheme_error_estimate"]
 
 
+@pytest.mark.parametrize("power", [-20, 20])
+def test_error_estimate_scales_with_the_data_and_ignores_a_shift(power):
+    # the README example; powers of two scale every layer and term exactly
+    uset = point_mass_family(np.linspace(1.0, 2.0, 5))
+    grid = Grid1D(-6.0, 8.0, 141, 0.01, 1.0)
+    scale = 2.0**power
+    base = solve_ipde(lambda x: np.minimum(x, 1.0), uset, grid)
+    scaled = solve_ipde(lambda x: scale * np.minimum(x, 1.0), uset, grid)
+    assert np.array_equal(scaled.values, scale * base.values)
+    d, ds = base.diagnostics, scaled.diagnostics
+    assert ds["argmax_histogram"] == d["argmax_histogram"]
+    assert ds["scheme_error_estimate"] == scale * d["scheme_error_estimate"]
+    shifted = solve_ipde(lambda x: np.minimum(x, 1.0) + 1024.0, uset, grid)
+    assert shifted.diagnostics["scheme_error_estimate"] == pytest.approx(d["scheme_error_estimate"], rel=1e-9)
+
+
 def test_diagnostics_shape(lam_12):
     sol = solve_ipde(lambda x: x, lam_12, GRID)
     d = sol.diagnostics

@@ -15,7 +15,6 @@ from glevy import (
     ControlPolicy,
     DiscreteLevyMeasure,
     EvaluationError,
-    ExplicitControl,
     InvalidInputError,
     InverseSquareTail,
     LevyTriple,
@@ -293,30 +292,32 @@ def test_mark_doubling_control():
     assert np.allclose(doubled.jump_sizes, 2.0 * base.jump_sizes)
 
 
-def test_explicit_control_matches_index_policy():
-    m1 = DiscreteLevyMeasure.delta(1.0)
-    m2 = DiscreteLevyMeasure.delta(2.0)
-    uset = UncertaintySet((LevyTriple(m1), LevyTriple(m2)))
-    model = BaseJumpModel.from_uncertainty(uset)
-    sc = draw_scenario(model, 1.0, np.random.default_rng(8))
-    via_index = simulate_path(sc, ControlPolicy.constant(1, 0.0, 1.0), uset)
-    explicit = ExplicitControl(mark_map={2.0: 2.0, 1.0: 2.0})
-    # base segments sit at the union locations; both marks relabel to size 2
-    via_map = simulate_path(sc, ControlPolicy.constant(explicit, 0.0, 1.0), uset)
-    assert np.array_equal(via_map.jump_times, via_index.jump_times)
-    assert np.array_equal(via_map.jump_sizes, via_index.jump_sizes)
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "a control value is a triple index"),
+        (np.bool_(False), "a control value is a triple index"),
+        (1.0, "a control value is a triple index"),
+        (np.float64(0.0), "a control value is a triple index"),
+        ("0", "a control value is a triple index"),
+        (None, "a control value is a triple index"),
+        (-1, "triple index -1 outside"),
+        (2, "triple index 2 outside"),
+    ],
+    ids=["bool", "numpy-bool", "float", "numpy-float", "str", "none", "minus-one", "len"],
+)
+def test_control_value_refusals(value, message):
+    # values that are not integers are refused by the policy, integers
+    # outside the two-triple set when the policy is compiled against it
+    uset = point_mass_family([1.0, 2.0])
+    sc = draw_scenario(BaseJumpModel.from_uncertainty(uset), 1.0, np.random.default_rng(8))
+    with pytest.raises(PolicyError, match=message):
+        simulate_path(sc, ControlPolicy.constant(value, 0.0, 1.0), uset)
 
 
-def test_explicit_control_must_land_in_the_set():
-    uset = point_mass_family([1.0])
-    model = BaseJumpModel.from_uncertainty(uset)
-    sc = draw_scenario(model, 1.0, np.random.default_rng(8))
-    stray = ExplicitControl(mark_map={1.0: 3.0})  # pushforward delta_3 is not a member
-    with pytest.raises(PolicyError):
-        simulate_path(sc, ControlPolicy.constant(stray, 0.0, 1.0), uset)
-    wrong_drift = ExplicitControl(mark_map={1.0: 1.0}, drift=0.7)
-    with pytest.raises(PolicyError):
-        simulate_path(sc, ControlPolicy.constant(wrong_drift, 0.0, 1.0), uset)
+def test_control_values_are_stored_as_python_ints():
+    policy = ControlPolicy(np.array([0.0, 0.5, 1.0]), np.array([1, 0]))
+    assert policy.values == (1, 0) and all(type(v) is int for v in policy.values)
 
 
 def test_simulate_path_refuses_a_block_of_several_paths(lam_12):
@@ -392,7 +393,7 @@ def reference_path(scenario, policy, uset, start=0.0, horizon=None):
         raise InvalidInputError("need 0 <= start < horizon <= scenario horizon")
     policy.check_covers(start, T)
     compiled = _compile_policy(policy, uset, scenario.model)
-    d = scenario.model.locations.shape[1]
+    d = scenario.model.targets.shape[2]
     bp = compiled.breakpoints
     last = len(policy.values) - 1
 
@@ -484,15 +485,7 @@ def random_case(rng, kind):
         for _ in range(3)
     ]
     policies.append(ControlPolicy.constant(0, 0.0, 0.5))  # refused: does not cover
-    if d == 1:
-        # each base mark relabeled to its size under triple 0; this lands in
-        # the set unless two segments of one mark take different sizes
-        t0 = uset.triples[0]
-        mark_map = {}
-        for z, size, on in zip(model.locations[:, 0], model.targets[0, :, 0], model.active[0]):
-            mark_map.setdefault(float(z), float(size) if on else 0.0)
-        policies.append(ControlPolicy.constant(ExplicitControl(mark_map, t0.drift1, t0.cov_root1), 0.0, 1.0))
-        policies.append(ControlPolicy.constant(ExplicitControl({1.0: 7.0}), 0.0, 1.0))  # refused
+    policies.append(ControlPolicy.constant(n, 0.0, 1.0))  # refused: names no triple
     scenarios = [
         draw_scenario(model, 1.0, rng, with_brownian=bool(s % 2), brownian_dt=float(rng.choice([0.05, 0.3])))
         for s in range(4)
@@ -503,7 +496,7 @@ def random_case(rng, kind):
 @pytest.mark.parametrize("kind", ["switching", "diffusive", "d2", "empty"])
 def test_simulate_path_matches_loop_reference(kind):
     rng = np.random.default_rng(["switching", "diffusive", "d2", "empty"].index(kind))
-    built = refused = explicit = 0
+    built = refused = 0
     for _ in range(6):
         uset, policies, scenarios = random_case(rng, kind)
         for sc in scenarios:
@@ -515,9 +508,7 @@ def test_simulate_path_matches_loop_reference(kind):
                         refused += 1
                     else:
                         built += 1
-                        explicit += isinstance(policy.values[0], ExplicitControl)
     assert refused and built >= 200
-    assert explicit or kind == "d2"
 
 
 def test_merged_jump_times_match_loop_reference(mixtures):

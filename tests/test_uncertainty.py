@@ -377,3 +377,26 @@ def test_merge_atoms_chains_near_points_and_keeps_the_first():
     assert got.atoms.tolist() == [[1.0], [3.0], [3.0 + 2e-12]]
     assert got.weights.tolist() == [0.25 + 0.125 + 0.5, 1.0, 2.0]
     assert _merge_atoms(np.empty((0, 2)), np.empty(0), 0.0).atoms.shape == (0, 2)
+
+
+def test_merge_atoms_joins_points_within_tolerance_in_two_dimensions():
+    # (1, 5) and (1 + 2e-13, 5) are 2e-13 apart, with (1 + 1e-13, 0.5) between them in sorted order
+    pts = np.array([[1.0, 5.0], [1.0 + 1e-13, 0.5], [1.0 + 2e-13, 5.0]])
+    got = _merge_atoms(pts, np.array([1.0, 2.0, 4.0]), 1e-12)
+    assert got.atoms.tolist() == [[1.0, 5.0], [1.0 + 1e-13, 0.5]]
+    assert got.weights.tolist() == [1.0 + 4.0, 2.0]
+
+
+def test_merge_atoms_in_one_dimension_is_the_sorted_gap_rule():
+    # in 1-D a component is a run of sorted points with gaps <= tol
+    rng = np.random.default_rng(5)
+    for tol in (1e-12, 0.3):
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            pts = np.sort(rng.choice([-2.0, -1.0, 1.0, 1.0 + 4e-13, 1.0 + 8e-13, 1.2, 1.4, 3.0], size=(n, 1)), axis=0)
+            ws = rng.uniform(0.1, 2.0, size=n)
+            starts = np.ones(n, dtype=bool)
+            starts[1:] = np.diff(pts[:, 0]) > tol
+            got = _merge_atoms(pts, ws, tol)
+            assert got.atoms.tobytes() == pts[starts].tobytes()
+            assert got.weights.tobytes() == np.bincount(np.cumsum(starts) - 1, weights=ws).tobytes()
