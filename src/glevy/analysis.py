@@ -105,14 +105,15 @@ def mean_of_jump_part(uset, t: float) -> np.ndarray:
 def compensate(path_or_spec, uset):
     """Subtract the worst-case jump-part drift t * sup-mean.
 
-    A path is treated as a realization of the jump part and returned with the
-    linear drift removed from its continuous skeleton; a ``rawJumpPart``
-    process spec is returned retagged as ``compensatedJumpPart``.
+    A path is treated as a realization of the jump part of ``uset`` and
+    returned with the linear drift removed from its continuous skeleton. A
+    ``rawJumpPart`` process spec is returned retagged as
+    ``compensatedJumpPart``; its set is the spec's own, and ``uset`` is not read.
     """
     if isinstance(path_or_spec, ProcessSpec):
         if path_or_spec.kind != "rawJumpPart":
             raise InvalidInputError(f"cannot compensate a {path_or_spec.kind} process")
-        mean_of_jump_part(uset, 1.0)  # validates the sup-mean exists
+        mean_of_jump_part(path_or_spec.uset, 1.0)  # validates the sup-mean exists
         return ProcessSpec("compensatedJumpPart", path_or_spec.uset)
     path: CadlagPath = path_or_spec
     m = mean_of_jump_part(uset, 1.0)

@@ -111,14 +111,12 @@ class CadlagPath:
         )
 
     @staticmethod
-    def from_jumps(jumps: Sequence[tuple[float, float]], horizon: float, dim: int = 1) -> "CadlagPath":
+    def from_jumps(jumps: Sequence[tuple[float, float]], horizon: float) -> "CadlagPath":
         """Pure-jump path from (time, size) pairs, d = 1 sizes."""
         jumps = sorted(jumps, key=lambda p: p[0])
         jt = np.array([p[0] for p in jumps], dtype=float)
         js = np.array([p[1] for p in jumps], dtype=float).reshape(-1, 1)
-        if dim != 1 and js.shape[0]:
-            raise InvalidInputError("from_jumps builds one-dimensional paths")
-        z = CadlagPath.zero(horizon, dim)
+        z = CadlagPath.zero(horizon)
         return CadlagPath(horizon, z.grid_times, z.grid_values, jt, js)
 
     # -- evaluation -----------------------------------------------------------
@@ -198,6 +196,42 @@ class _Paths(NamedTuple):
             has = counts > k
             jumps[has] += self.jump_sizes[self.offsets[:-1][has] + k]
         return self.grid_values[:, -1] + jumps
+
+    @staticmethod
+    def concat(blocks: Sequence["_Paths"]) -> "_Paths":
+        """One block of the paths of blocks on one grid, block after block."""
+        shifts = np.cumsum([0] + [b.offsets[-1] for b in blocks[:-1]])
+        return _Paths(
+            blocks[0].grid_times,
+            np.concatenate(
+                [np.broadcast_to(b.grid_values, (len(b.offsets) - 1,) + b.grid_values.shape[1:]) for b in blocks]
+            ),
+            np.concatenate([[0]] + [b.offsets[1:] + shift for b, shift in zip(blocks, shifts)]),
+            np.concatenate([b.jump_times for b in blocks]),
+            np.concatenate([b.jump_sizes for b in blocks]),
+        )
+
+
+def _same_paths(paths: _Paths, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether path a[k] of a block equals its path b[k], for each k.
+
+    The paths share the block's grid times. They are equal when their grid
+    values, their jump counts, and their jump times and sizes, jump by jump
+    in path order, compare equal with ``==``. Unlike a comparison of bytes
+    this takes -0.0 for 0.0, which :class:`glevy.uncertainty.DiscreteLevyMeasure`
+    and the atom merge already treat as one point.
+    """
+    lo_a, lo_b = paths.offsets[a], paths.offsets[b]
+    counts = paths.offsets[a + 1] - lo_a
+    same = (counts == paths.offsets[b + 1] - lo_b) & (paths.grid_values[a] == paths.grid_values[b]).all(axis=(1, 2))
+    # the jumps of the pairs still equal, each against the partner of its rank
+    m = np.where(same, counts, 0)
+    pair = np.repeat(np.arange(a.shape[0]), m)
+    rank = np.arange(pair.shape[0]) - np.repeat(np.cumsum(m) - m, m)
+    ja, jb = lo_a[pair] + rank, lo_b[pair] + rank
+    differ = (paths.jump_times[ja] != paths.jump_times[jb]) | (paths.jump_sizes[ja] != paths.jump_sizes[jb]).any(axis=1)
+    same[pair[differ]] = False
+    return same
 
 
 def _check_paths(paths: _Paths, horizon: float) -> None:

@@ -34,17 +34,18 @@ Jump draws come before Brownian draws, so scenarios agree between runs that
 do and do not need diffusion. Reductions run in fixed index order; repeated
 runs with identical inputs are bit-identical.
 
-A scenario holds the shared randomness of consecutive paths with the jumps
-stored flat and per-path offsets, and the estimator maps a whole block
-under each candidate at once: the continuous parts of every path come from
-one cumulative sum. Each such block is checked once by
-:func:`glevy.paths._check_paths`, the one statement of the path invariants,
-so the path objects handed to a payoff are not checked again. On each
-scenario, candidates that realize the identical path (equal grid, values,
-jump times and sizes) share one path object and one payoff call. A
-:class:`TerminalPayoff`, a function of X_T alone, never becomes paths: the
-terminal values of a whole block come from the block's arrays and its phi is
-applied to all of them at once.
+Every block takes one route. Each candidate maps the whole block over the
+scenario's horizon at once: the jumps are stored flat with per-path
+offsets, and the continuous parts of every path come from one cumulative
+sum. Each such block is checked once by :func:`glevy.paths._check_paths`,
+the one statement of the path invariants, so the path objects handed to a
+payoff are not checked again. :func:`_block_values` then evaluates the
+payoff on the block, and one running sum takes its values. A
+:class:`TerminalPayoff`, a function of X_T alone, never becomes paths: its
+phi is applied to the terminal values of the whole block at once. Any other
+payoff is called once per distinct path: candidates that realize equal
+paths on a scenario, found by comparing the blocks' arrays, share one path
+object and one payoff call.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import AssumptionError, InvalidInputError, PolicyError, _eval_nodes, _evaluate
-from .paths import CadlagPath, _check_paths, _Paths
+from .paths import CadlagPath, _check_paths, _Paths, _same_paths
 from .pide import _step_count
 from .regions import Region
 from .uncertainty import DiscreteLevyMeasure, UncertaintySet, _merge_atoms, mass_layout
@@ -253,9 +254,9 @@ class ControlPolicy:
             )
 
 
-def constant_policies(uset: UncertaintySet, horizon: float, start: float = 0.0) -> list[ControlPolicy]:
-    """One constant policy per enumerated triple, the default candidate grid."""
-    return [ControlPolicy.constant(i, start, horizon) for i in range(len(uset))]
+def constant_policies(uset: UncertaintySet, horizon: float) -> list[ControlPolicy]:
+    """One constant policy per enumerated triple on (0, horizon], the default candidate grid."""
+    return [ControlPolicy.constant(i, 0.0, horizon) for i in range(len(uset))]
 
 
 class _CompiledPolicy(NamedTuple):
@@ -274,12 +275,12 @@ def _compile_policy(policy: ControlPolicy, uset: UncertaintySet, model: BaseJump
     outside = idx[(idx < 0) | (idx >= len(uset))]
     if outside.shape[0]:
         raise PolicyError(f"triple index {outside[0]} outside the uncertainty set")
-    cov_root = np.stack([t.cov_root for t in uset])[idx]
+    cov_root = uset.cov_roots[idx]
     return _CompiledPolicy(
         policy.breakpoints,
         model.targets[idx],
         model.active[idx],
-        np.stack([t.drift for t in uset])[idx],
+        uset.drifts[idx],
         cov_root,
         bool(np.any(cov_root != 0.0)),
     )
@@ -290,20 +291,20 @@ def _compile_policy(policy: ControlPolicy, uset: UncertaintySet, model: BaseJump
 # ---------------------------------------------------------------------------
 
 
-def _build_paths(block: BaseScenario, compiled: _CompiledPolicy, start: float, horizon: float) -> _Paths:
-    """Every path of a scenario block under one policy, checked once for the whole block.
+def _build_paths(block: BaseScenario, compiled: _CompiledPolicy) -> _Paths:
+    """Every path of a scenario block under one policy over the block's horizon, checked once.
 
     Data that overflow become non-finite values, which the check refuses;
     no numpy warning escapes.
     """
     with np.errstate(all="ignore"):
-        paths = _assemble_paths(block, compiled, start, horizon)
-    _check_paths(paths, horizon)
+        paths = _assemble_paths(block, compiled)
+    _check_paths(paths, block.horizon)
     return paths
 
 
-def _assemble_paths(block: BaseScenario, compiled: _CompiledPolicy, start: float, horizon: float) -> _Paths:
-    n, d = block.n_paths, compiled.drift.shape[1]
+def _assemble_paths(block: BaseScenario, compiled: _CompiledPolicy) -> _Paths:
+    n, d, horizon = block.n_paths, compiled.drift.shape[1], block.horizon
     bp = compiled.breakpoints
     last = compiled.drift.shape[0] - 1
 
@@ -311,37 +312,27 @@ def _assemble_paths(block: BaseScenario, compiled: _CompiledPolicy, start: float
     # diffusion step when the policy diffuses; cells are the block's Brownian
     # grid then, the policy's breakpoints otherwise. The control value of a
     # cell is the one active at its left end; an index below 0 only arises
-    # when breakpoints[0] lies within the covering tolerance above start
+    # when breakpoints[0] lies within the covering tolerance above 0
     if compiled.needs_brownian:
         if block.brownian_times is None:
             raise PolicyError("policy needs Brownian increments but the scenario has none")
         edges = block.brownian_times
     else:
-        edges = np.concatenate([[start], bp[(bp > start) & (bp < horizon)], [horizon]])
+        edges = np.concatenate([[0.0], bp[(bp > 0.0) & (bp < horizon)], [horizon]])
     lo, hi = edges[:-1], edges[1:]
-    cells = slice(np.searchsorted(hi, start, side="right"), np.searchsorted(lo, horizon, side="left"))
-    t_lo, t_hi = np.maximum(lo[cells], start), np.minimum(hi[cells], horizon)
-    vi = np.clip(np.searchsorted(bp, t_lo, side="right") - 1, 0, last)
-    drift_steps = compiled.drift[vi] * (t_hi - t_lo)[:, None]
+    vi = np.clip(np.searchsorted(bp, lo, side="right") - 1, 0, last)
+    drift_steps = compiled.drift[vi] * (hi - lo)[:, None]
     # one cumulative sum over [0, drift_0, diffusion_0, drift_1, ...] adds the
     # increments in the order a running loop over the cells would
     if compiled.needs_brownian:
-        m = t_lo.shape[0]
-        # partial boundary cells reuse the cell's normal draw, rescaled to
-        # the correct variance
-        scale = np.sqrt((t_hi - t_lo) / (hi[cells] - lo[cells]))
-        increments = block.brownian_increments[:, cells, :, None]
-        steps = np.zeros((n, 2 * m + 1, d))
+        steps = np.zeros((n, 2 * lo.shape[0] + 1, d))
         steps[:, 1::2] = drift_steps
-        steps[:, 2::2] = (compiled.cov_root[vi] @ increments)[..., 0] * scale[:, None]
+        steps[:, 2::2] = (compiled.cov_root[vi] @ block.brownian_increments[..., None])[..., 0]
         # the copy keeps the values at cell ends alive, not every step
         values = np.cumsum(steps, axis=1, out=steps)[:, ::2].copy()
     else:
         values = np.cumsum(np.vstack([np.zeros((1, d)), drift_steps]), axis=0)[None]
-    if start > 0.0:
-        # the path stays at 0 up to start
-        values = np.concatenate([np.zeros((values.shape[0], 1, d)), values], axis=1)
-    grid_times = np.concatenate([[0.0, start] if start > 0.0 else [0.0], t_hi])
+    grid_times = np.concatenate([[0.0], hi])
     values = np.broadcast_to(values, (n,) + values.shape[1:])
 
     # jumps: map scenario marks through the control value active at each
@@ -349,7 +340,7 @@ def _assemble_paths(block: BaseScenario, compiled: _CompiledPolicy, start: float
     times, segments = block.jump_times, block.jump_segments
     owner = np.repeat(np.arange(n), np.diff(block.offsets))
     jv = np.clip(np.searchsorted(bp, times, side="left") - 1, 0, last)
-    keep = (times > start) & (times <= horizon) & compiled.active[jv, segments]
+    keep = (times > 0.0) & (times <= horizon) & compiled.active[jv, segments]
     times, owner = times[keep], owner[keep]
     sizes = compiled.targets[jv[keep], segments[keep]]
     opens = np.ones(times.shape[0], dtype=bool)
@@ -365,27 +356,19 @@ def _assemble_paths(block: BaseScenario, compiled: _CompiledPolicy, start: float
     return _Paths(grid_times, values, offsets, times, sizes)
 
 
-def simulate_path(
-    scenario: BaseScenario,
-    policy: ControlPolicy,
-    uset: UncertaintySet,
-    start: float = 0.0,
-    horizon: float | None = None,
-) -> CadlagPath:
-    """Realize one controlled path from the randomness of a one-path scenario.
+def simulate_path(scenario: BaseScenario, policy: ControlPolicy, uset: UncertaintySet) -> CadlagPath:
+    """Realize one controlled path over the whole horizon of a one-path scenario.
 
-    The policy must cover (start, horizon] and name triples of the set.
-    Drift integrates exactly; diffusion uses the scenario's Euler
-    grid with the control frozen at the left endpoint of each cell.
+    The policy must cover (0, scenario.horizon] and name triples of the set.
+    Drift integrates exactly; diffusion uses the scenario's Euler grid with
+    the control frozen at the left endpoint of each cell.
     """
     if scenario.n_paths != 1:
         raise InvalidInputError("simulate_path takes a one-path scenario")
-    T = float(scenario.horizon if horizon is None else horizon)
-    if not (0.0 <= start < T <= scenario.horizon):
-        raise InvalidInputError("need 0 <= start < horizon <= scenario horizon")
-    policy.check_covers(start, T)
+    T = float(scenario.horizon)
+    policy.check_covers(0.0, T)
     compiled = _compile_policy(policy, uset, scenario.model)
-    return CadlagPath._unchecked(T, *_build_paths(scenario, compiled, start, T).arrays(0))
+    return CadlagPath._unchecked(T, *_build_paths(scenario, compiled).arrays(0))
 
 
 # ---------------------------------------------------------------------------
@@ -426,45 +409,67 @@ class TerminalPayoff:
 
 
 def _block_values(
-    xi: Callable[[CadlagPath], float], block: BaseScenario, compiled: Sequence[_CompiledPolicy], horizon: float
+    xi: Callable[[CadlagPath], float], block: BaseScenario, compiled: Sequence[_CompiledPolicy]
 ) -> np.ndarray:
-    """xi of every path of a block under every candidate, shape (n, candidates), checked once per block."""
-    built = [_build_paths(block, comp, 0.0, horizon) for comp in compiled]
-    T = float(horizon)
+    """xi of every path of a block under every candidate, shape (n, candidates).
+
+    Each candidate's paths are built and checked once for the whole block. A
+    :class:`TerminalPayoff` gets its phi applied to all n x candidates
+    terminal values at once and no path objects. Any other xi is called once
+    per distinct path, in row-major (path, candidate) order: candidate c on
+    path i shares the value of the lowest candidate whose path there is equal
+    by :func:`glevy.paths._same_paths`.
+    """
+    if isinstance(xi, TerminalPayoff):
+        ends = np.stack([_build_paths(block, comp).terminal_values() for comp in compiled], axis=1)
+        if ends.shape[2] != 1:
+            raise InvalidInputError("scalar_value requires a one-dimensional path")
+        return _eval_nodes(xi.phi, ends.reshape(-1), "payoff").reshape(ends.shape[:2])
+    built = [_build_paths(block, comp) for comp in compiled]
+    first = _first_equal(built)
 
     def payoffs() -> np.ndarray:
         # xi's values as returned; _evaluate converts them to floats and checks them
-        vals = np.empty((block.n_paths, len(compiled)), dtype=object)
-        for i, row in enumerate(vals):
-            # candidates realizing the same path on this scenario share one evaluation
-            seen: dict[tuple[bytes, ...], object] = {}
-            for ci, paths in enumerate(built):
-                arrays = paths.arrays(i)
-                key = tuple(a.tobytes() for a in arrays)
-                if key not in seen:
-                    seen[key] = xi(CadlagPath._unchecked(T, *arrays))
-                row[ci] = seen[key]
-        return vals
+        vals = np.empty(first.shape, dtype=object)
+        for i, c in zip(*np.nonzero(first == np.arange(len(built)))):
+            vals[i, c] = xi(CadlagPath._unchecked(block.horizon, *built[c].arrays(i)))
+        return np.take_along_axis(vals, first, axis=1)
 
     return _evaluate(payoffs, (), "payoff", each=False)
 
 
-def _terminal_values(
-    phi: Callable[[float], float], block: BaseScenario, compiled: Sequence[_CompiledPolicy], horizon: float
-) -> np.ndarray:
-    """phi(X_T) of every path of a block under every candidate, shape (n, candidates), with no path objects."""
-    ends = np.empty((block.n_paths, len(compiled)))
-    for ci, comp in enumerate(compiled):
-        paths = _build_paths(block, comp, 0.0, horizon)
-        if paths.grid_values.shape[2] != 1:
-            raise InvalidInputError("scalar_value requires a one-dimensional path")
-        ends[:, ci] = paths.terminal_values()[:, 0]
-    return _eval_nodes(phi, ends.reshape(-1), "payoff").reshape(ends.shape)
+def _first_equal(built: Sequence[_Paths]) -> np.ndarray:
+    """For each path i and candidate c, the lowest candidate whose path i equals that of c, shape (n, C).
+
+    Only candidates on equal grid times can realize equal paths, and equal
+    paths also agree in jump count and continuous value at the horizon. Each
+    round heads every group of open paths with one such key by its lowest
+    candidate, which is its own lowest match, and settles the paths equal to
+    their head (:func:`glevy.paths._same_paths`); the others stay open.
+    """
+    n, C = built[0].offsets.shape[0] - 1, len(built)
+    first = np.tile(np.arange(C), (n, 1))
+    classes: dict[tuple, list[int]] = {}
+    for c, paths in enumerate(built):
+        classes.setdefault(tuple(paths.grid_times.tolist()), []).append(c)
+    for members in classes.values():
+        block = _Paths.concat([built[c] for c in members])  # path k * n + i is path i of members[k]
+        owner = np.repeat(members, n)
+        key = np.column_stack([np.tile(np.arange(n), len(members)), np.diff(block.offsets), block.grid_values[:, -1]])
+        open_ = np.arange(len(members) * n)
+        while open_.shape[0]:
+            _, lowest, group = np.unique(key[open_], axis=0, return_index=True, return_inverse=True)
+            head = open_[lowest[group]]
+            s, head = open_[head != open_], head[head != open_]
+            same = _same_paths(block, head, s)
+            first[s[same] % n, owner[s[same]]] = owner[head[same]]
+            open_ = s[~same]
+    return first
 
 
 def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """total + rows[0] + rows[1] + ..., added in row order as a running loop would."""
-    return np.cumsum(np.vstack([total, rows]), axis=0)[-1]
+    """total + rows[:, 0] + rows[:, 1] + ..., added in path order as a running loop would."""
+    return np.cumsum(np.concatenate([total[:, None], rows], axis=1), axis=1)[:, -1]
 
 
 def estimate_upper_expectation(
@@ -507,9 +512,8 @@ def estimate_upper_expectation(
     compiled = [_compile_policy(c, uset, model) for c in candidates]
     needs_brownian = any(c.needs_brownian for c in compiled)
 
-    sums = np.zeros(len(candidates))
-    dev_sums = np.zeros(len(candidates))
-    dev_sumsq = np.zeros(len(candidates))
+    # running sums of [values, deviations, squared deviations] per candidate
+    sums = np.zeros((3, len(candidates)))
     for first in range(0, n_paths, _BLOCK):
         block = draw_scenario(
             model,
@@ -519,22 +523,17 @@ def estimate_upper_expectation(
             brownian_dt=brownian_dt,
             n_paths=min(_BLOCK, n_paths - first),
         )
-        if isinstance(xi, TerminalPayoff):
-            vals = _terminal_values(xi.phi, block, compiled, horizon)
-        else:
-            vals = _block_values(xi, block, compiled, horizon)
+        vals = _block_values(xi, block, compiled)
         if first == 0:
             # the variance uses sums of values shifted by each candidate's first
             # value, so it does not cancel away when the payoff carries a large offset
             shifts = vals[0]
         devs = vals - shifts
-        sums = _running_sum(sums, vals)
-        dev_sums = _running_sum(dev_sums, devs)
-        dev_sumsq = _running_sum(dev_sumsq, devs * devs)
-    means = sums / n_paths
+        sums = _running_sum(sums, np.stack([vals, devs, devs * devs]))
+    means = sums[0] / n_paths
     winner = int(np.argmax(means))
-    dev_mean = dev_sums[winner] / n_paths
-    var = max(dev_sumsq[winner] / n_paths - dev_mean**2, 0.0) * n_paths / (n_paths - 1)
+    dev_mean = sums[1, winner] / n_paths
+    var = max(sums[2, winner] / n_paths - dev_mean**2, 0.0) * n_paths / (n_paths - 1)
     return EstimateResult(float(means[winner]), float(math.sqrt(var / n_paths)), winner)
 
 

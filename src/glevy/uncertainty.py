@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -308,6 +309,16 @@ class UncertaintySet:
     @property
     def measures(self) -> list[DiscreteLevyMeasure]:
         return [t.measure for t in self.triples]
+
+    @cached_property
+    def drifts(self) -> np.ndarray:
+        """(n_triples, d) drift of every triple, stacked once per set."""
+        return np.stack([t.drift for t in self.triples])
+
+    @cached_property
+    def cov_roots(self) -> np.ndarray:
+        """(n_triples, d, d) covariance root of every triple, stacked once per set."""
+        return np.stack([t.cov_root for t in self.triples])
 
 
 def _measure_family(family) -> list[DiscreteLevyMeasure]:

@@ -86,6 +86,16 @@ def test_compensate_spec_retags(lam_12):
         compensate(comp, lam_12)
 
 
+def test_compensate_spec_checks_the_set_it_carries():
+    # no measure of A dominates the other coordinatewise; B is one point mass
+    a = UncertaintySet.from_measures([DiscreteLevyMeasure.delta([1.0, -1.0]), DiscreteLevyMeasure.delta([-1.0, 1.0])])
+    b = UncertaintySet.from_measures([DiscreteLevyMeasure.delta(1.0)])
+    with pytest.raises(UnsupportedError):
+        compensate(ProcessSpec("rawJumpPart", a), b)
+    comp = compensate(ProcessSpec("rawJumpPart", b), a)
+    assert comp.kind == "compensatedJumpPart" and comp.uset is b
+
+
 def test_compensate_dim_mismatch(lam_12):
     m = DiscreteLevyMeasure(np.array([[1.0, 0.0]]), np.array([1.0]))
     path2 = CadlagPath(

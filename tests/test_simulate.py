@@ -33,9 +33,11 @@ from glevy import (
 from glevy.simulate import (
     _BLOCK,
     BaseScenario,
+    _block_values,
     _build_paths,
     _check_paths,
     _compile_policy,
+    _first_equal,
     _Paths,
 )
 from conftest import location_family, mixture_family, point_mass_family
@@ -386,19 +388,17 @@ def test_drift_only_path_is_linear():
 
 # -- the per-jump, per-cell loop builder, kept as the reference ---------------
 
-def reference_path(scenario, policy, uset, start=0.0, horizon=None):
+def reference_path(scenario, policy, uset):
     """simulate_path as a running loop over Brownian cells and over jumps."""
-    T = scenario.horizon if horizon is None else float(horizon)
-    if not (0.0 <= start < T <= scenario.horizon):
-        raise InvalidInputError("need 0 <= start < horizon <= scenario horizon")
-    policy.check_covers(start, T)
+    T = scenario.horizon
+    policy.check_covers(0.0, T)
     compiled = _compile_policy(policy, uset, scenario.model)
     d = scenario.model.targets.shape[2]
     bp = compiled.breakpoints
     last = len(policy.values) - 1
 
     def value_index(t, side):
-        # breakpoints[0] may sit up to the covering tolerance above start
+        # breakpoints[0] may sit up to the covering tolerance above 0
         return min(max(int(np.searchsorted(bp, t, side=side) - 1), 0), last)
 
     if compiled.needs_brownian:
@@ -406,34 +406,21 @@ def reference_path(scenario, policy, uset, start=0.0, horizon=None):
             raise PolicyError("policy needs Brownian increments but the scenario has none")
         edges = scenario.brownian_times.tolist()
     else:
-        edges = [start] + [float(b) for b in bp if start < b < T] + [T]
+        edges = [0.0] + [float(b) for b in bp if 0.0 < b < T] + [T]
     times = [0.0]
     vals = [np.zeros(d)]
-    if start > 0.0:
-        times.append(start)
-        vals.append(np.zeros(d))
     x = np.zeros(d)
     for m, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        if hi <= start:
-            continue
-        t_lo = max(lo, start)
-        if t_lo >= T:
-            break
-        t_hi = min(hi, T)
-        v = value_index(t_lo, "right")
-        x = x + compiled.drift[v] * (t_hi - t_lo)
+        v = value_index(lo, "right")
+        x = x + compiled.drift[v] * (hi - lo)
         if compiled.needs_brownian:
-            x = x + (compiled.cov_root[v] @ scenario.brownian_increments[0, m]) * math.sqrt((t_hi - t_lo) / (hi - lo))
-        if times[-1] != t_hi:
-            times.append(t_hi)
-            vals.append(x)
-    if times[-1] != T:
-        times.append(T)
+            x = x + compiled.cov_root[v] @ scenario.brownian_increments[0, m]
+        times.append(hi)
         vals.append(x)
 
     jt, js = [], []
     for t, seg in zip(scenario.jump_times, scenario.jump_segments):
-        if not (start < t <= T):
+        if not (0.0 < t <= T):
             continue
         v = value_index(t, "left")
         if compiled.active[v, seg]:
@@ -497,17 +484,16 @@ def random_case(rng, kind):
 def test_simulate_path_matches_loop_reference(kind):
     rng = np.random.default_rng(["switching", "diffusive", "d2", "empty"].index(kind))
     built = refused = 0
-    for _ in range(6):
+    for _ in range(24):  # enough cases for 200 built paths of every kind
         uset, policies, scenarios = random_case(rng, kind)
         for sc in scenarios:
             for policy in policies:
-                for start, horizon in [(0.0, None), (0.0, 0.7), (0.35, None), (0.2, 0.55), (0.9, 1.2)]:
-                    got = outcome(lambda: simulate_path(sc, policy, uset, start, horizon))
-                    assert got == outcome(lambda: reference_path(sc, policy, uset, start, horizon))
-                    if isinstance(got, type):
-                        refused += 1
-                    else:
-                        built += 1
+                got = outcome(lambda: simulate_path(sc, policy, uset))
+                assert got == outcome(lambda: reference_path(sc, policy, uset))
+                if isinstance(got, type):
+                    refused += 1
+                else:
+                    built += 1
     assert refused and built >= 200
 
 
@@ -692,7 +678,7 @@ def reference_estimate(xi, uset, candidates, n_paths, seed, horizon=1.0, brownia
     sums, shifts, dev_sums, dev_sumsq = [0.0] * C, [0.0] * C, [0.0] * C, [0.0] * C
     for p, sc in enumerate(scenarios):
         for ci, c in enumerate(candidates):
-            val = float(xi(simulate_path(sc, c, uset, 0.0, horizon)))
+            val = float(xi(simulate_path(sc, c, uset)))
             if p == 0:
                 shifts[ci] = val
             sums[ci] += val
@@ -752,6 +738,76 @@ def test_paths_differing_only_in_grid_times_are_evaluated_apart(lam_12):
     assert len(calls) == 200 * len(pols)
     assert est.argmax == 1 and est.value == pytest.approx(0.6)
     assert tuple(est) == reference_estimate(xi, lam_12, pols, 200, 8)
+
+
+# -- equal candidates found on arrays, against the old key of bytes --------------
+
+def byte_key_reference(built):
+    """The first map and the (path, candidate) payoff calls of a dict keyed on the bytes of each path."""
+    n = built[0].offsets.shape[0] - 1
+    first = np.empty((n, len(built)), dtype=int)
+    calls = []
+    for i in range(n):
+        seen = {}
+        for c, paths in enumerate(built):
+            key = tuple(a.tobytes() for a in paths.arrays(i))
+            if key not in seen:
+                seen[key] = c
+                calls.append((i, c))
+            first[i, c] = seen[key]
+    return first, calls
+
+
+def assert_matches_byte_key(block, compiled):
+    built = [_build_paths(block, comp) for comp in compiled]
+    first, calls = byte_key_reference(built)
+    assert np.array_equal(_first_equal(built), first)
+    seen = []
+
+    def xi(path):
+        seen.append(path_bytes(path))
+        return float(path.value(path.horizon).sum()) + path.n_jumps
+
+    vals = _block_values(xi, block, compiled)
+    assert seen == [path_bytes(CadlagPath._unchecked(block.horizon, *built[c].arrays(i))) for i, c in calls]
+    assert np.array_equal(vals, [[xi(CadlagPath(block.horizon, *paths.arrays(i))) for paths in built] for i in range(block.n_paths)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["switching", "diffusive", "d2", "empty"]))
+def test_equal_candidates_match_the_byte_key(seed, kind):
+    rng = np.random.default_rng(seed)
+    uset, policies, _ = random_case(rng, kind)
+    model = BaseJumpModel.from_uncertainty(uset)
+    compiled = []
+    for policy in policies:
+        try:
+            policy.check_covers(0.0, 1.0)
+            compiled.append(_compile_policy(policy, uset, model))
+        except PolicyError:
+            continue
+    # repeated candidates realize equal paths on every scenario
+    compiled += compiled[::2]
+    block = draw_scenario(model, 1.0, rng, with_brownian=True, brownian_dt=0.2, n_paths=int(rng.integers(1, 9)))
+    assert_matches_byte_key(block, compiled)
+
+
+def test_unequal_paths_with_one_sort_key_are_told_apart():
+    # equal jump counts and terminal values, jump sizes in another order:
+    # candidate 1 differs from 0 and heads the next round, where 3 matches it
+    def one_path(sizes):
+        return _Paths(np.array([0.0, 1.0]), np.zeros((1, 2, 1)), np.array([0, 2]), np.array([0.2, 0.5]), np.array(sizes))
+
+    built = [one_path([[1.0], [2.0]]), one_path([[2.0], [1.0]]), one_path([[1.0], [2.0]]), one_path([[2.0], [1.0]])]
+    assert _first_equal(built).tolist() == [[0, 1, 0, 1]]
+    assert np.array_equal(_first_equal(built), byte_key_reference(built)[0])
+
+
+def test_paths_differing_only_in_grid_times_match_the_byte_key(lam_12):
+    model = BaseJumpModel.from_uncertainty(lam_12)
+    pols = [ControlPolicy(np.array([0.0, 0.3, 1.0]), (0, 1)), ControlPolicy(np.array([0.0, 0.6, 1.0]), (0, 1))]
+    compiled = [_compile_policy(p, lam_12, model) for p in pols + constant_policies(lam_12, 1.0)]
+    assert_matches_byte_key(draw_scenario(model, 1.0, np.random.default_rng(8), n_paths=50), compiled)
 
 
 # -- terminal payoffs: no path objects, the same numbers -------------------------
@@ -980,7 +1036,7 @@ def test_unchecked_paths_equal_checked_paths(seed, kind):
             compiled = _compile_policy(policy, uset, model)
         except PolicyError:
             continue
-        paths = _build_paths(block, compiled, 0.0, 1.0)
+        paths = _build_paths(block, compiled)
         for i in range(5):
             fast = CadlagPath._unchecked(1.0, *paths.arrays(i))
             checked = CadlagPath(1.0, *paths.arrays(i))
