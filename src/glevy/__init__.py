@@ -76,7 +76,10 @@ from .pide import (
 )
 from .simulate import (
     BaseJumpModel,
+    BlockPayoff,
     ControlPolicy,
+    KthJumpEvent,
+    PoissonIntegralPayoff,
     TerminalPayoff,
     constant_policies,
     draw_scenario,
@@ -149,7 +152,10 @@ __all__ = [
     "g_poisson_distribution",
     "BaseJumpModel",
     "ControlPolicy",
+    "BlockPayoff",
     "TerminalPayoff",
+    "PoissonIntegralPayoff",
+    "KthJumpEvent",
     "constant_policies",
     "draw_scenario",
     "simulate_path",

@@ -12,6 +12,10 @@ or ill-typed config value, an unreadable input file, and a payoff that
 evaluates to non-finite values), 3 violated assumption reported by the
 computation, 4 numerical abort.
 
+Integer settings (``nx``, ``seed``, ``n_paths``, ``export_rows``,
+``n_steps``, ``min_count``, ``k``) take an integer or a float with an
+integral value such as 2.0; a bool, a string or a fraction exits 2.
+
 Config schema (YAML or JSON; sections are consumed by the subcommand that
 needs them)::
 
@@ -91,6 +95,7 @@ from .errors import (
     InvalidInputError,
     NumericalAbortError,
     UnsupportedError,
+    _is_integer,
 )
 from .fnspace import (
     TestFunction,
@@ -105,7 +110,6 @@ from .fnspace import (
 from .paths import (
     counterexample_family,
     poisson_integral,
-    prm_count,
     read_records,
     skorohod_distance_upper,
     write_records,
@@ -113,6 +117,7 @@ from .paths import (
 from .pide import Grid1D, g_poisson_distribution, solve_ipde
 from .regions import Region
 from .simulate import (
+    PoissonIntegralPayoff,
     TerminalPayoff,
     constant_policies,
     erlang_bound_check,
@@ -161,6 +166,15 @@ def _get(doc, key: str, kind=float, default=_REQUIRED):
         raise ConfigError(f"cannot read {key!r}: {type(e).__name__}: {e}") from e
 
 
+def _integer(value) -> int:
+    """An int, or a float with an integral value such as 2.0; bools, strings and fractions are refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not _is_integer(value):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _mapping(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"expected a mapping, got {type(value).__name__}")
@@ -201,7 +215,7 @@ def _payoff_from_config(config: dict) -> tuple:
 
 def _grid_from_config(doc: dict) -> Grid1D:
     return Grid1D(
-        _get(doc, "x_min"), _get(doc, "x_max"), _get(doc, "nx", int), _get(doc, "dt"), _get(doc, "horizon")
+        _get(doc, "x_min"), _get(doc, "x_max"), _get(doc, "nx", _integer), _get(doc, "dt"), _get(doc, "horizon")
     )
 
 
@@ -211,10 +225,10 @@ def _uset(config: dict):
 
 def _mc_settings(config: dict, seed_override: int | None):
     mc = _get(config, "mc", _mapping, {})
-    seed = seed_override if seed_override is not None else _get(mc, "seed", int, None)
+    seed = seed_override if seed_override is not None else _get(mc, "seed", _integer, None)
     if seed is None:
         raise ConfigError("a seed is required for stochastic commands (mc.seed or --seed)")
-    return _get(mc, "n_paths", int, 10000), seed, _get(mc, "brownian_dt", float, 0.01)
+    return _get(mc, "n_paths", _integer, 10000), seed, _get(mc, "brownian_dt", float, 0.01)
 
 
 def _horizon(config: dict) -> float:
@@ -260,7 +274,7 @@ def _cmd_expect(config, args, out_dir):
         grid_cfg = _get(config, "grid", _mapping)
         export = _get(grid_cfg, "export_solution", bool, False)
         # the solve keeps only the layers the export reads: first and last without one
-        rows = _get(grid_cfg, "export_rows", int, 201) if export else 2
+        rows = _get(grid_cfg, "export_rows", _integer, 201) if export else 2
         sol = solve_ipde(payoff, uset, _grid_from_config(grid_cfg), horizon=T, max_rows=rows)
         results["pideValue"] = sol.value_at_zero()
         results["schemeError"] = sol.diagnostics["scheme_error_estimate"]
@@ -304,7 +318,7 @@ def _cmd_gpoisson(config, args, out_dir):
         _get(sec, "lambda_max"),
         _get(sec, "t"),
         payoff,
-        n_steps=_get(sec, "n_steps", int, None),
+        n_steps=_get(sec, "n_steps", _integer, None),
     )
     # echo the three parameters as the config wrote them
     return {"value": value, "payoff": payoff_name, **{k: sec[k] for k in ("lambda_min", "lambda_max", "t")}}, {}
@@ -313,16 +327,22 @@ def _cmd_gpoisson(config, args, out_dir):
 def _cmd_capacity(config, args, out_dir):
     sec = _get(config, "capacity", _mapping)
     region = _get(sec, "region", Region.from_dict)
-    min_count = _get(sec, "min_count", int, 1)
+    min_count = _get(sec, "min_count", _integer, 1)
     if min_count < 0:
         raise ConfigError(f"capacity min_count must be >= 0, got {min_count}")
     uset = _uset(config)
     T = _horizon(config)
     n_paths, seed, brownian_dt = _mc_settings(config, args.seed)
 
+    # the jump count in the region is the Poisson integral of 1, taken over
+    # whole blocks: both functions take every value of a block at once
+    at_least = PoissonIntegralPayoff(
+        lambda sizes: np.ones(np.shape(sizes)[:1]),
+        region,
+        lambda counts: np.where(np.asarray(counts) >= min_count, 1.0, 0.0),
+    )
     est = estimate_capacity(
-        lambda path: prm_count(path, 0.0, path.horizon, region) >= min_count,
-        uset, constant_policies(uset, T), n_paths, seed, horizon=T, brownian_dt=brownian_dt
+        at_least, uset, constant_policies(uset, T), n_paths, seed, horizon=T, brownian_dt=brownian_dt
     )
     return {
         "capacity": est.value,
@@ -343,7 +363,7 @@ def _cmd_erlang_bound(config, args, out_dir):
         _uset(config),
         _get(sec, "region_a", Region.from_dict),
         _get(sec, "region_b", Region.from_dict),
-        _get(sec, "k", int, 1),
+        _get(sec, "k", _integer, 1),
         window,
         n_paths,
         seed,

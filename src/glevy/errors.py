@@ -63,6 +63,11 @@ class ConfigError(GLevyError):
     """A config document failed to parse or validate."""
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer: a Python or numpy int, not a bool and not a float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _evaluate(fn: Callable, points, what: str, *, each: bool = True) -> np.ndarray:
     """fn at each point of ``points``, values stacked, or one call ``fn(*points)``: see above."""
     if each:
@@ -97,14 +102,16 @@ def _evaluate(fn: Callable, points, what: str, *, each: bool = True) -> np.ndarr
 def _eval_nodes(phi: Callable, nodes: np.ndarray, what: str) -> np.ndarray:
     """phi on every node: one vectorized call, else one call per node.
 
-    The per-node calls follow when phi raises TypeError or ValueError on the
-    array of nodes or returns another shape; a refusal of its values stands.
+    The nodes are an (n,) array of scalars or an (n, d) array of points. The
+    vectorized call must give one value per node, shape (n,); the per-node
+    calls follow when phi raises TypeError or ValueError on the array of
+    nodes or returns another shape. A refusal of its values stands.
     """
     try:
         vals = _evaluate(phi, (nodes,), what, each=False)
     except (TypeError, ValueError):
         vals = None
-    if vals is None or vals.shape != nodes.shape:
+    if vals is None or vals.shape != nodes.shape[:1]:
         vals = _evaluate(phi, nodes, what)
     return vals
 

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import InvalidInputError, _evaluate
+from .errors import InvalidInputError, _evaluate, _is_integer
 from .regions import Region
 
 __all__ = [
@@ -200,16 +200,26 @@ class _Paths(NamedTuple):
     @staticmethod
     def concat(blocks: Sequence["_Paths"]) -> "_Paths":
         """One block of the paths of blocks on one grid, block after block."""
-        shifts = np.cumsum([0] + [b.offsets[-1] for b in blocks[:-1]])
         return _Paths(
             blocks[0].grid_times,
             np.concatenate(
                 [np.broadcast_to(b.grid_values, (len(b.offsets) - 1,) + b.grid_values.shape[1:]) for b in blocks]
             ),
-            np.concatenate([[0]] + [b.offsets[1:] + shift for b, shift in zip(blocks, shifts)]),
-            np.concatenate([b.jump_times for b in blocks]),
-            np.concatenate([b.jump_sizes for b in blocks]),
+            *_concat_jumps(blocks),
         )
+
+
+def _concat_jumps(blocks: Sequence[_Paths]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The offsets, jump times and jump sizes of the paths of blocks, block after block.
+
+    The blocks may lie on different grids: only their jumps are joined.
+    """
+    shifts = np.cumsum([0] + [b.offsets[-1] for b in blocks[:-1]])
+    return (
+        np.concatenate([[0]] + [b.offsets[1:] + shift for b, shift in zip(blocks, shifts)]),
+        np.concatenate([b.jump_times for b in blocks]),
+        np.concatenate([b.jump_sizes for b in blocks]),
+    )
 
 
 def _same_paths(paths: _Paths, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -336,9 +346,12 @@ class JumpTimes(NamedTuple):
 
 
 def jump_times(path: CadlagPath, region: Region, k: int) -> JumpTimes:
-    """Time of the k-th jump with size in the open region A / in closure(A)."""
-    if k < 1:
-        raise InvalidInputError("k must be a positive integer")
+    """Time of the k-th jump with size in the open region A / in closure(A).
+
+    k must be an integer of at least 1; a bool or a float is refused.
+    """
+    if not _is_integer(k) or k < 1:
+        raise InvalidInputError(f"k must be a positive integer, got {k!r}")
     if not region.is_open():
         raise InvalidInputError("jump passage times require an open region")
     closure = region.closure()

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize, special
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (
@@ -119,6 +119,22 @@ class Grid1D:
         """Number of Euler steps covering the duration with step <= dt (see :func:`_step_count`)."""
         n = _step_count(duration, self.dt)
         return n, duration / n
+
+
+def _poisson_tail(k: int, mu: float) -> float:
+    """P(N > k) for N ~ Poisson(mu), k >= 0: ``scipy.stats.poisson.sf(k, mu)``."""
+    return float(special.pdtrc(k, mu))
+
+
+def _poisson_quantile(q: float, mu: float) -> int:
+    """The least n with P(N <= n) >= q for N ~ Poisson(mu), 0 < q < 1: ``scipy.stats.poisson.ppf(q, mu)``.
+
+    The ceiling of the inverse of the cdf, one lower when the cdf already
+    reaches q there, as scipy.stats computes it.
+    """
+    ceiling = math.ceil(special.pdtrik(q, mu))
+    below = max(ceiling - 1, 0)
+    return below if special.pdtr(below, mu) >= q else ceiling
 
 
 def _step_count(duration: float, dt: float) -> int:
@@ -321,7 +337,7 @@ class _Stepper:
         if margin <= 0.0:
             return 1.0
         hops = int(math.floor(margin / self.jump_max))
-        return float(stats.poisson.sf(hops - 1, self.mass_max * duration)) if hops >= 1 else 1.0
+        return _poisson_tail(hops - 1, self.mass_max * duration) if hops >= 1 else 1.0
 
 
 @dataclass(frozen=True)
@@ -640,7 +656,7 @@ def g_poisson_distribution(
         raise InvalidInputError("need at least one step")
 
     mu = lambda_max * t
-    n_max = int(stats.poisson.ppf(1.0 - _POISSON_TAIL * 0.1, mu)) + 3
+    n_max = _poisson_quantile(1.0 - _POISSON_TAIL * 0.1, mu) + 3
     u0 = _eval_nodes(phi, np.arange(n_max + 1), "phi")
     lattice = UncertaintySet.from_measures(
         [

@@ -41,24 +41,29 @@ sum. Each such block is checked once by :func:`glevy.paths._check_paths`,
 the one statement of the path invariants, so the path objects handed to a
 payoff are not checked again. :func:`_block_values` then evaluates the
 payoff on the block, and one running sum takes its values. A
-:class:`TerminalPayoff`, a function of X_T alone, never becomes paths: its
-phi is applied to the terminal values of the whole block at once. Any other
-payoff is called once per distinct path: candidates that realize equal
-paths on a scenario, found by comparing the blocks' arrays, share one path
-object and one payoff call.
+:class:`BlockPayoff` never becomes paths: it reads the flat arrays of every
+candidate's block at once. Three are provided: :class:`TerminalPayoff`, a
+function of X_T alone; :class:`PoissonIntegralPayoff`, a function of the
+Poisson integral of f over a region, the integral the Poisson random
+measure of the path defines; and :class:`KthJumpEvent`, the indicator that
+the k-th jump in one region lands in another within a time window. Any
+other payoff is called once per distinct path: candidates that realize
+equal paths on a scenario, found by comparing the blocks' arrays, share one
+path object and one payoff call.
 """
 
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
-from .errors import AssumptionError, InvalidInputError, PolicyError, _eval_nodes, _evaluate
-from .paths import CadlagPath, _check_paths, _Paths, _same_paths
+from .errors import AssumptionError, EvaluationError, InvalidInputError, PolicyError, _eval_nodes, _evaluate, _is_integer
+from .paths import CadlagPath, _check_paths, _concat_jumps, _Paths, _same_paths
 from .pide import _step_count
 from .regions import Region
 from .uncertainty import DiscreteLevyMeasure, UncertaintySet, _merge_atoms, mass_layout
@@ -69,7 +74,10 @@ __all__ = [
     "ControlPolicy",
     "EstimateResult",
     "ErlangCheckResult",
+    "BlockPayoff",
     "TerminalPayoff",
+    "PoissonIntegralPayoff",
+    "KthJumpEvent",
     "constant_policies",
     "draw_scenario",
     "simulate_path",
@@ -237,7 +245,7 @@ class ControlPolicy:
         if len(self.values) != bp.shape[0] - 1:
             raise PolicyError("need exactly one control value per interval")
         for v in self.values:
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            if not _is_integer(v):
                 raise PolicyError(f"a control value is a triple index, got {v!r}")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
@@ -390,22 +398,126 @@ def _block_stream(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# ---------------------------------------------------------------------------
+# block payoffs: evaluated on a block's flat arrays, no path objects
+# ---------------------------------------------------------------------------
+
+
+class BlockPayoff(ABC):
+    """A payoff that evaluates whole blocks of paths from their arrays.
+
+    :func:`estimate_upper_expectation` hands a block payoff the candidate
+    blocks of each scenario block, the checked ``_Paths`` of every
+    candidate, and takes its (n, candidates) values; no path object is
+    built and no payoff call is made per path. Called on one path, a block
+    payoff runs the same code on that path's one-path block, so it serves
+    wherever a path payoff does, with the same value.
+    """
+
+    @abstractmethod
+    def block_values(self, built: Sequence[_Paths]) -> np.ndarray:
+        """The payoff of path i under candidate c at [i, c], for blocks of n paths each."""
+
+    def __call__(self, path: CadlagPath) -> float:
+        offsets = np.array([0, path.n_jumps])
+        one = _Paths(path.grid_times, path.grid_values[None], offsets, path.jump_times, path.jump_sizes)
+        return float(self.block_values([one])[0, 0])
+
+
 @dataclass(frozen=True)
-class TerminalPayoff:
+class TerminalPayoff(BlockPayoff):
     """The payoff phi(X_T) of a one-dimensional path's value at the horizon.
 
-    Called on a path it returns ``float(phi(path.scalar_value(path.horizon)))``,
-    so it serves wherever a path payoff does. :func:`estimate_upper_expectation`
-    recognizes it and builds no path objects: it sums the terminal values of a
-    whole block from the block's arrays, in the order ``scalar_value`` adds
-    them, and applies phi to all of them at once, one vectorized call when phi
-    maps an array to an array of its shape, else one call per value.
+    It sums the terminal values of a whole block from the block's arrays, in
+    the order ``CadlagPath.scalar_value`` adds them, and applies phi to all
+    of them at once: one vectorized call when phi maps an array to an array
+    of its shape, else one call per value.
     """
 
     phi: Callable[[float], float]
 
-    def __call__(self, path: CadlagPath) -> float:
-        return float(self.phi(path.scalar_value(path.horizon)))
+    def block_values(self, built: Sequence[_Paths]) -> np.ndarray:
+        ends = np.stack([paths.terminal_values() for paths in built], axis=1)
+        if ends.shape[2] != 1:
+            raise InvalidInputError("scalar_value requires a one-dimensional path")
+        return _eval_nodes(self.phi, ends.reshape(-1), "payoff").reshape(ends.shape[:2])
+
+
+def _by_candidate(values: np.ndarray, built: Sequence[_Paths]) -> np.ndarray:
+    """Values of the joined paths of :func:`glevy.paths._concat_jumps`, candidate c's path i at [i, c]."""
+    return values.reshape(len(built), -1).T
+
+
+@dataclass(frozen=True)
+class PoissonIntegralPayoff(BlockPayoff):
+    """The payoff phi(sum over s <= T of f(dX_s) 1_A(dX_s)), the Poisson integral of f over A.
+
+    Called on a path it equals ``phi(poisson_integral(path, f, region))``.
+    f is called once on the sizes of all jumps in the region, a flat array in
+    d = 1 and an (m, d) array of rows otherwise, and must give one real
+    value per jump; else it is called once per jump, on a float in d = 1 and
+    on a (d,) row otherwise. Each path's values are added in jump order, as
+    :func:`glevy.paths.poisson_integral` adds them, and phi is applied to
+    every path's sum as :class:`TerminalPayoff` applies it.
+    """
+
+    f: Callable
+    region: Region
+    phi: Callable[[float], float]
+
+    def block_values(self, built: Sequence[_Paths]) -> np.ndarray:
+        offsets, _, sizes = _concat_jumps(built)
+        inside = self.region.contains(sizes)
+        nodes = sizes[inside]
+        vals = _eval_nodes(self.f, nodes[:, 0] if nodes.shape[1] == 1 else nodes, "integrand")
+        if vals.ndim != 1:
+            raise EvaluationError(f"integrand must give one real value per jump, got shape {vals.shape[1:]} each")
+        # each path's values in jump order, one rank at a time; the sums start
+        # at -0.0, which adds to any value without changing it, so each equals
+        # the running sum from its path's first value. A path with no value
+        # in the region sums to 0.0
+        owner = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))[inside]
+        counts = np.bincount(owner, minlength=offsets.shape[0] - 1)
+        starts = np.cumsum(counts) - counts
+        sums = np.full(counts.shape[0], -0.0)
+        for k in range(int(counts.max(initial=0))):
+            has = counts > k
+            sums[has] += vals[starts[has] + k]
+        sums[counts == 0] = 0.0
+        return _by_candidate(_eval_nodes(self.phi, sums, "payoff"), built)
+
+
+@dataclass(frozen=True)
+class KthJumpEvent(BlockPayoff):
+    """1.0 when the k-th jump with size in region A exists, its size lies in B and its time in the window, else 0.0.
+
+    The window (c0, c1) is closed, and c1 may be infinite. k must be an
+    integer of at least 1; a bool or a float is refused.
+    """
+
+    region_a: Region
+    k: int
+    region_b: Region
+    window: tuple[float, float]
+
+    def __post_init__(self):
+        if not _is_integer(self.k) or self.k < 1:
+            raise InvalidInputError(f"k must be a positive integer, got {self.k!r}")
+        object.__setattr__(self, "window", (float(self.window[0]), float(self.window[1])))
+
+    def block_values(self, built: Sequence[_Paths]) -> np.ndarray:
+        offsets, times, sizes = _concat_jumps(built)
+        hits = self.region_a.contains(sizes)
+        # the rank of a hit within its path: the hits up to it in the joined
+        # block, less those of the earlier paths
+        seen = np.cumsum(hits)
+        owner = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
+        earlier = np.concatenate([[0], seen])[offsets[:-1]]
+        kth = np.flatnonzero(hits & (seen - earlier[owner] == self.k))
+        c0, c1 = self.window
+        values = np.zeros(offsets.shape[0] - 1)
+        values[owner[kth]] = self.region_b.contains(sizes[kth]) & (c0 <= times[kth]) & (times[kth] <= c1)
+        return _by_candidate(values, built)
 
 
 def _block_values(
@@ -414,18 +526,15 @@ def _block_values(
     """xi of every path of a block under every candidate, shape (n, candidates).
 
     Each candidate's paths are built and checked once for the whole block. A
-    :class:`TerminalPayoff` gets its phi applied to all n x candidates
-    terminal values at once and no path objects. Any other xi is called once
-    per distinct path, in row-major (path, candidate) order: candidate c on
-    path i shares the value of the lowest candidate whose path there is equal
-    by :func:`glevy.paths._same_paths`.
+    :class:`BlockPayoff` takes the candidate blocks whole and builds no path
+    objects. Any other xi is called once per distinct path, in row-major
+    (path, candidate) order: candidate c on path i shares the value of the
+    lowest candidate whose path there is equal by
+    :func:`glevy.paths._same_paths`.
     """
-    if isinstance(xi, TerminalPayoff):
-        ends = np.stack([_build_paths(block, comp).terminal_values() for comp in compiled], axis=1)
-        if ends.shape[2] != 1:
-            raise InvalidInputError("scalar_value requires a one-dimensional path")
-        return _eval_nodes(xi.phi, ends.reshape(-1), "payoff").reshape(ends.shape[:2])
     built = [_build_paths(block, comp) for comp in compiled]
+    if isinstance(xi, BlockPayoff):
+        return xi.block_values(built)
     first = _first_equal(built)
 
     def payoffs() -> np.ndarray:
@@ -496,7 +605,7 @@ def estimate_upper_expectation(
 
     ``xi`` must be a deterministic function of the path: candidates that
     realize the identical path on a scenario are evaluated once and share
-    the value. A :class:`TerminalPayoff` gives the same result without
+    the value. A :class:`BlockPayoff` gives the same result without
     building a path object. A non-finite or non-numeric value of xi raises
     :class:`EvaluationError`.
     """
@@ -547,9 +656,15 @@ def estimate_capacity(
     horizon: float,
     brownian_dt: float = 0.01,
 ) -> EstimateResult:
-    """Worst-case probability of a path event, from below; value in [0, 1]."""
+    """Worst-case probability of a path event, from below; value in [0, 1].
+
+    A path event counts 1.0 where it is true and 0.0 elsewhere. A
+    :class:`BlockPayoff` whose values are 1.0 and 0.0, such as a
+    :class:`KthJumpEvent`, is its own indicator: it is estimated as it is,
+    on whole blocks, without path objects.
+    """
     return estimate_upper_expectation(
-        lambda path: 1.0 if event(path) else 0.0,
+        event if isinstance(event, BlockPayoff) else lambda path: 1.0 if event(path) else 0.0,
         uset,
         candidates,
         n_paths,
@@ -583,8 +698,9 @@ def erlang_bound_check(
 ) -> ErlangCheckResult:
     """Compare the MC capacity of the k-th region-A jump event to its bound.
 
-    The event is: the k-th jump with size in A exists, its size lies in B and
-    its time falls in the window. The analytic lower bound is
+    The event is the :class:`KthJumpEvent`: the k-th jump with size in A
+    exists, its size lies in B and its time falls in the window. k must be
+    an integer of at least 1. The analytic lower bound is
 
         max over v of  v(B intersect A) / v(A) * Erlang_{k, mean k/v(A)}(window),
 
@@ -593,12 +709,12 @@ def erlang_bound_check(
     errors below the bound. An unbounded window is truncated at the furthest
     1 - 1e-8 Erlang quantile, far below the statistical slack.
     """
-    if k < 1:
-        raise InvalidInputError("k must be a positive integer")
     c0, c1 = float(time_window[0]), float(time_window[1])
+    event = KthJumpEvent(region_a, k, region_b, (c0, c1))
     if not (0.0 <= c0 < c1):
         raise InvalidInputError("time window must satisfy 0 <= c0 < c1")
 
+    # the Erlang law of rate v(A) is the gamma law of shape k and scale 1 / v(A)
     bound = 0.0
     horizon = c1
     for t in uset:
@@ -608,31 +724,15 @@ def erlang_bound_check(
             raise AssumptionError("every measure must charge region A")
         in_both = m.mask_in(region_a) & m.mask_in(region_b)
         mass_ab = float(m.weights[in_both].sum())
-        erl = stats.gamma(a=k, scale=1.0 / mass_a)
-        bound = max(bound, (mass_ab / mass_a) * float(erl.cdf(c1) - erl.cdf(c0)))
+        scale = 1.0 / mass_a
+        erlang = float(special.gammainc(k, c1 / scale) - special.gammainc(k, c0 / scale))
+        bound = max(bound, (mass_ab / mass_a) * erlang)
         if not math.isfinite(c1):
-            horizon = max(horizon if math.isfinite(horizon) else 0.0, float(erl.ppf(1.0 - 1e-8)))
+            quantile = float(special.gammaincinv(k, 1.0 - 1e-8) * scale)
+            horizon = max(horizon if math.isfinite(horizon) else 0.0, quantile)
     if not math.isfinite(horizon):
         raise InvalidInputError("could not truncate the unbounded time window")
 
-    def event(path: CadlagPath) -> bool:
-        if path.n_jumps == 0:
-            return False
-        hits = region_a.contains(path.jump_sizes)
-        idx = np.nonzero(hits)[0]
-        if idx.shape[0] < k:
-            return False
-        j = idx[k - 1]
-        tk = float(path.jump_times[j])
-        return path.jump_sizes[j] in region_b and (c0 <= tk <= c1)
-
-    est = estimate_capacity(
-        event,
-        uset,
-        constant_policies(uset, horizon),
-        n_paths,
-        seed,
-        horizon=horizon,
-    )
+    est = estimate_capacity(event, uset, constant_policies(uset, horizon), n_paths, seed, horizon=horizon)
     passes = est.value >= bound - 3.0 * est.std_error
     return ErlangCheckResult(est.value, est.std_error, float(bound), bool(passes), horizon)

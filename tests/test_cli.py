@@ -212,6 +212,19 @@ def test_capacity_command(tmp_path):
     assert abs(res["capacity"] - want) <= 4.0 * res["stdError"]
 
 
+def test_capacity_min_count_zero_counts_every_path(tmp_path):
+    doc = {
+        "uncertainty": UNC_MIXTURES,
+        "horizon": 1.0,
+        "capacity": {"region": {"interval": [0.5, 1.5]}, "min_count": 0},
+        "mc": {"n_paths": 300, "seed": 8},
+    }
+    code, rec_file = run(tmp_path, "capacity", doc)
+    assert code == 0
+    res = load(rec_file)["results"]
+    assert res["capacity"] == 1.0 and res["stdError"] == 0.0
+
+
 def test_erlang_bound_command(tmp_path):
     doc = {
         "uncertainty": UNC_MIXTURES,
@@ -484,6 +497,33 @@ MALFORMED = {
         "expect",
         {**EXPECT_MC, "uncertainty": UNC_DIFFUSIVE, "mc": {"n_paths": 10, "seed": 1, "brownian_dt": math.nan}},
     ),
+    # integer settings take integers and integral floats only
+    **{
+        f"integer-{name}-{value!r}": (command, config(value))
+        for name, command, config in (
+            ("nx", "expect", lambda v: {**EXPECT_PIDE, "grid": {**GRID, "nx": v}}),
+            ("seed", "expect", lambda v: {**EXPECT_MC, "mc": {"n_paths": 10, "seed": v}}),
+            ("n_paths", "expect", lambda v: {**EXPECT_MC, "mc": {"n_paths": v, "seed": 1}}),
+            (
+                "export_rows",
+                "expect",
+                lambda v: {**EXPECT_PIDE, "grid": {**GRID, "export_solution": True, "export_rows": v}},
+            ),
+            ("n_steps", "gpoisson", lambda v: {"gpoisson": {**GPOISSON, "n_steps": v}, "payoff": {"kind": "linear"}}),
+            (
+                "min_count",
+                "capacity",
+                lambda v: {
+                    "uncertainty": UNC_FAMILY,
+                    "horizon": 1.0,
+                    "capacity": {"region": {"interval": [0.5, 1.5]}, "min_count": v},
+                    "mc": {"n_paths": 10, "seed": 1},
+                },
+            ),
+            ("k", "erlang-bound", lambda v: {"uncertainty": UNC_MIXTURES, "erlang": {**ERLANG, "k": v}, "mc": {"seed": 1}}),
+        )
+        for value in (200.7, 1.5, True, "3", math.inf)
+    },
     "expect-mc-non-finite-payoff": (
         "expect",
         {**EXPECT_MC, "payoff": {"kind": "linear", "scale": math.inf}, "mc": {"n_paths": 50, "seed": 1}},
@@ -499,6 +539,35 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     assert code == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not list(tmp_path.glob("*_result.json"))
+
+
+INTEGRAL_FLOATS = {
+    "n_paths": ("expect", {**EXPECT_MC, "mc": {"n_paths": 200, "seed": 3}}, ("mc", "n_paths")),
+    "min_count": (
+        "capacity",
+        {
+            "uncertainty": UNC_MIXTURES,
+            "horizon": 1.0,
+            "capacity": {"region": {"interval": [0.5, 2.5]}, "min_count": 2},
+            "mc": {"n_paths": 300, "seed": 8},
+        },
+        ("capacity", "min_count"),
+    ),
+    "k": ("erlang-bound", {"uncertainty": UNC_MIXTURES, "erlang": {**ERLANG, "k": 2}, "mc": {"n_paths": 200, "seed": 1}}, ("erlang", "k")),
+}
+
+
+@pytest.mark.parametrize("name", list(INTEGRAL_FLOATS))
+def test_integer_settings_accept_integral_floats(tmp_path, name):
+    command, doc, (section, key) = INTEGRAL_FLOATS[name]
+    as_float = {**doc, section: {**doc[section], key: float(doc[section][key])}}
+    records = []
+    for i, config in enumerate((doc, as_float)):
+        (tmp_path / str(i)).mkdir()
+        code, rec_file = run(tmp_path / str(i), command, config)
+        assert code == 0
+        records.append(load(rec_file)["results"])
+    assert records[0] == records[1]
 
 
 def test_missing_section_exits_2(tmp_path):

@@ -1,7 +1,11 @@
 """Every public name resolves: the package's and each submodule's ``__all__``."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +30,13 @@ def test_submodule_names_resolve(name):
     assert [n for n in names if not hasattr(module, n)] == []
     namespace: dict = {}
     exec(f"from glevy.{name} import *", namespace)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.special gives the few Poisson and gamma values the package needs
+    code = "import sys, glevy, glevy.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(glevy.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -174,6 +174,12 @@ def test_jump_times_requires_open_region_away_from_origin():
         jump_times(TWO_JUMPS, Region.open_interval(-1.0, 1.0), 1)
 
 
+@pytest.mark.parametrize("k", [0, 1.5, 2.0, True, "1"])
+def test_jump_times_rank_must_be_a_positive_integer(k):
+    with pytest.raises(InvalidInputError, match="k must be a positive integer"):
+        jump_times(TWO_JUMPS, Region.open_interval(1.0, 2.0), k)
+
+
 def test_jump_times_closure_below_open():
     p = jump_path([(0.2, 2.0), (0.5, 1.0), (0.9, 1.5)])
     for k in (1, 2, 3):

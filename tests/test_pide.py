@@ -23,7 +23,7 @@ from glevy import (
     solve_ipde,
 )
 from glevy.analysis import symmetric_compensated_set
-from glevy.pide import GridSolution, _hull_vertices, _Stepper
+from glevy.pide import GridSolution, _hull_vertices, _poisson_quantile, _poisson_tail, _Stepper
 from conftest import location_family, mixture_family, point_mass_family
 
 
@@ -816,3 +816,14 @@ def test_steps_for_rejects_non_finite_or_zero_duration(duration):
         GRID.steps_for(duration)
     with pytest.raises(InvalidInputError):
         Grid1D(0.0, 1.0, 3, 5e-324, 1.0).steps_for(1.0)  # the step count overflows
+
+
+def test_poisson_tail_and_quantile_match_scipy_stats():
+    # the scipy.special forms equal scipy.stats.poisson bit for bit
+    mus = np.concatenate([[0.0], np.geomspace(1e-4, 500.0, 41), [1.0, 2.0, 2.0 * 1.3]])
+    for mu in mus:
+        for k in range(0, 120, 7):
+            assert _poisson_tail(k, mu) == float(stats.poisson.sf(k, mu))
+        if mu > 0.0:
+            for q in (1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-9):
+                assert _poisson_quantile(q, mu) == int(stats.poisson.ppf(q, mu))

@@ -11,13 +11,16 @@ from scipy import stats
 from glevy import (
     AssumptionError,
     BaseJumpModel,
+    Box,
     CadlagPath,
     ControlPolicy,
     DiscreteLevyMeasure,
     EvaluationError,
     InvalidInputError,
     InverseSquareTail,
+    KthJumpEvent,
     LevyTriple,
+    PoissonIntegralPayoff,
     PolicyError,
     Region,
     TerminalPayoff,
@@ -27,6 +30,8 @@ from glevy import (
     erlang_bound_check,
     estimate_capacity,
     estimate_upper_expectation,
+    poisson_integral,
+    prm_count,
     simulate_path,
     transport_map,
 )
@@ -881,6 +886,206 @@ def test_terminal_payoff_refuses_a_non_finite_phi(lam_12):
         estimate_upper_expectation(TerminalPayoff(phi), lam_12, constant_policies(lam_12, 1.0), 300, 1, horizon=1.0)
 
 
+# -- jump payoffs on block arrays against their per-path references ---------------
+
+def kth_jump_reference(region_a, region_b, k, window):
+    """The k-th jump event of erlang_bound_check as the per-path closure it was."""
+    c0, c1 = window
+
+    def event(path):
+        if path.n_jumps == 0:
+            return False
+        hits = region_a.contains(path.jump_sizes)
+        idx = np.nonzero(hits)[0]
+        if idx.shape[0] < k:
+            return False
+        j = idx[k - 1]
+        tk = float(path.jump_times[j])
+        return path.jump_sizes[j] in region_b and (c0 <= tk <= c1)
+
+    return event
+
+
+STEPS = np.array([-2.0, -1.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])  # atoms of random_case and sums of two
+
+
+def random_regions(rng, d):
+    """Regions A and B with endpoints on atoms or their sums; B often holds the boundary points of A."""
+    lo, hi = np.sort(rng.choice(STEPS, size=(2, d), replace=True), axis=0)
+    hi = np.maximum(hi, lo + 0.5)
+    closed = rng.random(2) < 0.5
+    region_a = Region(boxes=(Box(lo, hi, closed_lo=bool(closed[0]), closed_hi=bool(closed[1])),))
+    choice = rng.integers(4)
+    if choice == 0:
+        region_b = Region.point_set(np.vstack([lo, hi]))  # the boundary of A, inside A only where closed
+    elif choice == 1:
+        region_b = Region.point_set(rng.choice(STEPS, size=(2, d)))
+    else:
+        region_b = Region.full_space()
+    return region_a, region_b
+
+
+def coarsened(block, rng):
+    """The block with its jump times rounded up to eighths: equal times merge, windows hit them exactly."""
+    if rng.random() < 0.5:
+        return block
+    return BaseScenario(
+        block.horizon,
+        block.model,
+        block.offsets,
+        np.ceil(block.jump_times * 8.0) / 8.0,
+        block.jump_mass_coords,
+        block.jump_segments,
+        block.brownian_times,
+        block.brownian_increments,
+    )
+
+
+def compiled_candidates(uset, policies, model):
+    compiled = []
+    for policy in policies:
+        try:
+            policy.check_covers(0.0, 1.0)
+            compiled.append(_compile_policy(policy, uset, model))
+        except PolicyError:
+            continue
+    return compiled
+
+
+def integrand(d):
+    """One value per jump on a (d,) row or an (m, d) array; a flat array or a float in d = 1."""
+    if d == 1:
+        return lambda z: np.tanh(z) + 0.25 * np.square(z)
+    return lambda z: np.asarray(z)[..., 0] - 0.3 * np.asarray(z)[..., 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["switching", "diffusive", "d2", "empty"]))
+def test_jump_payoffs_match_their_per_path_references(seed, kind):
+    rng = np.random.default_rng(seed)
+    uset, policies, _ = random_case(rng, kind)
+    d = 2 if kind == "d2" else 1
+    model = BaseJumpModel.from_uncertainty(uset)
+    compiled = compiled_candidates(uset, policies, model)
+    block = draw_scenario(model, 1.0, rng, with_brownian=True, brownian_dt=0.2, n_paths=int(rng.integers(1, 12)))
+    built = [_build_paths(coarsened(block, rng), comp) for comp in compiled]
+    region_a, region_b = random_regions(rng, d)
+    eighths = np.arange(9) / 8.0
+    c0, c1 = np.sort(rng.choice(np.append(eighths, math.inf), size=2, replace=False))
+    k = int(rng.choice([1, 1, 2, 3, 6]))
+    f = integrand(d) if rng.random() < 0.7 else (lambda z: 1.0 if np.sum(z) > 1.2 else float(np.sum(z)) ** 2)
+    phi = lambda s: np.sin(s) + s
+
+    event = KthJumpEvent(region_a, k, region_b, (c0, c1))
+    reference = kth_jump_reference(region_a, region_b, k, (c0, c1))
+    integral = PoissonIntegralPayoff(f, region_a, phi)
+    events, integrals = event.block_values(built), integral.block_values(built)
+    assert events.shape == integrals.shape == (block.n_paths, len(compiled))
+    for c, paths in enumerate(built):
+        for i in range(block.n_paths):
+            path = CadlagPath._unchecked(1.0, *paths.arrays(i))
+            assert events[i, c] == (1.0 if reference(path) else 0.0) == event(path)
+            assert integrals[i, c] == float(phi(poisson_integral(path, f, region_a))) == integral(path)
+
+
+def handmade_block():
+    """One path with jumps 1.0 at 0.25, 2.0 at 0.5 (two 1.0 jumps merged), 1.0 at 0.75 and 3.0 at 1."""
+    uset = UncertaintySet.from_measures([DiscreteLevyMeasure(np.array([[1.0], [3.0]]), np.array([1.0, 1.0]))])
+    model = BaseJumpModel.from_uncertainty(uset)
+    times = np.array([0.25, 0.5, 0.5, 0.75, 1.0])
+    segments = np.array([0, 0, 0, 0, 1]) if model.targets[0, 0, 0] == 1.0 else np.array([1, 1, 1, 1, 0])
+    sc = BaseScenario(1.0, model, np.array([0, 5]), times, np.zeros(5), segments)
+    built = [_build_paths(sc, _compile_policy(ControlPolicy.constant(0, 0.0, 1.0), uset, model))]
+    assert built[0].jump_sizes[:, 0].tolist() == [1.0, 2.0, 1.0, 3.0]
+    return built
+
+
+@pytest.mark.parametrize(
+    "region_a, k, region_b, window, want",
+    [
+        (Region.full_space(), 2, Region.point_set([2.0]), (0.5, 0.75), 1.0),  # jump at c0
+        (Region.full_space(), 3, Region.full_space(), (0.5, 0.75), 1.0),  # jump at c1
+        (Region.full_space(), 4, Region.full_space(), (0.0, 0.75), 0.0),  # after c1
+        (Region.full_space(), 5, Region.full_space(), (0.0, math.inf), 0.0),  # k above the hit count
+        # B's atoms on the boundary of A: inside A on a closed side, outside on an open one
+        (Region.interval(1.0, 3.0), 3, Region.point_set([1.0]), (0.0, 1.0), 1.0),
+        (Region.interval(1.0, 3.0), 4, Region.point_set([3.0]), (0.0, 1.0), 0.0),
+        (Region.interval(1.0, 3.0, closed_hi=True), 4, Region.point_set([3.0]), (0.0, 1.0), 1.0),
+        (Region.open_interval(1.0, 3.0), 1, Region.point_set([1.0]), (0.0, 1.0), 0.0),
+        (Region.open_interval(1.0, 3.0), 1, Region.point_set([2.0, 1.0]), (0.5, 0.5), 1.0),  # the merged jump
+    ],
+)
+def test_kth_jump_event_on_a_handmade_path(region_a, k, region_b, window, want):
+    built = handmade_block()
+    event = KthJumpEvent(region_a, k, region_b, window)
+    assert event.block_values(built).tolist() == [[want]]
+    path = CadlagPath._unchecked(1.0, *built[0].arrays(0))
+    assert event(path) == want == (1.0 if kth_jump_reference(region_a, region_b, k, window)(path) else 0.0)
+
+
+def test_jump_count_payoff_with_min_count_zero_counts_every_path(mixtures):
+    # the count of capacity's min_count: the Poisson integral of 1
+    region = Region.open_interval(0.5, 1.5)
+    ones = lambda z: np.ones(np.shape(z)[:1])
+    pols = constant_policies(mixtures, 1.0)
+    for min_count, want in ((0, 1.0), (1, None)):
+        event = PoissonIntegralPayoff(ones, region, lambda n: np.where(np.asarray(n) >= min_count, 1.0, 0.0))
+        est = estimate_capacity(event, mixtures, pols, 600, 3, horizon=1.0)
+        path = estimate_capacity(lambda p: prm_count(p, 0.0, 1.0, region) >= min_count, mixtures, pols, 600, 3, horizon=1.0)
+        assert hexes(est) == hexes(path)
+        if want is not None:
+            assert est.value == want and est.std_error == 0.0
+
+
+def test_poisson_integral_payoff_refuses_vector_values(mixtures):
+    payoff = PoissonIntegralPayoff(lambda z: [z, z], Region.full_space(), lambda s: s)
+    with pytest.raises(EvaluationError, match="one real value per jump"):
+        estimate_upper_expectation(payoff, mixtures, constant_policies(mixtures, 1.0), 50, 1, horizon=1.0)
+
+
+@pytest.mark.parametrize("seed", [1, 44])
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("window", [(0.0, 1.0), (0.2, 0.7), (0.5, math.inf)])
+def test_erlang_bound_check_matches_the_per_path_event(mixtures, seed, k, window):
+    region_a, region_b = Region.open_interval(0.5, 2.5), Region.open_interval(0.5, 1.5)
+    res = erlang_bound_check(mixtures, region_a, region_b, k, window, 700, seed)
+    event = kth_jump_reference(region_a, region_b, k, window)
+    est = estimate_capacity(event, mixtures, constant_policies(mixtures, res.horizon), 700, seed, horizon=res.horizon)
+    assert hexes(est)[:2] == (float.hex(res.mc_capacity), float.hex(res.std_error))
+
+
+def test_erlang_bound_matches_the_gamma_law(mixtures):
+    # the bound and the truncation as scipy.stats states the Erlang law
+    region_a, region_b = Region.open_interval(0.5, 2.5), Region.open_interval(0.5, 1.5)
+    for k in (1, 2, 3, 7):
+        for c0, c1 in ((0.0, 1.0), (0.3, 2.5), (0.0, math.inf), (1.5, math.inf)):
+            res = erlang_bound_check(mixtures, region_a, region_b, k, (c0, c1), 2, 1)
+            bound, horizon = 0.0, c1
+            for t in mixtures:
+                mass_a = t.measure.mass_in(region_a)
+                law = stats.gamma(a=k, scale=1.0 / mass_a)
+                share = float(t.measure.weights[t.measure.mask_in(region_a) & t.measure.mask_in(region_b)].sum()) / mass_a
+                bound = max(bound, share * float(law.cdf(c1) - law.cdf(c0)))
+                if not math.isfinite(c1):
+                    horizon = max(horizon if math.isfinite(horizon) else 0.0, float(law.ppf(1.0 - 1e-8)))
+            assert (res.analytic_bound, res.horizon) == (bound, horizon)
+
+
+@pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, True, "1", None])
+def test_kth_jump_rank_must_be_a_positive_integer(mixtures, k):
+    region = Region.open_interval(0.5, 2.5)
+    with pytest.raises(InvalidInputError, match="k must be a positive integer"):
+        erlang_bound_check(mixtures, region, region, k, (0.0, 1.0), 10, 1)
+    with pytest.raises(InvalidInputError, match="k must be a positive integer"):
+        KthJumpEvent(region, k, region, (0.0, 1.0))
+
+
+def test_kth_jump_rank_accepts_numpy_integers(mixtures):
+    region = Region.open_interval(0.5, 2.5)
+    want = erlang_bound_check(mixtures, region, region, 2, (0.0, 1.0), 50, 1)
+    assert erlang_bound_check(mixtures, region, region, np.int64(2), (0.0, 1.0), 50, 1) == want
+
+
 def count_calls(monkeypatch, owner, name):
     calls = []
     raw = vars(owner)[name]
@@ -921,12 +1126,15 @@ def test_estimators_do_not_recheck_paths(monkeypatch, mixtures):
     simulate_path(draw_scenario(model, 1.0, np.random.default_rng(1)), pols[0], mixtures)
     estimate_upper_expectation(lambda p: p.scalar_value(1.0), mixtures, pols, 300, 2, horizon=1.0)
     estimate_capacity(lambda p: p.n_jumps > 1, diffusive_set(), constant_policies(diffusive_set(), 1.0), 50, 3, horizon=1.0)
-    erlang_bound_check(mixtures, Region.open_interval(0.5, 2.5), Region.open_interval(0.5, 1.5), 1, (0.0, 1.0), 50, 4)
     assert checks == [] and built
 
+    # block payoffs build no path objects at all
     built.clear()
     estimate_upper_expectation(TerminalPayoff(lambda x: x), mixtures, pols, 300, 2, horizon=1.0)
     estimate_upper_expectation(TerminalPayoff(lambda x: x), diffusive_set(), constant_policies(diffusive_set(), 1.0), 50, 3, horizon=1.0)
+    erlang_bound_check(mixtures, Region.open_interval(0.5, 2.5), Region.open_interval(0.5, 1.5), 1, (0.0, 1.0), 50, 4)
+    count = PoissonIntegralPayoff(lambda z: np.ones(np.shape(z)[:1]), Region.full_space(), lambda n: n)
+    estimate_capacity(count, diffusive_set(), constant_policies(diffusive_set(), 1.0), 50, 3, horizon=1.0)
     assert checks == [] and built == []
 
 
