@@ -14,7 +14,10 @@ computation, 4 numerical abort.
 
 Integer settings (``nx``, ``seed``, ``n_paths``, ``export_rows``,
 ``n_steps``, ``min_count``, ``k``) take an integer or a float with an
-integral value such as 2.0; a bool, a string or a fraction exits 2.
+integral value such as 2.0; a bool, a string or a fraction exits 2. A seed,
+from ``mc.seed`` or ``--seed``, lies in [0, 2**64), so each seed names one
+stream. Boolean settings (``export_solution``) take ``true`` or ``false``
+only; a string such as "false" or a number exits 2.
 
 Config schema (YAML or JSON; sections are consumed by the subcommand that
 needs them)::
@@ -175,6 +178,21 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """An integer setting in [0, 2**64), the range of the Monte Carlo stream keys."""
+    seed = _integer(value)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"a seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
+def _boolean(value) -> bool:
+    """True or False; anything else, such as the string "false" or the number 1, is refused."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _mapping(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"expected a mapping, got {type(value).__name__}")
@@ -225,7 +243,10 @@ def _uset(config: dict):
 
 def _mc_settings(config: dict, seed_override: int | None):
     mc = _get(config, "mc", _mapping, {})
-    seed = seed_override if seed_override is not None else _get(mc, "seed", _integer, None)
+    if seed_override is None:
+        seed = _get(mc, "seed", _seed, None)
+    else:
+        seed = _get({"--seed": seed_override}, "--seed", _seed)
     if seed is None:
         raise ConfigError("a seed is required for stochastic commands (mc.seed or --seed)")
     return _get(mc, "n_paths", _integer, 10000), seed, _get(mc, "brownian_dt", float, 0.01)
@@ -272,7 +293,7 @@ def _cmd_expect(config, args, out_dir):
     csvs: dict = {}
     if method in ("pide", "both"):
         grid_cfg = _get(config, "grid", _mapping)
-        export = _get(grid_cfg, "export_solution", bool, False)
+        export = _get(grid_cfg, "export_solution", _boolean, False)
         # the solve keeps only the layers the export reads: first and last without one
         rows = _get(grid_cfg, "export_rows", _integer, 201) if export else 2
         sol = solve_ipde(payoff, uset, _grid_from_config(grid_cfg), horizon=T, max_rows=rows)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, TextIO
 
@@ -143,7 +144,8 @@ class CadlagPath:
             raise InvalidInputError("query times must lie in [0, horizon]")
         out = self.continuous_at(ts)
         if self.n_jumps:
-            cum = np.vstack([np.zeros(self.dim), np.cumsum(self.jump_sizes, axis=0)])
+            cum = np.zeros((self.n_jumps + 1, self.dim))  # row k: the sum of the first k jumps
+            np.cumsum(self.jump_sizes, axis=0, out=cum[1:])
             idx = np.searchsorted(self.jump_times, ts, side="right")
             out += cum[idx]
         return out
@@ -152,9 +154,25 @@ class CadlagPath:
         return self.values_at([t])[0]
 
     def scalar_value(self, t: float) -> float:
+        """The value at time t of a one-dimensional path, equal to ``values_at([t])[0, 0]``.
+
+        It reads the one time without the array machinery of
+        :meth:`values_at` and adds in its float order: the jump sizes up to t
+        one by one from 0.0, as ``cumsum`` adds them, then that sum to the
+        interpolated continuous part. A NaN t gives NaN.
+        """
         if self.dim != 1:
             raise InvalidInputError("scalar_value requires a one-dimensional path")
-        return float(self.value(t)[0])
+        t = float(t)
+        if t < 0.0 or t > self.horizon:
+            raise InvalidInputError("query times must lie in [0, horizon]")
+        value = float(np.interp(t, self.grid_times, self.grid_values[:, 0]))
+        if self.n_jumps:
+            jumps = 0.0
+            for size in self.jump_sizes[: bisect_right(self.jump_times, t), 0].tolist():
+                jumps += size
+            value += jumps
+        return value
 
     def event_times(self) -> np.ndarray:
         """Sorted union of sample and jump times (always contains 0 and T)."""

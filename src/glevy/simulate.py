@@ -49,7 +49,14 @@ measure of the path defines; and :class:`KthJumpEvent`, the indicator that
 the k-th jump in one region lands in another within a time window. Any
 other payoff is called once per distinct path: candidates that realize
 equal paths on a scenario, found by comparing the blocks' arrays, share one
-path object and one payoff call.
+path object and one payoff call. Such a path object shares its block's
+arrays, checked once per block, so a path payoff costs about what it
+computes: on a three-measure mixture set with five candidates and 4000
+paths (11,288 distinct paths of 20,000), the whole estimate takes about
+5 µs per distinct path with a payoff that returns a constant and about
+8 µs with ``lambda path: path.scalar_value(1.0)``, against about 1.2 µs
+per path and candidate with the :class:`TerminalPayoff` of the same value
+(2-core VM, Python 3.11, numpy 2.4, best of 7).
 """
 
 from __future__ import annotations
@@ -394,7 +401,7 @@ _BLOCK = 256  # consecutive paths drawn from one stream and mapped together
 
 
 def _block_stream(seed: int, block_index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block_index)], dtype=np.uint64)
+    key = np.array([np.uint64(seed), np.uint64(block_index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -536,12 +543,20 @@ def _block_values(
     if isinstance(xi, BlockPayoff):
         return xi.block_values(built)
     first = _first_equal(built)
+    offsets = [paths.offsets.tolist() for paths in built]
 
     def payoffs() -> np.ndarray:
-        # xi's values as returned; _evaluate converts them to floats and checks them
+        # xi's values as returned, each in its own cell; _evaluate converts
+        # them to floats and checks them
         vals = np.empty(first.shape, dtype=object)
-        for i, c in zip(*np.nonzero(first == np.arange(len(built)))):
-            vals[i, c] = xi(CadlagPath._unchecked(block.horizon, *built[c].arrays(i)))
+        rows, cols = np.nonzero(first == np.arange(len(built)))
+        for i, c in zip(rows.tolist(), cols.tolist()):
+            paths, lo, hi = built[c], offsets[c][i], offsets[c][i + 1]
+            vals[i, c] = xi(
+                CadlagPath._unchecked(
+                    block.horizon, paths.grid_times, paths.grid_values[i], paths.jump_times[lo:hi], paths.jump_sizes[lo:hi]
+                )
+            )
         return np.take_along_axis(vals, first, axis=1)
 
     return _evaluate(payoffs, (), "payoff", each=False)
@@ -601,7 +616,8 @@ def estimate_upper_expectation(
     seed and ``n_paths`` can only raise the value. The reported standard
     error is that of the winning candidate. Ties in the maximum go to the
     lowest candidate index. The value estimates the worst-case expectation
-    from below (finitely many controls, finitely many paths).
+    from below (finitely many controls, finitely many paths). The seed is an
+    integer in [0, 2**64), so each seed names one stream.
 
     ``xi`` must be a deterministic function of the path: candidates that
     realize the identical path on a scenario are evaluated once and share
@@ -611,6 +627,8 @@ def estimate_upper_expectation(
     """
     if n_paths < 2:
         raise InvalidInputError("need at least two paths for a standard error")
+    if not _is_integer(seed) or not 0 <= seed < 2**64:
+        raise InvalidInputError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if not (0.0 < horizon < math.inf):
         raise InvalidInputError("horizon must be positive and finite")
     if len(candidates) == 0:

@@ -528,6 +528,23 @@ MALFORMED = {
         "expect",
         {**EXPECT_MC, "payoff": {"kind": "linear", "scale": math.inf}, "mc": {"n_paths": 50, "seed": 1}},
     ),
+    # a seed names one stream: seeds outside [0, 2**64) would wrap onto another
+    "seed-2**64": ("expect", {**EXPECT_MC, "mc": {"n_paths": 10, "seed": 2**64}}),
+    "seed-negative": (
+        "capacity",
+        {
+            "uncertainty": UNC_FAMILY,
+            "horizon": 1.0,
+            "capacity": {"region": {"interval": [0.5, 1.5]}},
+            "mc": {"n_paths": 10, "seed": -1},
+        },
+    ),
+    "erlang-seed-2**64-float": ("erlang-bound", {"uncertainty": UNC_MIXTURES, "erlang": ERLANG, "mc": {"seed": 2.0**64}}),
+    # boolean settings take booleans only
+    **{
+        f"boolean-export_solution-{value!r}": ("expect", {**EXPECT_PIDE, "grid": {**GRID, "export_solution": value}})
+        for value in ("false", 1, 0, None)
+    },
 }
 
 
@@ -584,6 +601,27 @@ def test_missing_seed_exits_2(tmp_path):
     }
     code, rec_file = run(tmp_path, "capacity", doc)
     assert code == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["expect", "capacity"])
+def test_seed_override_outside_the_stream_keys_exits_2(tmp_path, capsys, command, seed):
+    doc = {
+        **EXPECT_MC,
+        "capacity": {"region": {"interval": [0.5, 1.5]}},
+        "mc": {"n_paths": 10, "seed": 1},
+    }
+    code, rec_file = run(tmp_path, command, doc, "--seed", seed)
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not os.path.exists(rec_file)
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    doc = {**EXPECT_MC, "mc": {"n_paths": 10, "seed": 2**64 - 1}}
+    code, rec_file = run(tmp_path, "expect", doc)
+    assert code == 0
+    assert load(rec_file)["seed"] == 2**64 - 1
 
 
 def test_command_key_mismatch_exits_2(tmp_path):

@@ -86,6 +86,91 @@ def test_grid_values_not_of_shape_grid_by_dim_are_refused():
     _check_paths(_Paths(np.array([0.0, 1.0]), np.zeros((1, 2, 1)), *one_jump), 1.0)
 
 
+# -- path values, byte for byte against a reference ----------------------------
+
+def reference_values_at(path, ts):
+    """values_at with the cumulative jump sums as a vstack of a zero row and cumsum."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if ts.size and (ts.min() < 0.0 or ts.max() > path.horizon):
+        raise InvalidInputError("query times must lie in [0, horizon]")
+    out = path.continuous_at(ts)
+    if path.n_jumps:
+        cum = np.vstack([np.zeros(path.dim), np.cumsum(path.jump_sizes, axis=0)])
+        idx = np.searchsorted(path.jump_times, ts, side="right")
+        out += cum[idx]
+    return out
+
+
+# signed magnitudes from 1e-8 to 1e8
+MAGNITUDES = st.builds(
+    lambda m, e, sign: sign * m * 10.0**e, st.floats(1.0, 9.99), st.integers(-8, 8), st.sampled_from([1.0, -1.0])
+)
+
+
+@st.composite
+def random_paths(draw, dim):
+    """A path with 0 to 12 jumps; jump times may sit on grid times and at the horizon."""
+    T = draw(st.sampled_from([1.0, 0.7, 3.0]))
+    inner = draw(st.lists(st.floats(0.0, T, exclude_min=True, exclude_max=True), unique=True, max_size=16))
+    roles = draw(st.lists(st.sampled_from(["grid", "jump", "both"]), min_size=len(inner), max_size=len(inner)))
+    grid = sorted([0.0, T] + [t for t, role in zip(inner, roles) if role != "jump"])
+    jumps = sorted(t for t, role in zip(inner, roles) if role != "grid")[:12]
+    if len(jumps) < 12 and draw(st.booleans()):
+        jumps.append(T)
+
+    def rows(n):
+        return np.array(draw(st.lists(st.lists(MAGNITUDES, min_size=dim, max_size=dim), min_size=n, max_size=n))).reshape(n, dim)
+
+    values = rows(len(grid))
+    values[0] = draw(st.sampled_from([0.0, -0.0]))  # a path starts at zero of either sign
+    return CadlagPath(T, np.array(grid), values, np.array(jumps), rows(len(jumps)))
+
+
+def query_times(path, uniform):
+    return np.concatenate([[0.0, path.horizon], path.grid_times, path.jump_times, path.horizon * np.asarray(uniform)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([1, 2]))
+def test_values_at_matches_the_reference_byte_for_byte(data, dim):
+    path = data.draw(random_paths(dim))
+    ts = query_times(path, data.draw(st.lists(st.floats(0.0, 1.0), max_size=5)))
+    got = path.values_at(ts)
+    assert got.shape == (ts.shape[0], dim)
+    assert got.tobytes() == reference_values_at(path, ts).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_scalar_value_matches_the_reference_byte_for_byte(data):
+    path = data.draw(random_paths(1))
+    ts = query_times(path, data.draw(st.lists(st.floats(0.0, 1.0), max_size=5)))
+    for t in [*ts.tolist(), math.nan]:
+        got = path.scalar_value(t)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == reference_values_at(path, [t])[0, 0].tobytes()
+
+
+@pytest.mark.parametrize("t", [-1e-300, -0.5, 1.0 + 1e-15, math.inf, -math.inf])
+def test_values_outside_the_horizon_are_refused(t):
+    for read in (TWO_JUMPS.scalar_value, TWO_JUMPS.values_at):
+        with pytest.raises(InvalidInputError, match=r"^query times must lie in \[0, horizon\]$"):
+            read(t)
+
+
+def test_scalar_value_refuses_a_multidimensional_path():
+    path = CadlagPath(1.0, [0.0, 1.0], np.zeros((2, 2)), [0.5], [[1.0, -1.0]])
+    with pytest.raises(InvalidInputError, match="^scalar_value requires a one-dimensional path$"):
+        path.scalar_value(0.5)
+
+
+def test_scalar_value_keeps_the_sign_of_a_jumpless_zero():
+    path = CadlagPath(1.0, [0.0, 1.0], np.array([[-0.0], [-0.0]]), [], np.empty((0, 1)))
+    assert math.copysign(1.0, path.scalar_value(0.0)) == -1.0
+    with_jump = CadlagPath(1.0, [0.0, 1.0], np.array([[-0.0], [-0.0]]), [0.9], [[1.0]])
+    assert math.copysign(1.0, with_jump.scalar_value(0.0)) == 1.0  # -0.0 + the empty jump sum 0.0
+
+
 # -- prm_count ----------------------------------------------------------------
 
 def test_prm_count_size_window():

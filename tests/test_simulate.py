@@ -544,6 +544,27 @@ def test_estimator_deterministic(lam_12):
     assert a == b
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, np.int64(-3), 1.0, True, "1", None])
+def test_estimators_refuse_a_seed_that_names_no_stream(lam_12, seed):
+    pols = constant_policies(lam_12, 1.0)
+    region = Region.open_interval(0.5, 2.5)
+    with pytest.raises(InvalidInputError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        estimate_upper_expectation(lambda p: p.scalar_value(1.0), lam_12, pols, 10, seed, horizon=1.0)
+    with pytest.raises(InvalidInputError, match="seed must be"):
+        estimate_capacity(lambda p: p.n_jumps > 1, lam_12, pols, 10, seed, horizon=1.0)
+    with pytest.raises(InvalidInputError, match="seed must be"):
+        erlang_bound_check(lam_12, region, region, 1, (0.0, 1.0), 10, seed)
+
+
+def test_estimator_accepts_every_seed_of_the_stream_keys(lam_12):
+    pols = constant_policies(lam_12, 1.0)
+    xi = TerminalPayoff(lambda x: x)
+    for seed in (0, 2**32, 2**64 - 1):
+        assert estimate_upper_expectation(xi, lam_12, pols, 10, seed, horizon=1.0) == estimate_upper_expectation(
+            xi, lam_12, pols, 10, np.uint64(seed), horizon=1.0
+        )
+
+
 def test_estimator_requires_two_paths(lam_12):
     pols = constant_policies(lam_12, 1.0)
     with pytest.raises(InvalidInputError):
@@ -1095,6 +1116,50 @@ def count_calls(monkeypatch, owner, name):
     else:
         monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or raw(*a, **k))
     return calls
+
+
+def test_path_route_checks_each_candidate_block_once(monkeypatch, mixtures):
+    # the per-path route builds its path objects unchecked: one block check
+    # per candidate and block, none per path
+    import glevy.paths
+    import glevy.simulate
+
+    constructs = count_calls(monkeypatch, CadlagPath, "__post_init__")
+    checks = []
+    for module in (glevy.paths, glevy.simulate):
+        raw = module._check_paths
+        monkeypatch.setattr(module, "_check_paths", lambda paths, horizon, raw=raw: checks.append(1) or raw(paths, horizon))
+    calls = []
+
+    def xi(path):
+        calls.append(1)
+        return path.scalar_value(1.0)
+
+    pols = constant_policies(mixtures, 1.0)
+    n_paths = 2 * _BLOCK + 7
+    estimate_upper_expectation(xi, mixtures, pols, n_paths, 2, horizon=1.0)
+    assert constructs == []
+    assert len(checks) == len(pols) * -(-n_paths // _BLOCK)
+    assert len(calls) > len(checks)
+
+
+def test_scalar_value_makes_no_values_at_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("values_at was called")
+
+    path = CadlagPath.from_jumps([(0.2, 1.0), (0.5, -3.0)], 1.0)
+    monkeypatch.setattr(CadlagPath, "values_at", refuse)
+    assert path.scalar_value(0.7) == -2.0
+
+
+@pytest.mark.parametrize("value, cell", [(np.array([1.0, 2.0]), r"array\(\[1\., 2\.\]\)"), ([1.0, 2.0], r"list\(\[1\.0, 2\.0\]\)")])
+def test_path_route_refuses_a_sequence_value(mixtures, value, cell):
+    # each value sits in its own object cell of the (path, candidate) table,
+    # so the refusal shows the table of the returned sequences
+    pols = constant_policies(mixtures, 1.0)
+    message = rf"(?s)^payoff returned array\(\[\[{cell}, .*, which does not convert to a float, at index \(\) of the result$"
+    with pytest.raises(EvaluationError, match=message):
+        estimate_upper_expectation(lambda p: value, mixtures, pols, 3, 1, horizon=1.0)
 
 
 @pytest.mark.parametrize("n_paths", [2, _BLOCK, _BLOCK + 1, 3 * _BLOCK - 5])
