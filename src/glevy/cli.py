@@ -98,7 +98,7 @@ from .errors import (
     InvalidInputError,
     NumericalAbortError,
     UnsupportedError,
-    _is_integer,
+    _integer,
 )
 from .fnspace import (
     TestFunction,
@@ -167,15 +167,6 @@ def _get(doc, key: str, kind=float, default=_REQUIRED):
         return kind(doc[key])
     except (LookupError, TypeError, ValueError, OverflowError, OSError) as e:
         raise ConfigError(f"cannot read {key!r}: {type(e).__name__}: {e}") from e
-
-
-def _integer(value) -> int:
-    """An int, or a float with an integral value such as 2.0; bools, strings and fractions are refused."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not _is_integer(value):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def _seed(value) -> int:

@@ -15,11 +15,11 @@ applied whole, it makes one call with the given arguments. Either way the calls
 run with numpy floating-point warnings silenced, and a returned value that
 does not convert to a float, or is non-finite, is refused with
 :class:`EvaluationError`, whose message names what was evaluated and the
-first offending point (for a whole call, the arguments at the value's index
-when they have the result's shape, else that index). An exception raised
-inside the function propagates unchanged. :func:`_eval_nodes` evaluates a
-function on a node array with one vectorized call, falling back to one call
-per node.
+first offending point (for a whole call, the first value that is not a real
+scalar, named by the arguments at its index when they have the result's
+shape, else by that index). An exception raised inside the function
+propagates unchanged. :func:`_eval_nodes` evaluates a function on a node
+array with one vectorized call, falling back to one call per node.
 """
 
 from typing import Callable
@@ -68,6 +68,15 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _integer(value) -> int:
+    """An int, or a float with an integral value such as 2.0; bools, strings and fractions raise InvalidInputError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not _is_integer(value):
+        raise InvalidInputError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _evaluate(fn: Callable, points, what: str, *, each: bool = True) -> np.ndarray:
     """fn at each point of ``points``, values stacked, or one call ``fn(*points)``: see above."""
     if each:
@@ -84,7 +93,7 @@ def _evaluate(fn: Callable, points, what: str, *, each: bool = True) -> np.ndarr
             value, at = raw[k], repr(args[k])
         else:
             cells = np.asarray(raw, dtype=object)
-            k = next((k for k, v in np.ndenumerate(cells) if not _numeric(v)), ())
+            k = next((k for k, v in np.ndenumerate(cells) if not _numeric(v) or np.ndim(v)), ())
             value, at = cells[k], _whole_call_point(points, cells.shape, k)
         raise EvaluationError(f"{what} returned {value!r}, which does not convert to a float, at {at}") from None
     bad = ~np.isfinite(vals)

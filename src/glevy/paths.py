@@ -192,7 +192,7 @@ class _Paths(NamedTuple):
     """
 
     grid_times: np.ndarray  # (G,) shared by the block
-    grid_values: np.ndarray  # (n, G, d); may broadcast one row to every path
+    grid_values: np.ndarray  # (n, G, d)
     offsets: np.ndarray  # (n+1,) start of each path's jumps in the flat arrays
     jump_times: np.ndarray  # (J,)
     jump_sizes: np.ndarray  # (J, d)
@@ -214,30 +214,6 @@ class _Paths(NamedTuple):
             has = counts > k
             jumps[has] += self.jump_sizes[self.offsets[:-1][has] + k]
         return self.grid_values[:, -1] + jumps
-
-    @staticmethod
-    def concat(blocks: Sequence["_Paths"]) -> "_Paths":
-        """One block of the paths of blocks on one grid, block after block."""
-        return _Paths(
-            blocks[0].grid_times,
-            np.concatenate(
-                [np.broadcast_to(b.grid_values, (len(b.offsets) - 1,) + b.grid_values.shape[1:]) for b in blocks]
-            ),
-            *_concat_jumps(blocks),
-        )
-
-
-def _concat_jumps(blocks: Sequence[_Paths]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The offsets, jump times and jump sizes of the paths of blocks, block after block.
-
-    The blocks may lie on different grids: only their jumps are joined.
-    """
-    shifts = np.cumsum([0] + [b.offsets[-1] for b in blocks[:-1]])
-    return (
-        np.concatenate([[0]] + [b.offsets[1:] + shift for b, shift in zip(blocks, shifts)]),
-        np.concatenate([b.jump_times for b in blocks]),
-        np.concatenate([b.jump_sizes for b in blocks]),
-    )
 
 
 def _same_paths(paths: _Paths, a: np.ndarray, b: np.ndarray) -> np.ndarray:

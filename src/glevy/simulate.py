@@ -34,29 +34,33 @@ Jump draws come before Brownian draws, so scenarios agree between runs that
 do and do not need diffusion. Reductions run in fixed index order; repeated
 runs with identical inputs are bit-identical.
 
-Every block takes one route. Each candidate maps the whole block over the
-scenario's horizon at once: the jumps are stored flat with per-path
-offsets, and the continuous parts of every path come from one cumulative
-sum. Each such block is checked once by :func:`glevy.paths._check_paths`,
-the one statement of the path invariants, so the path objects handed to a
-payoff are not checked again. :func:`_block_values` then evaluates the
-payoff on the block, and one running sum takes its values. A
-:class:`BlockPayoff` never becomes paths: it reads the flat arrays of every
-candidate's block at once. Three are provided: :class:`TerminalPayoff`, a
-function of X_T alone; :class:`PoissonIntegralPayoff`, a function of the
-Poisson integral of f over a region, the integral the Poisson random
-measure of the path defines; and :class:`KthJumpEvent`, the indicator that
-the k-th jump in one region lands in another within a time window. Any
-other payoff is called once per distinct path: candidates that realize
-equal paths on a scenario, found by comparing the blocks' arrays, share one
-path object and one payoff call. Such a path object shares its block's
-arrays, checked once per block, so a path payoff costs about what it
-computes: on a three-measure mixture set with five candidates and 4000
-paths (11,288 distinct paths of 20,000), the whole estimate takes about
-5 µs per distinct path with a payoff that returns a constant and about
-8 µs with ``lambda path: path.scalar_value(1.0)``, against about 1.2 µs
-per path and candidate with the :class:`TerminalPayoff` of the same value
-(2-core VM, Python 3.11, numpy 2.4, best of 7).
+Every block takes one route. The candidates whose continuous parts share
+cells form a group (every constant policy shares [0, T], and every
+diffusive candidate the block's Brownian grid), and each group maps the
+whole block over the scenario's horizon in one array pass: its paths are
+stored candidate-major, path i of the group's k-th candidate at row
+k * n + i, the jumps flat with per-path offsets, and the continuous parts
+come from cumulative sums. Each group's block is checked once by
+:func:`glevy.paths._check_paths`, the one statement of the path
+invariants, so the path objects handed to a payoff are not checked again.
+:func:`_block_values` then evaluates the payoff on the groups, and one
+running sum takes its values. A :class:`BlockPayoff` never becomes paths:
+it reads the flat arrays of each group at once. Three are provided:
+:class:`TerminalPayoff`, a function of X_T alone;
+:class:`PoissonIntegralPayoff`, a function of the Poisson integral of f
+over a region, the integral the Poisson random measure of the path
+defines; and :class:`KthJumpEvent`, the indicator that the k-th jump in
+one region lands in another within a time window. Any other payoff is
+called once per distinct path: candidates that realize equal paths on a
+scenario, found by comparing the group's arrays, share one path object
+and one payoff call. Such a path object shares its group's arrays, checked
+once per block, so a path payoff costs about what it computes: on a
+three-measure mixture set with five candidates and 4000 paths (11,265
+distinct paths of 20,000 at seed 1), the whole estimate takes about 4 µs per
+distinct path with a payoff that returns a constant and about 6 µs with
+``lambda path: path.scalar_value(1.0)``, against about 0.7 µs per path and
+candidate with the :class:`TerminalPayoff` of the same value (2-core VM,
+Python 3.11, numpy 2.4, best of 7).
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ import numpy as np
 from scipy import special
 
 from .errors import AssumptionError, EvaluationError, InvalidInputError, PolicyError, _eval_nodes, _evaluate, _is_integer
-from .paths import CadlagPath, _check_paths, _concat_jumps, _Paths, _same_paths
+from .paths import CadlagPath, _check_paths, _Paths, _same_paths
 from .pide import _step_count
 from .regions import Region
 from .uncertainty import DiscreteLevyMeasure, UncertaintySet, _merge_atoms, mass_layout
@@ -275,30 +279,19 @@ def constant_policies(uset: UncertaintySet, horizon: float) -> list[ControlPolic
 
 
 class _CompiledPolicy(NamedTuple):
-    """A policy's control values stacked into arrays, one row per interval."""
+    """A policy checked against the set: its breakpoints and the triple index of each interval."""
 
     breakpoints: np.ndarray  # (V+1,)
-    targets: np.ndarray  # (V, K, d)
-    active: np.ndarray  # (V, K)
-    drift: np.ndarray  # (V, d)
-    cov_root: np.ndarray  # (V, d, d)
+    triples: np.ndarray  # (V,)
     needs_brownian: bool
 
 
-def _compile_policy(policy: ControlPolicy, uset: UncertaintySet, model: BaseJumpModel) -> _CompiledPolicy:
+def _compile_policy(policy: ControlPolicy, uset: UncertaintySet) -> _CompiledPolicy:
     idx = np.array(policy.values)
     outside = idx[(idx < 0) | (idx >= len(uset))]
     if outside.shape[0]:
         raise PolicyError(f"triple index {outside[0]} outside the uncertainty set")
-    cov_root = uset.cov_roots[idx]
-    return _CompiledPolicy(
-        policy.breakpoints,
-        model.targets[idx],
-        model.active[idx],
-        uset.drifts[idx],
-        cov_root,
-        bool(np.any(cov_root != 0.0)),
-    )
+    return _CompiledPolicy(policy.breakpoints, idx, bool(np.any(uset.cov_roots[idx] != 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,58 +299,78 @@ def _compile_policy(policy: ControlPolicy, uset: UncertaintySet, model: BaseJump
 # ---------------------------------------------------------------------------
 
 
-def _build_paths(block: BaseScenario, compiled: _CompiledPolicy) -> _Paths:
-    """Every path of a scenario block under one policy over the block's horizon, checked once.
+def _build_paths(
+    block: BaseScenario, uset: UncertaintySet, compiled: Sequence[_CompiledPolicy]
+) -> list[tuple[list[int], _Paths]]:
+    """Every path of a scenario block under every candidate, one checked block per group of candidates.
 
-    Data that overflow become non-finite values, which the check refuses;
-    no numpy warning escapes.
+    A group is the candidates whose continuous parts share cells: the
+    block's Brownian grid for a candidate that diffuses, the cells its
+    breakpoints cut in [0, horizon] otherwise. Each group comes as
+    (members, paths), path i of members[k] at row k * n + i, and the groups
+    come in order of their lowest member. Data that overflow become
+    non-finite values, which the check refuses; no numpy warning escapes.
     """
-    with np.errstate(all="ignore"):
-        paths = _assemble_paths(block, compiled)
-    _check_paths(paths, block.horizon)
-    return paths
+    grid = None if block.brownian_times is None else tuple(block.brownian_times.tolist())
+    cells: dict[tuple, list[int]] = {}
+    for c, comp in enumerate(compiled):
+        if comp.needs_brownian:
+            if grid is None:
+                raise PolicyError("policy needs Brownian increments but the scenario has none")
+            key = grid
+        else:
+            bp = comp.breakpoints
+            key = (0.0, *bp[(bp > 0.0) & (bp < block.horizon)].tolist(), block.horizon)
+        cells.setdefault(key, []).append(c)
+    groups = []
+    for edges, members in cells.items():
+        with np.errstate(all="ignore"):
+            paths = _assemble_paths(block, uset, [compiled[c] for c in members], np.array(edges))
+        _check_paths(paths, block.horizon)
+        groups.append((members, paths))
+    return groups
 
 
-def _assemble_paths(block: BaseScenario, compiled: _CompiledPolicy) -> _Paths:
-    n, d, horizon = block.n_paths, compiled.drift.shape[1], block.horizon
-    bp = compiled.breakpoints
-    last = compiled.drift.shape[0] - 1
+def _assemble_paths(
+    block: BaseScenario, uset: UncertaintySet, group: list[_CompiledPolicy], edges: np.ndarray
+) -> _Paths:
+    n, C, d, horizon, model = block.n_paths, len(group), uset.dim, block.horizon, block.model
+    lo, hi = edges[:-1], edges[1:]
+    times, segments = block.jump_times, block.jump_segments
+
+    # the triple of each cell and each jump under each candidate: the control
+    # value active at the cell's left end and at the jump time. An index
+    # below 0 only arises when breakpoints[0] lies within the covering
+    # tolerance above 0
+    cell_triples = np.empty((C, lo.shape[0]), dtype=np.intp)
+    jump_triples = np.empty((C, times.shape[0]), dtype=np.intp)
+    for k, comp in enumerate(group):
+        bp, last = comp.breakpoints, comp.triples.shape[0] - 1
+        cell_triples[k] = comp.triples[np.clip(np.searchsorted(bp, lo, side="right") - 1, 0, last)]
+        jump_triples[k] = comp.triples[np.clip(np.searchsorted(bp, times, side="left") - 1, 0, last)]
 
     # continuous part: exact piecewise-linear drift per cell, plus an Euler
-    # diffusion step when the policy diffuses; cells are the block's Brownian
-    # grid then, the policy's breakpoints otherwise. The control value of a
-    # cell is the one active at its left end; an index below 0 only arises
-    # when breakpoints[0] lies within the covering tolerance above 0
-    if compiled.needs_brownian:
-        if block.brownian_times is None:
-            raise PolicyError("policy needs Brownian increments but the scenario has none")
-        edges = block.brownian_times
-    else:
-        edges = np.concatenate([[0.0], bp[(bp > 0.0) & (bp < horizon)], [horizon]])
-    lo, hi = edges[:-1], edges[1:]
-    vi = np.clip(np.searchsorted(bp, lo, side="right") - 1, 0, last)
-    drift_steps = compiled.drift[vi] * (hi - lo)[:, None]
-    # one cumulative sum over [0, drift_0, diffusion_0, drift_1, ...] adds the
-    # increments in the order a running loop over the cells would
-    if compiled.needs_brownian:
+    # diffusion step when a candidate diffuses. One cumulative sum over
+    # [0, drift_0, diffusion_0, drift_1, ...] adds the increments in the
+    # order a running loop over the cells would; a candidate that does not
+    # diffuse adds zeros, which change no value
+    drift_steps = uset.drifts[cell_triples] * (hi - lo)[:, None]
+    if any(comp.needs_brownian for comp in group):
+        values = np.empty((C * n, edges.shape[0], d))
         steps = np.zeros((n, 2 * lo.shape[0] + 1, d))
-        steps[:, 1::2] = drift_steps
-        steps[:, 2::2] = (compiled.cov_root[vi] @ block.brownian_increments[..., None])[..., 0]
-        # the copy keeps the values at cell ends alive, not every step
-        values = np.cumsum(steps, axis=1, out=steps)[:, ::2].copy()
+        for k in range(C):
+            steps[:, 1::2] = drift_steps[k]
+            steps[:, 2::2] = (uset.cov_roots[cell_triples[k]] @ block.brownian_increments[..., None])[..., 0]
+            values[k * n : (k + 1) * n] = np.cumsum(steps, axis=1, out=steps)[:, ::2]
     else:
-        values = np.cumsum(np.vstack([np.zeros((1, d)), drift_steps]), axis=0)[None]
-    grid_times = np.concatenate([[0.0], hi])
-    values = np.broadcast_to(values, (n,) + values.shape[1:])
+        values = np.repeat(np.cumsum(np.concatenate([np.zeros((C, 1, d)), drift_steps], axis=1), axis=1), n, axis=0)
 
-    # jumps: map scenario marks through the control value active at each
-    # jump time, merge equal times within a path, drop zero sizes
-    times, segments = block.jump_times, block.jump_segments
-    owner = np.repeat(np.arange(n), np.diff(block.offsets))
-    jv = np.clip(np.searchsorted(bp, times, side="left") - 1, 0, last)
-    keep = (times > 0.0) & (times <= horizon) & compiled.active[jv, segments]
-    times, owner = times[keep], owner[keep]
-    sizes = compiled.targets[jv[keep], segments[keep]]
+    # jumps: map scenario marks through the triple at each jump time, merge
+    # equal times within a path, drop zero sizes
+    cand, j = np.nonzero((times > 0.0) & (times <= horizon) & model.active[jump_triples, segments])
+    times = times[j]
+    owner = cand * n + np.repeat(np.arange(n), np.diff(block.offsets))[j]
+    sizes = model.targets[jump_triples[cand, j], segments[j]]
     opens = np.ones(times.shape[0], dtype=bool)
     opens[1:] = (times[1:] != times[:-1]) | (owner[1:] != owner[:-1])
     if not opens.all():
@@ -366,9 +379,9 @@ def _assemble_paths(block: BaseScenario, compiled: _CompiledPolicy) -> _Paths:
         times, owner = times[starts], owner[starts]
     nonzero = np.linalg.norm(sizes, axis=1) > 0.0
     times, sizes, owner = times[nonzero], sizes[nonzero], owner[nonzero]
-    offsets = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(owner, minlength=n), out=offsets[1:])
-    return _Paths(grid_times, values, offsets, times, sizes)
+    offsets = np.zeros(C * n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(owner, minlength=C * n), out=offsets[1:])
+    return _Paths(edges, values, offsets, times, sizes)
 
 
 def simulate_path(scenario: BaseScenario, policy: ControlPolicy, uset: UncertaintySet) -> CadlagPath:
@@ -382,8 +395,8 @@ def simulate_path(scenario: BaseScenario, policy: ControlPolicy, uset: Uncertain
         raise InvalidInputError("simulate_path takes a one-path scenario")
     T = float(scenario.horizon)
     policy.check_covers(0.0, T)
-    compiled = _compile_policy(policy, uset, scenario.model)
-    return CadlagPath._unchecked(T, *_build_paths(scenario, compiled).arrays(0))
+    [(_, paths)] = _build_paths(scenario, uset, [_compile_policy(policy, uset)])
+    return CadlagPath._unchecked(T, *paths.arrays(0))
 
 
 # ---------------------------------------------------------------------------
@@ -413,22 +426,23 @@ def _block_stream(seed: int, block_index: int) -> np.random.Generator:
 class BlockPayoff(ABC):
     """A payoff that evaluates whole blocks of paths from their arrays.
 
-    :func:`estimate_upper_expectation` hands a block payoff the candidate
-    blocks of each scenario block, the checked ``_Paths`` of every
-    candidate, and takes its (n, candidates) values; no path object is
-    built and no payoff call is made per path. Called on one path, a block
-    payoff runs the same code on that path's one-path block, so it serves
-    wherever a path payoff does, with the same value.
+    :func:`estimate_upper_expectation` hands a block payoff each group of
+    candidates of each scenario block (see :func:`_build_paths`): one checked
+    ``_Paths`` with the paths of every member, candidate after candidate. It
+    takes one value per path; no path object is built and no payoff call is
+    made per path. Called on one path, a block payoff runs the same code on
+    that path's one-path block, so it serves wherever a path payoff does,
+    with the same value.
     """
 
     @abstractmethod
-    def block_values(self, built: Sequence[_Paths]) -> np.ndarray:
-        """The payoff of path i under candidate c at [i, c], for blocks of n paths each."""
+    def block_values(self, paths: _Paths) -> np.ndarray:
+        """The payoff of every path of the block, one value per row of its grid values."""
 
     def __call__(self, path: CadlagPath) -> float:
         offsets = np.array([0, path.n_jumps])
         one = _Paths(path.grid_times, path.grid_values[None], offsets, path.jump_times, path.jump_sizes)
-        return float(self.block_values([one])[0, 0])
+        return float(self.block_values(one)[0])
 
 
 @dataclass(frozen=True)
@@ -437,22 +451,18 @@ class TerminalPayoff(BlockPayoff):
 
     It sums the terminal values of a whole block from the block's arrays, in
     the order ``CadlagPath.scalar_value`` adds them, and applies phi to all
-    of them at once: one vectorized call when phi maps an array to an array
-    of its shape, else one call per value.
+    of them at once, once per group of candidates on their candidate-major
+    values: one vectorized call when phi maps an array to an array of its
+    shape, else one call per value.
     """
 
     phi: Callable[[float], float]
 
-    def block_values(self, built: Sequence[_Paths]) -> np.ndarray:
-        ends = np.stack([paths.terminal_values() for paths in built], axis=1)
-        if ends.shape[2] != 1:
+    def block_values(self, paths: _Paths) -> np.ndarray:
+        ends = paths.terminal_values()
+        if ends.shape[1] != 1:
             raise InvalidInputError("scalar_value requires a one-dimensional path")
-        return _eval_nodes(self.phi, ends.reshape(-1), "payoff").reshape(ends.shape[:2])
-
-
-def _by_candidate(values: np.ndarray, built: Sequence[_Paths]) -> np.ndarray:
-    """Values of the joined paths of :func:`glevy.paths._concat_jumps`, candidate c's path i at [i, c]."""
-    return values.reshape(len(built), -1).T
+        return _eval_nodes(self.phi, ends[:, 0], "payoff")
 
 
 @dataclass(frozen=True)
@@ -460,20 +470,21 @@ class PoissonIntegralPayoff(BlockPayoff):
     """The payoff phi(sum over s <= T of f(dX_s) 1_A(dX_s)), the Poisson integral of f over A.
 
     Called on a path it equals ``phi(poisson_integral(path, f, region))``.
-    f is called once on the sizes of all jumps in the region, a flat array in
-    d = 1 and an (m, d) array of rows otherwise, and must give one real
-    value per jump; else it is called once per jump, on a float in d = 1 and
-    on a (d,) row otherwise. Each path's values are added in jump order, as
-    :func:`glevy.paths.poisson_integral` adds them, and phi is applied to
-    every path's sum as :class:`TerminalPayoff` applies it.
+    f is called once per group of candidates on the sizes of all their
+    jumps in the region, a flat array in d = 1 and an (m, d) array of rows
+    otherwise, and must give one real value per jump; else it is called once
+    per jump, on a float in d = 1 and on a (d,) row otherwise. Each path's
+    values are added in jump order, as :func:`glevy.paths.poisson_integral`
+    adds them, and phi is applied to every path's sum as
+    :class:`TerminalPayoff` applies it.
     """
 
     f: Callable
     region: Region
     phi: Callable[[float], float]
 
-    def block_values(self, built: Sequence[_Paths]) -> np.ndarray:
-        offsets, _, sizes = _concat_jumps(built)
+    def block_values(self, paths: _Paths) -> np.ndarray:
+        offsets, sizes = paths.offsets, paths.jump_sizes
         inside = self.region.contains(sizes)
         nodes = sizes[inside]
         vals = _eval_nodes(self.f, nodes[:, 0] if nodes.shape[1] == 1 else nodes, "integrand")
@@ -491,7 +502,7 @@ class PoissonIntegralPayoff(BlockPayoff):
             has = counts > k
             sums[has] += vals[starts[has] + k]
         sums[counts == 0] = 0.0
-        return _by_candidate(_eval_nodes(self.phi, sums, "payoff"), built)
+        return _eval_nodes(self.phi, sums, "payoff")
 
 
 @dataclass(frozen=True)
@@ -512,11 +523,11 @@ class KthJumpEvent(BlockPayoff):
             raise InvalidInputError(f"k must be a positive integer, got {self.k!r}")
         object.__setattr__(self, "window", (float(self.window[0]), float(self.window[1])))
 
-    def block_values(self, built: Sequence[_Paths]) -> np.ndarray:
-        offsets, times, sizes = _concat_jumps(built)
+    def block_values(self, paths: _Paths) -> np.ndarray:
+        offsets, times, sizes = paths.offsets, paths.jump_times, paths.jump_sizes
         hits = self.region_a.contains(sizes)
-        # the rank of a hit within its path: the hits up to it in the joined
-        # block, less those of the earlier paths
+        # the rank of a hit within its path: the hits up to it in the block,
+        # less those of the earlier paths
         seen = np.cumsum(hits)
         owner = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
         earlier = np.concatenate([[0], seen])[offsets[:-1]]
@@ -524,37 +535,47 @@ class KthJumpEvent(BlockPayoff):
         c0, c1 = self.window
         values = np.zeros(offsets.shape[0] - 1)
         values[owner[kth]] = self.region_b.contains(sizes[kth]) & (c0 <= times[kth]) & (times[kth] <= c1)
-        return _by_candidate(values, built)
+        return values
 
 
 def _block_values(
-    xi: Callable[[CadlagPath], float], block: BaseScenario, compiled: Sequence[_CompiledPolicy]
+    xi: Callable[[CadlagPath], float], block: BaseScenario, uset: UncertaintySet, compiled: Sequence[_CompiledPolicy]
 ) -> np.ndarray:
     """xi of every path of a block under every candidate, shape (n, candidates).
 
-    Each candidate's paths are built and checked once for the whole block. A
-    :class:`BlockPayoff` takes the candidate blocks whole and builds no path
-    objects. Any other xi is called once per distinct path, in row-major
-    (path, candidate) order: candidate c on path i shares the value of the
-    lowest candidate whose path there is equal by
-    :func:`glevy.paths._same_paths`.
+    The candidates' paths are built and checked once per group
+    (:func:`_build_paths`). A :class:`BlockPayoff` takes each group whole
+    and builds no path objects; its values go to the group's members. Any
+    other xi is called once per distinct path, in row-major (path,
+    candidate) order: candidate c on path i shares the value of the lowest
+    candidate whose path there is equal by :func:`glevy.paths._same_paths`.
     """
-    built = [_build_paths(block, comp) for comp in compiled]
+    n = block.n_paths
+    groups = _build_paths(block, uset, compiled)
     if isinstance(xi, BlockPayoff):
-        return xi.block_values(built)
-    first = _first_equal(built)
-    offsets = [paths.offsets.tolist() for paths in built]
+        vals = np.empty((n, len(compiled)))
+        for members, paths in groups:
+            vals[:, members] = xi.block_values(paths).reshape(len(members), n).T
+        return vals
+    first = np.empty((n, len(compiled)), dtype=np.intp)
+    located = {}  # candidate -> its group's paths, their offsets and the row of its path 0
+    for members, paths in groups:
+        first[:, members] = np.array(members)[_first_equal(paths, len(members))]
+        offsets = paths.offsets.tolist()
+        located.update((c, (paths, offsets, k * n)) for k, c in enumerate(members))
 
     def payoffs() -> np.ndarray:
         # xi's values as returned, each in its own cell; _evaluate converts
         # them to floats and checks them
         vals = np.empty(first.shape, dtype=object)
-        rows, cols = np.nonzero(first == np.arange(len(built)))
+        rows, cols = np.nonzero(first == np.arange(len(compiled)))
         for i, c in zip(rows.tolist(), cols.tolist()):
-            paths, lo, hi = built[c], offsets[c][i], offsets[c][i + 1]
+            paths, offsets, row = located[c]
+            row += i
+            lo, hi = offsets[row], offsets[row + 1]
             vals[i, c] = xi(
                 CadlagPath._unchecked(
-                    block.horizon, paths.grid_times, paths.grid_values[i], paths.jump_times[lo:hi], paths.jump_sizes[lo:hi]
+                    block.horizon, paths.grid_times, paths.grid_values[row], paths.jump_times[lo:hi], paths.jump_sizes[lo:hi]
                 )
             )
         return np.take_along_axis(vals, first, axis=1)
@@ -562,32 +583,27 @@ def _block_values(
     return _evaluate(payoffs, (), "payoff", each=False)
 
 
-def _first_equal(built: Sequence[_Paths]) -> np.ndarray:
-    """For each path i and candidate c, the lowest candidate whose path i equals that of c, shape (n, C).
+def _first_equal(paths: _Paths, C: int) -> np.ndarray:
+    """For each path i and candidate k of a group, the lowest candidate whose path i equals that of k, shape (n, C).
 
-    Only candidates on equal grid times can realize equal paths, and equal
-    paths also agree in jump count and continuous value at the horizon. Each
-    round heads every group of open paths with one such key by its lowest
-    candidate, which is its own lowest match, and settles the paths equal to
-    their head (:func:`glevy.paths._same_paths`); the others stay open.
+    The group holds C candidates' paths, candidate-major, on one grid.
+    Equal paths also agree in jump count and continuous value at the
+    horizon. Each round heads every set of open paths with one such key by
+    its lowest candidate, which is its own lowest match, and settles the
+    paths equal to their head (:func:`glevy.paths._same_paths`); the others
+    stay open.
     """
-    n, C = built[0].offsets.shape[0] - 1, len(built)
+    n = (paths.offsets.shape[0] - 1) // C
     first = np.tile(np.arange(C), (n, 1))
-    classes: dict[tuple, list[int]] = {}
-    for c, paths in enumerate(built):
-        classes.setdefault(tuple(paths.grid_times.tolist()), []).append(c)
-    for members in classes.values():
-        block = _Paths.concat([built[c] for c in members])  # path k * n + i is path i of members[k]
-        owner = np.repeat(members, n)
-        key = np.column_stack([np.tile(np.arange(n), len(members)), np.diff(block.offsets), block.grid_values[:, -1]])
-        open_ = np.arange(len(members) * n)
-        while open_.shape[0]:
-            _, lowest, group = np.unique(key[open_], axis=0, return_index=True, return_inverse=True)
-            head = open_[lowest[group]]
-            s, head = open_[head != open_], head[head != open_]
-            same = _same_paths(block, head, s)
-            first[s[same] % n, owner[s[same]]] = owner[head[same]]
-            open_ = s[~same]
+    key = np.column_stack([np.tile(np.arange(n), C), np.diff(paths.offsets), paths.grid_values[:, -1]])
+    open_ = np.arange(C * n)
+    while open_.shape[0]:
+        _, lowest, group = np.unique(key[open_], axis=0, return_index=True, return_inverse=True)
+        head = open_[lowest[group]]
+        s, head = open_[head != open_], head[head != open_]
+        same = _same_paths(paths, head, s)
+        first[s[same] % n, s[same] // n] = head[same] // n
+        open_ = s[~same]
     return first
 
 
@@ -636,7 +652,7 @@ def estimate_upper_expectation(
     for c in candidates:
         c.check_covers(0.0, horizon)
     model = BaseJumpModel.from_uncertainty(uset)
-    compiled = [_compile_policy(c, uset, model) for c in candidates]
+    compiled = [_compile_policy(c, uset) for c in candidates]
     needs_brownian = any(c.needs_brownian for c in compiled)
 
     # running sums of [values, deviations, squared deviations] per candidate
@@ -650,7 +666,7 @@ def estimate_upper_expectation(
             brownian_dt=brownian_dt,
             n_paths=min(_BLOCK, n_paths - first),
         )
-        vals = _block_values(xi, block, compiled)
+        vals = _block_values(xi, block, uset, compiled)
         if first == 0:
             # the variance uses sums of values shifted by each candidate's first
             # value, so it does not cancel away when the payoff carries a large offset

@@ -33,7 +33,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import InvalidInputError, UnsupportedError, _evaluate
+from .errors import InvalidInputError, UnsupportedError, _evaluate, _integer
 from .regions import Region
 
 __all__ = [
@@ -669,7 +669,7 @@ def uncertainty_set_from_config(doc: dict) -> UncertaintySet:
         fixed = dict(fam.get("fixed", {}))
         params = fam.get("params", {})
         ranges = {k: (float(v["min"]), float(v["max"])) for k, v in params.items()}
-        counts = {k: int(v["count"]) for k, v in params.items()}
+        counts = {k: _integer(v["count"]) for k, v in params.items()}
         rule = _FAMILY_RULES[rule_name]
         return UncertaintySet.from_rule(ranges, counts, lambda **kw: rule(**fixed, **kw))
     raise InvalidInputError("uncertainty config needs a 'triples' or 'family' section")

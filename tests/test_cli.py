@@ -540,6 +540,17 @@ MALFORMED = {
         },
     ),
     "erlang-seed-2**64-float": ("erlang-bound", {"uncertainty": UNC_MIXTURES, "erlang": ERLANG, "mc": {"seed": 2.0**64}}),
+    # a family count is an int or an integral float
+    **{
+        f"validate-count-{value!r}": (
+            "validate",
+            {
+                "uncertainty": {"family": {**UNC_FAMILY["family"], "params": {"intensity": {"min": 1.0, "max": 2.0, "count": value}}}},
+                "validate": {"q": 0.5, "p": 2.0},
+            },
+        )
+        for value in (2.7, True, "3")
+    },
     # boolean settings take booleans only
     **{
         f"boolean-export_solution-{value!r}": ("expect", {**EXPECT_PIDE, "grid": {**GRID, "export_solution": value}})
@@ -582,6 +593,17 @@ def test_integer_settings_accept_integral_floats(tmp_path, name):
     for i, config in enumerate((doc, as_float)):
         (tmp_path / str(i)).mkdir()
         code, rec_file = run(tmp_path / str(i), command, config)
+        assert code == 0
+        records.append(load(rec_file)["results"])
+    assert records[0] == records[1]
+
+
+def test_family_count_accepts_an_integral_float(tmp_path):
+    records = []
+    for i, count in enumerate((2, 2.0)):
+        family = {**UNC_FAMILY["family"], "params": {"intensity": {"min": 1.0, "max": 2.0, "count": count}}}
+        (tmp_path / str(i)).mkdir()
+        code, rec_file = run(tmp_path / str(i), "validate", {"uncertainty": {"family": family}, "validate": {"q": 0.5, "p": 2.0}})
         assert code == 0
         records.append(load(rec_file)["results"])
     assert records[0] == records[1]

@@ -107,6 +107,10 @@ NON_NUMERIC = {
         ),
         r"payoff returned 'x', which does not convert to a float, at index \(\d+, \d\) of the result",
     ),
+    "sequence-valued-payoff": (
+        lambda: estimate_upper_expectation(lambda p: np.array([1.0, 2.0]), LAM, constant_policies(LAM, 1.0), 10, 1, horizon=1.0),
+        r"^payoff returned array\(\[1\., 2\.\]\), which does not convert to a float, at index \(0, 0\) of the result$",
+    ),
     "int-too-large-for-a-float": (lambda: sup_integral(LAM, lambda z: 10**400), "which does not convert to a float, at 1"),
     "TerminalPayoff": (
         lambda: estimate_upper_expectation(

@@ -397,8 +397,9 @@ def reference_path(scenario, policy, uset):
     """simulate_path as a running loop over Brownian cells and over jumps."""
     T = scenario.horizon
     policy.check_covers(0.0, T)
-    compiled = _compile_policy(policy, uset, scenario.model)
-    d = scenario.model.targets.shape[2]
+    compiled = _compile_policy(policy, uset)
+    model = scenario.model
+    d = model.targets.shape[2]
     bp = compiled.breakpoints
     last = len(policy.values) - 1
 
@@ -416,10 +417,10 @@ def reference_path(scenario, policy, uset):
     vals = [np.zeros(d)]
     x = np.zeros(d)
     for m, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        v = value_index(lo, "right")
-        x = x + compiled.drift[v] * (hi - lo)
+        v = compiled.triples[value_index(lo, "right")]
+        x = x + uset.drifts[v] * (hi - lo)
         if compiled.needs_brownian:
-            x = x + compiled.cov_root[v] @ scenario.brownian_increments[0, m]
+            x = x + uset.cov_roots[v] @ scenario.brownian_increments[0, m]
         times.append(hi)
         vals.append(x)
 
@@ -427,9 +428,9 @@ def reference_path(scenario, policy, uset):
     for t, seg in zip(scenario.jump_times, scenario.jump_segments):
         if not (0.0 < t <= T):
             continue
-        v = value_index(t, "left")
-        if compiled.active[v, seg]:
-            z = compiled.targets[v, seg]
+        v = compiled.triples[value_index(t, "left")]
+        if model.active[v, seg]:
+            z = model.targets[v, seg]
             if jt and t == jt[-1]:
                 js[-1] = js[-1] + z
             else:
@@ -688,7 +689,7 @@ def one_path_scenarios(block):
 def reference_estimate(xi, uset, candidates, n_paths, seed, horizon=1.0, brownian_dt=0.01):
     """One simulate_path per (path, candidate) on the split blocks, running sums."""
     model = BaseJumpModel.from_uncertainty(uset)
-    needs = any(_compile_policy(c, uset, model).needs_brownian for c in candidates)
+    needs = any(_compile_policy(c, uset).needs_brownian for c in candidates)
     scenarios = []
     for first in range(0, n_paths, _BLOCK):
         block = draw_scenario(
@@ -784,17 +785,30 @@ def byte_key_reference(built):
     return first, calls
 
 
-def assert_matches_byte_key(block, compiled):
-    built = [_build_paths(block, comp) for comp in compiled]
+def one_candidate_blocks(block, uset, compiled):
+    """Each candidate's paths of a block, built as a one-candidate group."""
+    return [_build_paths(block, uset, [comp])[0][1] for comp in compiled]
+
+
+def first_equal_of_groups(block, uset, compiled):
+    """The first map of a block, _first_equal of each group scattered to its members."""
+    first = np.empty((block.n_paths, len(compiled)), dtype=int)
+    for members, paths in _build_paths(block, uset, compiled):
+        first[:, members] = np.array(members)[_first_equal(paths, len(members))]
+    return first
+
+
+def assert_matches_byte_key(block, uset, compiled):
+    built = one_candidate_blocks(block, uset, compiled)
     first, calls = byte_key_reference(built)
-    assert np.array_equal(_first_equal(built), first)
+    assert np.array_equal(first_equal_of_groups(block, uset, compiled), first)
     seen = []
 
     def xi(path):
         seen.append(path_bytes(path))
         return float(path.value(path.horizon).sum()) + path.n_jumps
 
-    vals = _block_values(xi, block, compiled)
+    vals = _block_values(xi, block, uset, compiled)
     assert seen == [path_bytes(CadlagPath._unchecked(block.horizon, *built[c].arrays(i))) for i, c in calls]
     assert np.array_equal(vals, [[xi(CadlagPath(block.horizon, *paths.arrays(i))) for paths in built] for i in range(block.n_paths)])
 
@@ -805,17 +819,11 @@ def test_equal_candidates_match_the_byte_key(seed, kind):
     rng = np.random.default_rng(seed)
     uset, policies, _ = random_case(rng, kind)
     model = BaseJumpModel.from_uncertainty(uset)
-    compiled = []
-    for policy in policies:
-        try:
-            policy.check_covers(0.0, 1.0)
-            compiled.append(_compile_policy(policy, uset, model))
-        except PolicyError:
-            continue
+    compiled = compiled_candidates(uset, policies)
     # repeated candidates realize equal paths on every scenario
     compiled += compiled[::2]
     block = draw_scenario(model, 1.0, rng, with_brownian=True, brownian_dt=0.2, n_paths=int(rng.integers(1, 9)))
-    assert_matches_byte_key(block, compiled)
+    assert_matches_byte_key(block, uset, compiled)
 
 
 def test_unequal_paths_with_one_sort_key_are_told_apart():
@@ -824,16 +832,86 @@ def test_unequal_paths_with_one_sort_key_are_told_apart():
     def one_path(sizes):
         return _Paths(np.array([0.0, 1.0]), np.zeros((1, 2, 1)), np.array([0, 2]), np.array([0.2, 0.5]), np.array(sizes))
 
-    built = [one_path([[1.0], [2.0]]), one_path([[2.0], [1.0]]), one_path([[1.0], [2.0]]), one_path([[2.0], [1.0]])]
-    assert _first_equal(built).tolist() == [[0, 1, 0, 1]]
-    assert np.array_equal(_first_equal(built), byte_key_reference(built)[0])
+    sizes = [[[1.0], [2.0]], [[2.0], [1.0]], [[1.0], [2.0]], [[2.0], [1.0]]]
+    built = [one_path(s) for s in sizes]
+    group = _Paths(np.array([0.0, 1.0]), np.zeros((4, 2, 1)), np.arange(0, 9, 2), np.tile([0.2, 0.5], 4), np.concatenate(sizes))
+    assert _first_equal(group, 4).tolist() == [[0, 1, 0, 1]]
+    assert np.array_equal(_first_equal(group, 4), byte_key_reference(built)[0])
 
 
 def test_paths_differing_only_in_grid_times_match_the_byte_key(lam_12):
     model = BaseJumpModel.from_uncertainty(lam_12)
     pols = [ControlPolicy(np.array([0.0, 0.3, 1.0]), (0, 1)), ControlPolicy(np.array([0.0, 0.6, 1.0]), (0, 1))]
-    compiled = [_compile_policy(p, lam_12, model) for p in pols + constant_policies(lam_12, 1.0)]
-    assert_matches_byte_key(draw_scenario(model, 1.0, np.random.default_rng(8), n_paths=50), compiled)
+    compiled = [_compile_policy(p, lam_12) for p in pols + constant_policies(lam_12, 1.0)]
+    assert_matches_byte_key(draw_scenario(model, 1.0, np.random.default_rng(8), n_paths=50), lam_12, compiled)
+
+
+# -- candidate-major groups: one block per set of shared cells --------------------
+
+def cells_of(block, comp):
+    """The cell ends of a candidate's continuous part: the Brownian grid when it diffuses, else its breakpoints in [0, 1]."""
+    if comp.needs_brownian:
+        return block.brownian_times.tolist()
+    bp = comp.breakpoints
+    return [0.0] + bp[(bp > 0.0) & (bp < block.horizon)].tolist() + [block.horizon]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["switching", "diffusive", "d2", "empty"]))
+def test_groups_hold_the_one_candidate_blocks(seed, kind):
+    rng = np.random.default_rng(seed)
+    uset, policies, _ = random_case(rng, kind)
+    model = BaseJumpModel.from_uncertainty(uset)
+    compiled = compiled_candidates(uset, policies)
+    compiled += compiled[1::2]  # repeated candidates
+    n = int(rng.integers(1, 9))
+    block = draw_scenario(model, 1.0, rng, with_brownian=True, brownian_dt=0.2, n_paths=n)
+    groups = _build_paths(block, uset, compiled)
+    assert sorted(c for members, _ in groups for c in members) == list(range(len(compiled)))
+    assert [members[0] for members, _ in groups] == sorted(members[0] for members, _ in groups)
+    brownian = [c for c, comp in enumerate(compiled) if comp.needs_brownian]
+    for members, paths in groups:
+        assert members == sorted(members) and paths.offsets.shape[0] == len(members) * n + 1
+        # members share their cells, and no other candidate has them
+        assert all(cells_of(block, compiled[c]) == paths.grid_times.tolist() for c in members)
+        assert not any(cells_of(block, compiled[c]) == paths.grid_times.tolist() for c in set(range(len(compiled))) - set(members))
+        # a diffusive candidate shares only the Brownian grid, so every one sits in one group
+        if set(brownian) & set(members):
+            assert set(brownian) <= set(members)
+        for k, (c, one) in enumerate(zip(members, one_candidate_blocks(block, uset, [compiled[c] for c in members]))):
+            for i in range(n):
+                got = CadlagPath._unchecked(1.0, *paths.arrays(k * n + i))
+                assert path_bytes(got) == path_bytes(CadlagPath._unchecked(1.0, *one.arrays(i)))
+
+
+def test_constant_policies_form_one_group():
+    uset = point_mass_family(np.linspace(1.0, 2.0, 11))
+    block = draw_scenario(BaseJumpModel.from_uncertainty(uset), 1.0, np.random.default_rng(3), n_paths=7)
+    [(members, paths)] = _build_paths(block, uset, [_compile_policy(p, uset) for p in constant_policies(uset, 1.0)])
+    assert members == list(range(11))
+    assert paths.grid_values.shape == (77, 2, 1) and paths.offsets.shape == (78,)
+
+
+def test_a_candidate_on_the_brownian_grid_shares_the_diffusive_group():
+    # triple 1 diffuses but acts only after the horizon, so candidate 0 needs
+    # Brownian increments and realizes the drift of triple 0 on the Brownian
+    # grid; candidate 1 cuts the same cells with its breakpoints and realizes
+    # the same paths. They form one group, and equal paths share one call
+    uset = UncertaintySet(
+        (LevyTriple(DiscreteLevyMeasure.delta(1.0, 1.5), drift=0.25), LevyTriple(DiscreteLevyMeasure.delta(2.0, 0.5), cov_root=0.3))
+    )
+    model = BaseJumpModel.from_uncertainty(uset)
+    pols = [
+        ControlPolicy(np.array([0.0, 1.0, 2.0]), (0, 1)),
+        ControlPolicy(np.linspace(0.0, 1.0, 5), (0, 0, 0, 0)),
+        ControlPolicy.constant(0, 0.0, 1.0),
+        ControlPolicy.constant(1, 0.0, 1.0),
+    ]
+    compiled = [_compile_policy(p, uset) for p in pols]
+    block = draw_scenario(model, 1.0, np.random.default_rng(2), with_brownian=True, brownian_dt=0.25, n_paths=6)
+    assert [members for members, _ in _build_paths(block, uset, compiled)] == [[0, 1, 3], [2]]
+    assert np.array_equal(first_equal_of_groups(block, uset, compiled)[:, 1], np.zeros(6))
+    assert_matches_byte_key(block, uset, compiled)
 
 
 # -- terminal payoffs: no path objects, the same numbers -------------------------
@@ -962,12 +1040,12 @@ def coarsened(block, rng):
     )
 
 
-def compiled_candidates(uset, policies, model):
+def compiled_candidates(uset, policies):
     compiled = []
     for policy in policies:
         try:
             policy.check_covers(0.0, 1.0)
-            compiled.append(_compile_policy(policy, uset, model))
+            compiled.append(_compile_policy(policy, uset))
         except PolicyError:
             continue
     return compiled
@@ -987,9 +1065,8 @@ def test_jump_payoffs_match_their_per_path_references(seed, kind):
     uset, policies, _ = random_case(rng, kind)
     d = 2 if kind == "d2" else 1
     model = BaseJumpModel.from_uncertainty(uset)
-    compiled = compiled_candidates(uset, policies, model)
-    block = draw_scenario(model, 1.0, rng, with_brownian=True, brownian_dt=0.2, n_paths=int(rng.integers(1, 12)))
-    built = [_build_paths(coarsened(block, rng), comp) for comp in compiled]
+    compiled = compiled_candidates(uset, policies)
+    block = coarsened(draw_scenario(model, 1.0, rng, with_brownian=True, brownian_dt=0.2, n_paths=int(rng.integers(1, 12))), rng)
     region_a, region_b = random_regions(rng, d)
     eighths = np.arange(9) / 8.0
     c0, c1 = np.sort(rng.choice(np.append(eighths, math.inf), size=2, replace=False))
@@ -1000,13 +1077,14 @@ def test_jump_payoffs_match_their_per_path_references(seed, kind):
     event = KthJumpEvent(region_a, k, region_b, (c0, c1))
     reference = kth_jump_reference(region_a, region_b, k, (c0, c1))
     integral = PoissonIntegralPayoff(f, region_a, phi)
-    events, integrals = event.block_values(built), integral.block_values(built)
+    events, integrals = _block_values(event, block, uset, compiled), _block_values(integral, block, uset, compiled)
     assert events.shape == integrals.shape == (block.n_paths, len(compiled))
-    for c, paths in enumerate(built):
-        for i in range(block.n_paths):
-            path = CadlagPath._unchecked(1.0, *paths.arrays(i))
-            assert events[i, c] == (1.0 if reference(path) else 0.0) == event(path)
-            assert integrals[i, c] == float(phi(poisson_integral(path, f, region_a))) == integral(path)
+    for members, paths in _build_paths(block, uset, compiled):
+        for k, c in enumerate(members):
+            for i in range(block.n_paths):
+                path = CadlagPath._unchecked(1.0, *paths.arrays(k * block.n_paths + i))
+                assert events[i, c] == (1.0 if reference(path) else 0.0) == event(path)
+                assert integrals[i, c] == float(phi(poisson_integral(path, f, region_a))) == integral(path)
 
 
 def handmade_block():
@@ -1016,9 +1094,9 @@ def handmade_block():
     times = np.array([0.25, 0.5, 0.5, 0.75, 1.0])
     segments = np.array([0, 0, 0, 0, 1]) if model.targets[0, 0, 0] == 1.0 else np.array([1, 1, 1, 1, 0])
     sc = BaseScenario(1.0, model, np.array([0, 5]), times, np.zeros(5), segments)
-    built = [_build_paths(sc, _compile_policy(ControlPolicy.constant(0, 0.0, 1.0), uset, model))]
-    assert built[0].jump_sizes[:, 0].tolist() == [1.0, 2.0, 1.0, 3.0]
-    return built
+    [(_, paths)] = _build_paths(sc, uset, [_compile_policy(ControlPolicy.constant(0, 0.0, 1.0), uset)])
+    assert paths.jump_sizes[:, 0].tolist() == [1.0, 2.0, 1.0, 3.0]
+    return paths
 
 
 @pytest.mark.parametrize(
@@ -1037,10 +1115,10 @@ def handmade_block():
     ],
 )
 def test_kth_jump_event_on_a_handmade_path(region_a, k, region_b, window, want):
-    built = handmade_block()
+    paths = handmade_block()
     event = KthJumpEvent(region_a, k, region_b, window)
-    assert event.block_values(built).tolist() == [[want]]
-    path = CadlagPath._unchecked(1.0, *built[0].arrays(0))
+    assert event.block_values(paths).tolist() == [want]
+    path = CadlagPath._unchecked(1.0, *paths.arrays(0))
     assert event(path) == want == (1.0 if kth_jump_reference(region_a, region_b, k, window)(path) else 0.0)
 
 
@@ -1118,9 +1196,11 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_path_route_checks_each_candidate_block_once(monkeypatch, mixtures):
+@pytest.mark.parametrize("switching, groups", [(False, 1), (True, 2)], ids=["constant", "constant-and-switching"])
+def test_path_route_checks_each_group_block_once(monkeypatch, mixtures, switching, groups):
     # the per-path route builds its path objects unchecked: one block check
-    # per candidate and block, none per path
+    # per group of candidates and block, none per path. Constant policies
+    # share the cells of [0, 1]; switching ones cut theirs at 0.5
     import glevy.paths
     import glevy.simulate
 
@@ -1135,11 +1215,12 @@ def test_path_route_checks_each_candidate_block_once(monkeypatch, mixtures):
         calls.append(1)
         return path.scalar_value(1.0)
 
-    pols = constant_policies(mixtures, 1.0)
+    switch = np.array([0.0, 0.5, 1.0])
+    pols = constant_policies(mixtures, 1.0) + ([ControlPolicy(switch, (0, 2)), ControlPolicy(switch, (2, 0))] if switching else [])
     n_paths = 2 * _BLOCK + 7
     estimate_upper_expectation(xi, mixtures, pols, n_paths, 2, horizon=1.0)
     assert constructs == []
-    assert len(checks) == len(pols) * -(-n_paths // _BLOCK)
+    assert len(checks) == groups * -(-n_paths // _BLOCK)
     assert len(calls) > len(checks)
 
 
@@ -1152,12 +1233,12 @@ def test_scalar_value_makes_no_values_at_call(monkeypatch):
     assert path.scalar_value(0.7) == -2.0
 
 
-@pytest.mark.parametrize("value, cell", [(np.array([1.0, 2.0]), r"array\(\[1\., 2\.\]\)"), ([1.0, 2.0], r"list\(\[1\.0, 2\.0\]\)")])
+@pytest.mark.parametrize("value, cell", [(np.array([1.0, 2.0]), r"array\(\[1\., 2\.\]\)"), ([1.0, 2.0], r"\[1\.0, 2\.0\]")])
 def test_path_route_refuses_a_sequence_value(mixtures, value, cell):
-    # each value sits in its own object cell of the (path, candidate) table,
-    # so the refusal shows the table of the returned sequences
+    # each value sits in its own object cell of the (path, candidate) table;
+    # the refusal names the first cell and its (path, candidate) index
     pols = constant_policies(mixtures, 1.0)
-    message = rf"(?s)^payoff returned array\(\[\[{cell}, .*, which does not convert to a float, at index \(\) of the result$"
+    message = rf"^payoff returned {cell}, which does not convert to a float, at index \(0, 0\) of the result$"
     with pytest.raises(EvaluationError, match=message):
         estimate_upper_expectation(lambda p: value, mixtures, pols, 3, 1, horizon=1.0)
 
@@ -1294,6 +1375,9 @@ def test_overflowing_drift_is_refused_without_a_warning():
         estimate_upper_expectation(lambda p: p.scalar_value(2.0), uset, constant_policies(uset, 2.0), 10, 1, horizon=2.0)
     with pytest.raises(InvalidInputError, match="path data must be finite"):
         estimate_upper_expectation(TerminalPayoff(lambda x: x), uset, constant_policies(uset, 2.0), 10, 1, horizon=2.0)
+    switching = constant_policies(uset, 2.0) + [ControlPolicy(np.array([0.0, 1.0, 2.0]), (0, 0))]
+    with pytest.raises(InvalidInputError, match="path data must be finite"):
+        estimate_upper_expectation(TerminalPayoff(lambda x: x), uset, switching, 10, 1, horizon=2.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1303,14 +1387,8 @@ def test_unchecked_paths_equal_checked_paths(seed, kind):
     uset, policies, _ = random_case(rng, kind)
     model = BaseJumpModel.from_uncertainty(uset)
     block = draw_scenario(model, 1.0, rng, with_brownian=True, brownian_dt=0.2, n_paths=5)
-    for policy in policies:
-        try:
-            policy.check_covers(0.0, 1.0)
-            compiled = _compile_policy(policy, uset, model)
-        except PolicyError:
-            continue
-        paths = _build_paths(block, compiled)
-        for i in range(5):
+    for _, paths in _build_paths(block, uset, compiled_candidates(uset, policies)):
+        for i in range(paths.offsets.shape[0] - 1):
             fast = CadlagPath._unchecked(1.0, *paths.arrays(i))
             checked = CadlagPath(1.0, *paths.arrays(i))
             assert type(fast.horizon) is type(checked.horizon) and fast.horizon == checked.horizon
