@@ -19,16 +19,23 @@ from ``mc.seed`` or ``--seed``, lies in [0, 2**64), so each seed names one
 stream. Boolean settings (``export_solution``) take ``true`` or ``false``
 only; a string such as "false" or a number exits 2.
 
-Config schema (YAML or JSON; sections are consumed by the subcommand that
-needs them)::
+Config schema (YAML or JSON). Every key is declared below; a key that is
+not exits 2, naming the nearest declared key. A section is read only by the
+subcommands that consume it::
+
+    command: expect         # optional; must name the subcommand run
+    method: both            # pide | mc | both (expect); --method overrides it
+    horizon: 1.0            # process horizon where distinct from the grid's
 
     uncertainty:            # see glevy.uncertainty.uncertainty_set_from_config
-      family:
+      family:               # a grid over a rule's keyword parameters
         rule: scaled_point_mass
         fixed: {location: 1.0}
         params:
           intensity: {min: 1.0, max: 2.0, count: 11}
-      # or explicit: triples: [{measure: {atoms: [[1.0, 2.0]]}, drift: 0.0, cov_root: 0.0}]
+      triples:              # or explicit triples, which take precedence
+        - {measure: {atoms: [[1.0, 2.0]]}, drift: 0.0, cov_root: 0.0}
+        - {measure: {locations: [[1.0]], weights: [2.0]}}
 
     grid:                   # finite difference grid (expect/martingale-check)
       x_min: -8.0
@@ -36,7 +43,7 @@ needs them)::
       nx: 801
       dt: 2.0e-4
       horizon: 1.0
-      export_solution: false  # expect only: write solution.csv + header in record
+      export_solution: false  # expect only; write solution.csv + header in record
       export_rows: 201        # >= 2; the solve keeps 2 to export_rows layers and exports them all
 
     mc:                     # Monte Carlo settings (expect/capacity/erlang-bound)
@@ -53,21 +60,21 @@ needs them)::
       xs: [0, 1, 2]         # table knots
       ys: [0, 1, 0]
 
-    horizon: 1.0            # process horizon where distinct from the grid's
-
     validate: {q: 0.5, p: 2.0}
-    gpoisson: {lambda_min: 1.0, lambda_max: 2.0, t: 1.0}
-    capacity: {region: {interval: [0.5, 1.5]}, min_count: 1}
-    erlang: {region_a: {points: [1, 2]}, region_b: {points: [1]}, k: 1, window: [0.0, 1.0]}
+    gpoisson: {lambda_min: 1.0, lambda_max: 2.0, t: 1.0, n_steps: 1000}
+    capacity: {region: {interval: [0.5, 1.5], closed: left}, min_count: 1}  # closed left | right | both | none
+    erlang: {region_a: {points: [1, 2]}, region_b: {atoms: [[1]]}, k: 1, window: [0.0, 1.0]}
     martingale: {kind: compensatedJumpPart, s: 0.25, t: 0.75}
     compensate: {input: path.jsonl}
     decompose: {input: path.jsonl}
     transport: {eps: [0.1, 0.5]}
-    fnspace: {p: 1.0, region: {full: true}, discontinuity: {points: [1.0]}}
+    fnspace:
+      p: 1.0
+      region: {full: true}  # or {empty: true}
+      discontinuity: {boxes: [{lo: [0.5], hi: [1.5], closed_lo: true, closed_hi: false}]}
+      eps: [0.1, 0.01, 0.001]
+      ns: [1, 4, 16, 64]
     counterexample: {t: 0.5, shift: 0.01, size_a: 1.0, size_b: 1.01, horizon: 1.0}
-
-Regions accept {interval: [lo, hi], closed: left|right|both|none},
-{points: [...]}, {full: true} or explicit {boxes: [...], atoms: [...]}.
 """
 
 from __future__ import annotations
@@ -98,7 +105,9 @@ from .errors import (
     InvalidInputError,
     NumericalAbortError,
     UnsupportedError,
+    _boolean,
     _integer,
+    _read,
 )
 from .fnspace import (
     TestFunction,
@@ -140,33 +149,12 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {e}")
     except yaml.YAMLError as e:
         raise ConfigError(f"cannot parse config {path}: {e}")
-    if doc is None:
-        return {}
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a mapping")
-    return doc
+    return {} if doc is None else doc
 
 
 def _config_hash(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, default=str)
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-_REQUIRED = object()
-
-
-def _get(doc, key: str, kind=float, default=_REQUIRED):
-    """Return ``kind(doc[key])``, or ``default`` when absent; each refusal is a ConfigError naming the key."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"the config holding {key!r} must be a mapping")
-    if key not in doc:
-        if default is _REQUIRED:
-            raise ConfigError(f"config needs {key!r}")
-        return default
-    try:
-        return kind(doc[key])
-    except (LookupError, TypeError, ValueError, OverflowError, OSError) as e:
-        raise ConfigError(f"cannot read {key!r}: {type(e).__name__}: {e}") from e
 
 
 def _seed(value) -> int:
@@ -177,76 +165,110 @@ def _seed(value) -> int:
     return seed
 
 
-def _boolean(value) -> bool:
-    """True or False; anything else, such as the string "false" or the number 1, is refused."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _mapping(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a mapping, got {type(value).__name__}")
-    return value
-
-
 def _floats(value) -> list[float]:
     return [float(v) for v in value]
 
 
-def _payoff_from_config(config: dict) -> tuple:
-    doc = _get(config, "payoff", _mapping)
-    kind = _get(doc, "kind", str)
+def _echoed(value) -> tuple:
+    """A float setting and the value as the config wrote it, for the record."""
+    return float(value), value
+
+
+def _records(value) -> tuple:
+    """The path a config names and the path record read from it."""
+    return str(value), read_records(str(value))
+
+
+def _only(fields: dict, *keys) -> dict:
+    """``fields`` with every key but ``keys`` optional and left as written."""
+    return {k: spec if k in keys else (None, None) for k, spec in fields.items()}
+
+
+_GRID = dict(
+    x_min=float, x_max=float, nx=_integer, dt=float, horizon=float,
+    export_solution=(_boolean, False), export_rows=(_integer, 201),
+)
+# every top-level key; a section with a default may be left out
+_CONFIG = dict(
+    command=(str, None),
+    method=(str, "both"),
+    horizon=(float, None),
+    uncertainty=uncertainty_set_from_config,
+    payoff=dict(
+        kind=str, scale=(float, 1.0), cap=(float, 1.0), lo=(float, 0.0), hi=(float, 1.0),
+        xs=(_floats, []), ys=(_floats, []),
+    ),
+    grid=_GRID,
+    mc=(dict(n_paths=(_integer, 10000), seed=(_seed, None), brownian_dt=(float, 0.01)), {}),
+    validate=dict(q=float, p=float),
+    gpoisson=dict(lambda_min=_echoed, lambda_max=_echoed, t=_echoed, n_steps=(_integer, None)),
+    capacity=dict(region=Region.from_dict, min_count=(_integer, 1)),
+    erlang=dict(
+        region_a=Region.from_dict, region_b=Region.from_dict, k=(_integer, 1),
+        window=(lambda w: (float(w[0]), float(w[1])), (0.0, float("inf"))),
+    ),
+    martingale=dict(kind=str, s=(float, 0.0), t=float),
+    compensate=dict(input=_records),
+    decompose=dict(input=_records),
+    transport=(dict(eps=(_floats, [0.1])), {}),
+    fnspace=(dict(
+        p=(float, 1.0), region=(Region.from_dict, None), discontinuity=(Region.from_dict, None),
+        eps=(_floats, [1e-1, 1e-2, 1e-3]), ns=(_floats, [1.0, 4.0, 16.0, 64.0]),
+    ), {}),
+    counterexample=(dict(
+        t=(float, 0.5), shift=(float, 0.01), size_a=(float, 1.0), size_b=(float, 1.01), horizon=(float, 1.0)
+    ), {}),
+)
+
+
+def _config(doc: dict, *keys) -> dict:
+    """The top-level values of ``keys``, each read by its declared reader; the other keys are not read."""
+    return _read(doc, _only(_CONFIG, *keys), "config")
+
+
+def _payoff(doc: dict) -> tuple:
+    kind = doc["kind"]
     if kind == "linear":
-        scale = _get(doc, "scale", float, 1.0)
+        scale = doc["scale"]
         return (lambda x: scale * np.asarray(x, dtype=float)), f"linear(scale={scale})"
     if kind == "clampedLinear":
-        scale = _get(doc, "scale", float, 1.0)
-        cap = _get(doc, "cap", float, 1.0)
+        scale, cap = doc["scale"], doc["cap"]
         return (
             lambda x: np.minimum(scale * np.asarray(x, dtype=float), cap)
         ), f"clampedLinear(scale={scale}, cap={cap})"
     if kind == "indicatorSmoothed":
-        lo = _get(doc, "lo", float, 0.0)
-        hi = _get(doc, "hi", float, 1.0)
+        lo, hi = doc["lo"], doc["hi"]
         if not hi > lo:
             raise ConfigError("indicatorSmoothed needs hi > lo")
         return (
             lambda x: np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
         ), f"indicatorSmoothed(lo={lo}, hi={hi})"
     if kind == "table":
-        xs, ys = (_get(doc, k, lambda v: np.asarray(v, dtype=float)) for k in ("xs", "ys"))
+        xs, ys = np.asarray(doc["xs"]), np.asarray(doc["ys"])
         if xs.ndim != 1 or xs.shape != ys.shape or xs.shape[0] < 2 or np.any(np.diff(xs) <= 0):
             raise ConfigError("table payoff needs matching strictly increasing xs and ys")
         return (lambda x: np.interp(np.asarray(x, dtype=float), xs, ys)), "table"
     raise ConfigError(f"unknown payoff kind {kind!r}")
 
 
-def _grid_from_config(doc: dict) -> Grid1D:
-    return Grid1D(
-        _get(doc, "x_min"), _get(doc, "x_max"), _get(doc, "nx", _integer), _get(doc, "dt"), _get(doc, "horizon")
-    )
+def _grid(doc: dict) -> Grid1D:
+    return Grid1D(doc["x_min"], doc["x_max"], doc["nx"], doc["dt"], doc["horizon"])
 
 
-def _uset(config: dict):
-    return _get(config, "uncertainty", uncertainty_set_from_config)
-
-
-def _mc_settings(config: dict, seed_override: int | None):
-    mc = _get(config, "mc", _mapping, {})
-    if seed_override is None:
-        seed = _get(mc, "seed", _seed, None)
-    else:
-        seed = _get({"--seed": seed_override}, "--seed", _seed)
-    if seed is None:
+def _mc_settings(mc: dict, seed_override: int | None):
+    if seed_override is not None:
+        mc = {**mc, "seed": _read({"--seed": seed_override}, {"--seed": _seed}, "command line")["--seed"]}
+    if mc["seed"] is None:
         raise ConfigError("a seed is required for stochastic commands (mc.seed or --seed)")
-    return _get(mc, "n_paths", _integer, 10000), seed, _get(mc, "brownian_dt", float, 0.01)
+    return mc["n_paths"], mc["seed"], mc["brownian_dt"]
 
 
 def _horizon(config: dict) -> float:
-    """Top-level ``horizon``, else the grid's."""
-    T = _get(config, "horizon", float, None)
-    return T if T is not None else _get(_get(config, "grid", _mapping, {}), "horizon")
+    """Top-level ``horizon``, else the grid's; no other grid key is read."""
+    T = _config(config, "horizon")["horizon"]
+    if T is None:
+        T = _read(config, {**_only(_CONFIG), "grid": _only(_GRID, "horizon")}, "config")["grid"]["horizon"]
+    return T
 
 
 class _Encoder(json.JSONEncoder):
@@ -268,26 +290,27 @@ class _Encoder(json.JSONEncoder):
 
 
 def _cmd_validate(config, args, out_dir):
-    sec = _get(config, "validate", _mapping)
-    report = validate(_uset(config), _get(sec, "q"), _get(sec, "p"))
+    c = _config(config, "validate", "uncertainty")
+    report = validate(c["uncertainty"], c["validate"]["q"], c["validate"]["p"])
     return {"report": report.as_dict(), "ok": report.ok}, {}
 
 
 def _cmd_expect(config, args, out_dir):
-    method = args.method or _get(config, "method", str, "both")
+    method = args.method or _config(config, "method")["method"]
     if method not in ("pide", "mc", "both"):
         raise ConfigError(f"unknown method {method!r}")
-    payoff, payoff_name = _payoff_from_config(config)
-    uset = _uset(config)
+    solve, sample = method in ("pide", "both"), method in ("mc", "both")
+    c = _config(config, "payoff", "uncertainty", *(["grid"] if solve else []), *(["mc"] if sample else []))
+    payoff, payoff_name = _payoff(c["payoff"])
+    uset = c["uncertainty"]
     T = _horizon(config)
     results: dict = {"method": method, "payoff": payoff_name, "horizon": T}
     csvs: dict = {}
-    if method in ("pide", "both"):
-        grid_cfg = _get(config, "grid", _mapping)
-        export = _get(grid_cfg, "export_solution", _boolean, False)
+    if solve:
+        export = c["grid"]["export_solution"]
         # the solve keeps only the layers the export reads: first and last without one
-        rows = _get(grid_cfg, "export_rows", _integer, 201) if export else 2
-        sol = solve_ipde(payoff, uset, _grid_from_config(grid_cfg), horizon=T, max_rows=rows)
+        rows = c["grid"]["export_rows"] if export else 2
+        sol = solve_ipde(payoff, uset, _grid(c["grid"]), horizon=T, max_rows=rows)
         results["pideValue"] = sol.value_at_zero()
         results["schemeError"] = sol.diagnostics["scheme_error_estimate"]
         results["pideDiagnostics"] = sol.diagnostics
@@ -295,8 +318,8 @@ def _cmd_expect(config, args, out_dir):
             text, header = sol.to_csv()
             csvs["solution.csv"] = text
             results["solutionHeader"] = header
-    if method in ("mc", "both"):
-        n_paths, seed, brownian_dt = _mc_settings(config, args.seed)
+    if sample:
+        n_paths, seed, brownian_dt = _mc_settings(c["mc"], args.seed)
         est = estimate_upper_expectation(
             TerminalPayoff(payoff),
             uset,
@@ -323,28 +346,23 @@ def _cmd_expect(config, args, out_dir):
 
 
 def _cmd_gpoisson(config, args, out_dir):
-    sec = _get(config, "gpoisson", _mapping)
-    payoff, payoff_name = _payoff_from_config(config)
-    value = g_poisson_distribution(
-        _get(sec, "lambda_min"),
-        _get(sec, "lambda_max"),
-        _get(sec, "t"),
-        payoff,
-        n_steps=_get(sec, "n_steps", _integer, None),
-    )
+    c = _config(config, "gpoisson", "payoff")
+    sec = c["gpoisson"]
+    payoff, payoff_name = _payoff(c["payoff"])
+    echoed = ("lambda_min", "lambda_max", "t")
+    value = g_poisson_distribution(*(sec[k][0] for k in echoed), payoff, n_steps=sec["n_steps"])
     # echo the three parameters as the config wrote them
-    return {"value": value, "payoff": payoff_name, **{k: sec[k] for k in ("lambda_min", "lambda_max", "t")}}, {}
+    return {"value": value, "payoff": payoff_name, **{k: sec[k][1] for k in echoed}}, {}
 
 
 def _cmd_capacity(config, args, out_dir):
-    sec = _get(config, "capacity", _mapping)
-    region = _get(sec, "region", Region.from_dict)
-    min_count = _get(sec, "min_count", _integer, 1)
+    c = _config(config, "capacity", "uncertainty", "mc")
+    region, min_count = c["capacity"]["region"], c["capacity"]["min_count"]
     if min_count < 0:
         raise ConfigError(f"capacity min_count must be >= 0, got {min_count}")
-    uset = _uset(config)
+    uset = c["uncertainty"]
     T = _horizon(config)
-    n_paths, seed, brownian_dt = _mc_settings(config, args.seed)
+    n_paths, seed, brownian_dt = _mc_settings(c["mc"], args.seed)
 
     # the jump count in the region is the Poisson integral of 1, taken over
     # whole blocks: both functions take every value of a block at once
@@ -368,18 +386,10 @@ def _cmd_capacity(config, args, out_dir):
 
 
 def _cmd_erlang_bound(config, args, out_dir):
-    sec = _get(config, "erlang", _mapping)
-    window = _get(sec, "window", lambda w: (float(w[0]), float(w[1])), (0.0, float("inf")))
-    n_paths, seed, _ = _mc_settings(config, args.seed)
-    res = erlang_bound_check(
-        _uset(config),
-        _get(sec, "region_a", Region.from_dict),
-        _get(sec, "region_b", Region.from_dict),
-        _get(sec, "k", _integer, 1),
-        window,
-        n_paths,
-        seed,
-    )
+    c = _config(config, "erlang", "uncertainty", "mc")
+    sec = c["erlang"]
+    n_paths, seed, _ = _mc_settings(c["mc"], args.seed)
+    res = erlang_bound_check(c["uncertainty"], sec["region_a"], sec["region_b"], sec["k"], sec["window"], n_paths, seed)
     return {
         "mcCapacity": res.mc_capacity,
         "stdError": res.std_error,
@@ -392,9 +402,9 @@ def _cmd_erlang_bound(config, args, out_dir):
 
 
 def _cmd_compensate(config, args, out_dir):
-    sec = _get(config, "compensate", _mapping)
-    uset = _uset(config)
-    path = _get(sec, "input", lambda v: read_records(str(v)))
+    c = _config(config, "compensate", "uncertainty")
+    uset = c["uncertainty"]
+    name, path = c["compensate"]["input"]
     drift = mean_of_jump_part(uset, 1.0)
     comp = compensate(path, uset)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -402,24 +412,22 @@ def _cmd_compensate(config, args, out_dir):
     write_records(comp, out_file)
     return {
         "drift": drift.tolist(),
-        "input": _get(sec, "input", str),
+        "input": name,
         "output": out_file,
         "terminalValue": np.atleast_2d(comp.values_at(comp.horizon))[-1].tolist(),
     }, {}
 
 
 def _cmd_martingale_check(config, args, out_dir):
-    sec = _get(config, "martingale", _mapping)
-    kind = _get(sec, "kind", str)
-    uset = _uset(config)
-    grid = _grid_from_config(_get(config, "grid", _mapping))
-    res = martingale_check(ProcessSpec(kind, uset), _get(sec, "s", float, 0.0), _get(sec, "t"), grid)
+    c = _config(config, "martingale", "uncertainty", "grid")
+    sec = c["martingale"]
+    kind = sec["kind"]
+    res = martingale_check(ProcessSpec(kind, c["uncertainty"]), sec["s"], sec["t"], _grid(c["grid"]))
     return {"kind": kind, **res.as_dict()}, {}
 
 
 def _cmd_decompose(config, args, out_dir):
-    sec = _get(config, "decompose", _mapping)
-    path = _get(sec, "input", lambda v: read_records(str(v)))
+    name, path = _config(config, "decompose")["decompose"]["input"]
     xc, xd = decompose(path)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     cont_file = str(Path(out_dir) / "continuous_part.jsonl")
@@ -427,7 +435,7 @@ def _cmd_decompose(config, args, out_dir):
     write_records(xc, cont_file)
     write_records(xd, jump_file)
     return {
-        "input": _get(sec, "input", str),
+        "input": name,
         "continuous": cont_file,
         "jumps": jump_file,
         "nJumps": path.n_jumps,
@@ -435,13 +443,12 @@ def _cmd_decompose(config, args, out_dir):
 
 
 def _cmd_transport(config, args, out_dir):
-    sec = _get(config, "transport", _mapping, {})
-    eps_list = _get(sec, "eps", _floats, [0.1])
-    uset = _uset(config)
+    c = _config(config, "transport", "uncertainty")
+    eps_list = c["transport"]["eps"]
     base = InverseSquareTail()
     measures = []
     csvs = {}
-    for i, m in enumerate(uset.measures):
+    for i, m in enumerate(c["uncertainty"].measures):
         tm = transport_map(m, base)
         rows = ["lo,hi,target,weight"]
         for sh in tm.shells:
@@ -461,21 +468,17 @@ def _cmd_transport(config, args, out_dir):
 
 
 def _cmd_fnspace(config, args, out_dir):
-    sec = _get(config, "fnspace", _mapping, {})
-    p = _get(sec, "p", float, 1.0)
-    payoff, payoff_name = _payoff_from_config(config)
-    region = _get(sec, "region", Region.from_dict, None)
-    disc = _get(sec, "discontinuity", Region.from_dict, None)
-    f = TestFunction(lambda z: float(payoff(z)), discontinuity=disc, name=payoff_name)
-    uset = _uset(config)
-    family = uset.measures
+    c = _config(config, "fnspace", "payoff", "uncertainty")
+    sec = c["fnspace"]
+    p, region = sec["p"], sec["region"]
+    payoff, payoff_name = _payoff(c["payoff"])
+    f = TestFunction(lambda z: float(payoff(z)), discontinuity=sec["discontinuity"], name=payoff_name)
+    family = c["uncertainty"].measures
     norm = v_norm(f, region, family, p)
     verdict = membership_lpb(f, region, family, p)
     qc = qc_criterion(f, family)
-    eps_ladder = _get(sec, "eps", _floats, [1e-1, 1e-2, 1e-3])
-    ns_ladder = _get(sec, "ns", _floats, [1.0, 4.0, 16.0, 64.0])
-    tight = tightness_profile(f, family, p, eps_ladder)
-    ui = uniform_integrability_profile(f, family, p, ns_ladder)
+    tight = tightness_profile(f, family, p, sec["eps"])
+    ui = uniform_integrability_profile(f, family, p, sec["ns"])
     csvs = {
         "fnspace_tightness.csv": tightness_csv(tight),
         "fnspace_ui.csv": ui_csv(ui),
@@ -490,12 +493,8 @@ def _cmd_fnspace(config, args, out_dir):
 
 
 def _cmd_counterexample(config, args, out_dir):
-    sec = _get(config, "counterexample", _mapping, {})
-    t = _get(sec, "t", float, 0.5)
-    shift = _get(sec, "shift", float, 0.01)
-    size_a = _get(sec, "size_a", float, 1.0)
-    size_b = _get(sec, "size_b", float, 1.01)
-    T = _get(sec, "horizon", float, 1.0)
+    sec = _config(config, "counterexample")["counterexample"]
+    t, shift, size_a, size_b, T = (sec[k] for k in ("t", "shift", "size_a", "size_b", "horizon"))
     a = counterexample_family(t, size_a, T)
     b = counterexample_family(t + shift, size_b, T)
     dist = skorohod_distance_upper(a, b)
@@ -563,7 +562,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         config = _load_config(args.config)
-        declared = _get(config, "command", str, None)
+        declared = _config(config, "command")["command"]
         if declared is not None and declared != args.command:
             raise ConfigError(f"config declares command {declared!r} but {args.command!r} was invoked")
         handler = _COMMANDS[args.command]

@@ -20,8 +20,12 @@ scalar, named by the arguments at its index when they have the result's
 shape, else by that index). An exception raised inside the function
 propagates unchanged. :func:`_eval_nodes` evaluates a function on a node
 array with one vectorized call, falling back to one call per node.
+
+Every config mapping is read by :func:`_read` against one declaration of its
+keys; an undeclared key is refused, naming the nearest declared key.
 """
 
+import difflib
 from typing import Callable
 
 import numpy as np
@@ -75,6 +79,49 @@ def _integer(value) -> int:
     if not _is_integer(value):
         raise InvalidInputError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _boolean(value) -> bool:
+    """True or False; anything else, such as the string "false" or the number 1, raises InvalidInputError."""
+    if not isinstance(value, bool):
+        raise InvalidInputError(f"expected true or false, got {value!r}")
+    return value
+
+
+_REQUIRED = object()
+
+
+def _read(doc, fields: dict, where: str) -> dict:
+    """The values of the config mapping ``doc`` at ``where``, one per key of ``fields``.
+
+    ``fields`` maps each declared key to a reader (a required key) or to
+    ``(reader, default)``. A reader is a function of the value, None to take
+    the value as written, or a nested ``fields`` mapping, which reads the value,
+    or the default when the key is absent. A non-mapping, an undeclared key, a
+    missing key and a value its reader refuses raise InvalidInputError.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{where} must be a mapping, got {type(doc).__name__}")
+    for key in doc:
+        if key not in fields:
+            (near,) = difflib.get_close_matches(str(key), list(fields), n=1, cutoff=0.0)
+            raise InvalidInputError(f"{where} has undeclared key {key!r}; the nearest declared key is {near!r}")
+    out = {}
+    for key, spec in fields.items():
+        reader, default = spec if isinstance(spec, tuple) else (spec, _REQUIRED)
+        if key not in doc and default is _REQUIRED:
+            raise InvalidInputError(f"{where} needs {key!r}")
+        value = doc.get(key, default)
+        if isinstance(reader, dict):
+            out[key] = _read(value, reader, f"{where}.{key}")
+        elif key not in doc or reader is None:
+            out[key] = value
+        else:
+            try:
+                out[key] = reader(value)
+            except (LookupError, TypeError, ValueError, OverflowError, OSError) as e:
+                raise InvalidInputError(f"{where}.{key}: {e}") from e
+    return out
 
 
 def _evaluate(fn: Callable, points, what: str, *, each: bool = True) -> np.ndarray:

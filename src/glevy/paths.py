@@ -117,8 +117,7 @@ class CadlagPath:
         jumps = sorted(jumps, key=lambda p: p[0])
         jt = np.array([p[0] for p in jumps], dtype=float)
         js = np.array([p[1] for p in jumps], dtype=float).reshape(-1, 1)
-        z = CadlagPath.zero(horizon)
-        return CadlagPath(horizon, z.grid_times, z.grid_values, jt, js)
+        return CadlagPath(horizon, np.array([0.0, horizon]), np.zeros((2, 1)), jt, js)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -456,8 +455,7 @@ def discretize_tn(path: CadlagPath, n: int) -> CadlagPath:
     vals = path.values_at(knots)
     steps = np.diff(vals, axis=0)
     keep = np.linalg.norm(steps, axis=1) > 0.0
-    z = CadlagPath.zero(T, path.dim)
-    return CadlagPath(T, z.grid_times, z.grid_values, knots[1:][keep], steps[keep])
+    return CadlagPath(T, np.array([0.0, T]), np.zeros((2, path.dim)), knots[1:][keep], steps[keep])
 
 
 def _sup_difference(a: CadlagPath, b: CadlagPath, anchors_x: np.ndarray, anchors_y: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _boolean, _read
 
 
 @dataclass(frozen=True)
@@ -252,44 +252,36 @@ class Region:
         {"interval": [lo, hi], "closed": "left"|"right"|"both"|"none"},
         {"points": [...]}, and the general {"boxes": [...], "atoms": [...]}.
         """
-        if not isinstance(doc, dict):
-            raise InvalidInputError("region config must be a mapping")
-        if doc.get("full"):
+        r = _read(doc, _REGION, "region")
+        if r["full"]:
             return Region.full_space()
-        if doc.get("empty"):
+        if r["empty"]:
             return Region.empty()
         boxes: list[Box] = []
-        atoms: list = []
-        if "interval" in doc:
-            lo, hi = doc["interval"]
-            closed = doc.get("closed", "none")
+        if r["interval"] is not None:
+            (lo, hi), closed = r["interval"], r["closed"]
             if closed not in ("left", "right", "both", "none"):
                 raise InvalidInputError(f"unknown interval closure {closed!r}")
-            boxes.append(
-                Box(
-                    [float(lo)],
-                    [float(hi)],
-                    closed_lo=closed in ("left", "both"),
-                    closed_hi=closed in ("right", "both"),
-                )
-            )
-        for spec in doc.get("boxes", ()):
-            boxes.append(
-                Box(
-                    spec["lo"],
-                    spec["hi"],
-                    closed_lo=bool(spec.get("closed_lo", True)),
-                    closed_hi=bool(spec.get("closed_hi", False)),
-                )
-            )
-        for p in doc.get("points", ()):
-            atoms.append(np.atleast_1d(np.asarray(p, dtype=float)))
-        for p in doc.get("atoms", ()):
-            atoms.append(np.atleast_1d(np.asarray(p, dtype=float)))
+            boxes.append(Box([lo], [hi], closed_lo=closed in ("left", "both"), closed_hi=closed in ("right", "both")))
+        for i, spec in enumerate(r["boxes"]):
+            b = _read(spec, _BOX, f"region.boxes[{i}]")
+            boxes.append(Box(b["lo"], b["hi"], closed_lo=b["closed_lo"], closed_hi=b["closed_hi"]))
+        atoms = r["points"] + r["atoms"]
         if not boxes and not atoms:
             raise InvalidInputError("region config describes no points")
         atom_arr = np.vstack(atoms) if atoms else np.empty((0, boxes[0].dim if boxes else 1))
         return Region(boxes=tuple(boxes), atoms=atom_arr)
+
+
+def _points(value) -> list[np.ndarray]:
+    return [np.atleast_1d(np.asarray(p, dtype=float)) for p in value]
+
+
+_REGION = dict(
+    full=(_boolean, False), empty=(_boolean, False), interval=(lambda v: [float(x) for x in v], None),
+    closed=(None, "none"), boxes=(None, ()), points=(_points, []), atoms=(_points, []),
+)
+_BOX = dict(lo=None, hi=None, closed_lo=(_boolean, True), closed_hi=(_boolean, False))
 
 
 def _boxes_intersect(a: Box, b: Box) -> bool:

@@ -251,7 +251,7 @@ class ControlPolicy:
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float).reshape(-1)
-        if bp.shape[0] < 2 or np.any(np.diff(bp) <= 0.0):
+        if bp.shape[0] < 2 or not np.all(np.diff(bp) > 0.0):  # a NaN difference is not an increase
             raise PolicyError("breakpoints must be strictly increasing with at least two entries")
         if len(self.values) != bp.shape[0] - 1:
             raise PolicyError("need exactly one control value per interval")

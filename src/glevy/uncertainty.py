@@ -22,6 +22,7 @@ come from reference marks bounded away from zero (the separation property).
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import InvalidInputError, UnsupportedError, _evaluate, _integer
+from .errors import InvalidInputError, UnsupportedError, _evaluate, _integer, _read
 from .regions import Region
 
 __all__ = [
@@ -569,15 +570,6 @@ def transport_map(v: DiscreteLevyMeasure, base: InverseSquareTail | None = None)
 # ---------------------------------------------------------------------------
 
 
-def _measure_from_config(doc) -> DiscreteLevyMeasure:
-    if isinstance(doc, dict) and "atoms" in doc:
-        pairs = [(float(a[0]), float(a[1])) for a in doc["atoms"]]
-        return DiscreteLevyMeasure.from_pairs(pairs)
-    if isinstance(doc, dict) and "locations" in doc:
-        return DiscreteLevyMeasure(np.asarray(doc["locations"], dtype=float), np.asarray(doc["weights"], dtype=float))
-    raise InvalidInputError(f"cannot parse measure config: {doc!r}")
-
-
 _FAMILY_RULES: dict[str, Callable] = {}
 
 
@@ -647,29 +639,42 @@ def uncertainty_set_from_config(doc: dict) -> UncertaintySet:
           fixed: {location: 1.0}
           params:
             intensity: {min: 1.0, max: 2.0, count: 5}
+
+    The names in ``fixed`` and ``params`` are the rule's keyword parameters.
     """
-    if not isinstance(doc, dict):
-        raise InvalidInputError("uncertainty config must be a mapping")
-    if "triples" in doc:
-        triples = []
-        for t in doc["triples"]:
-            triples.append(
-                LevyTriple(
-                    _measure_from_config(t["measure"]),
-                    t.get("drift", 0.0),
-                    t.get("cov_root", 0.0),
-                )
-            )
-        return UncertaintySet(tuple(triples))
-    if "family" in doc:
-        fam = doc["family"]
-        rule_name = fam.get("rule")
-        if rule_name not in _FAMILY_RULES:
-            raise InvalidInputError(f"unknown family rule {rule_name!r}; known: {sorted(_FAMILY_RULES)}")
-        fixed = dict(fam.get("fixed", {}))
-        params = fam.get("params", {})
-        ranges = {k: (float(v["min"]), float(v["max"])) for k, v in params.items()}
-        counts = {k: _integer(v["count"]) for k, v in params.items()}
-        rule = _FAMILY_RULES[rule_name]
-        return UncertaintySet.from_rule(ranges, counts, lambda **kw: rule(**fixed, **kw))
-    raise InvalidInputError("uncertainty config needs a 'triples' or 'family' section")
+    sec = _read(doc, _UNCERTAINTY, "uncertainty")
+    if sec["triples"] is not None:
+        return UncertaintySet(tuple(_triple(t, f"uncertainty.triples[{i}]") for i, t in enumerate(sec["triples"])))
+    if sec["family"] is None:
+        raise InvalidInputError("uncertainty config needs a 'triples' or 'family' section")
+    name, fixed, params = _read(sec["family"], _FAMILY, "uncertainty.family").values()
+    if name not in _FAMILY_RULES:
+        raise InvalidInputError(f"unknown family rule {name!r}; known: {sorted(_FAMILY_RULES)}")
+    rule = _FAMILY_RULES[name]
+    names = dict.fromkeys(inspect.signature(rule).parameters, (None, None))
+    _read(fixed, names, "uncertainty.family.fixed")  # the rule takes the fixed values as written
+    _read(params, names, "uncertainty.family.params")
+    spans = {k: _read(v, _PARAM, f"uncertainty.family.params.{k}") for k, v in params.items()}
+    ranges = {k: (v["min"], v["max"]) for k, v in spans.items()}
+    counts = {k: v["count"] for k, v in spans.items()}
+    return UncertaintySet.from_rule(ranges, counts, lambda **kw: rule(**fixed, **kw))
+
+
+def _triple(doc, where: str) -> LevyTriple:
+    t = _read(doc, _TRIPLE, where)
+    atoms, locations, weights = t["measure"].values()
+    if (atoms is None) == (locations is None) or (locations is None) != (weights is None):
+        raise InvalidInputError(f"{where}.measure needs 'atoms', or 'locations' and 'weights'")
+    measure = DiscreteLevyMeasure.from_pairs(atoms) if atoms is not None else DiscreteLevyMeasure(locations, weights)
+    return LevyTriple(measure, t["drift"], t["cov_root"])
+
+
+_UNCERTAINTY = dict(triples=(list, None), family=(None, None))
+_MEASURE = dict(
+    atoms=(lambda v: [(float(a[0]), float(a[1])) for a in v], None),
+    locations=(lambda v: np.asarray(v, dtype=float), None),
+    weights=(lambda v: np.asarray(v, dtype=float), None),
+)
+_TRIPLE = dict(measure=_MEASURE, drift=(None, 0.0), cov_root=(None, 0.0))
+_FAMILY = dict(rule=None, fixed=(None, {}), params=(None, {}))
+_PARAM = dict(min=float, max=float, count=_integer)

@@ -1,8 +1,10 @@
 """End-to-end checks of the command line front-end and its artifacts."""
 
+import inspect
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import pytest
 import yaml
 
 import glevy
-from glevy import CadlagPath, write_records, read_records
+from glevy import CadlagPath, cli, regions, uncertainty, write_records, read_records
 from glevy.cli import main
 
 UNC_FAMILY = {
@@ -375,6 +377,26 @@ EXPECT_PIDE = {"uncertainty": UNC_FAMILY, "grid": GRID, "payoff": {"kind": "line
 EXPECT_MC = {"uncertainty": UNC_FAMILY, "horizon": 1.0, "payoff": {"kind": "linear"}, "method": "mc"}
 ERLANG = {"region_a": {"interval": [0.5, 2.5]}, "region_b": {"interval": [0.5, 1.5]}}
 MISSING_PATH = "no_such_dir/path.jsonl"
+CAPACITY = {
+    "uncertainty": UNC_FAMILY,
+    "horizon": 1.0,
+    "capacity": {"region": {"interval": [0.5, 1.5]}},
+    "mc": {"n_paths": 50, "seed": 9},
+}
+# a misspelt key, once ignored, exits 2: (command, config, the key, its nearest declared key)
+TYPOS = {
+    "mc-n_path": ("capacity", {**CAPACITY, "mc": {"n_path": 50, "seed": 9}}, "n_path", "n_paths"),
+    "mc-sede": ("capacity", {**CAPACITY, "mc": {"n_paths": 50, "seed": 9, "sede": 9}}, "sede", "seed"),
+    "capacity-regoin": (
+        "capacity",
+        {**CAPACITY, "capacity": {"region": {"full": True}, "regoin": {"points": [1.0]}}},
+        "regoin",
+        "region",
+    ),
+    "horizn": ("expect", {**EXPECT_MC, "grid": {"horizon": 1.0}, "horizn": 2.0, "mc": {"n_paths": 50, "seed": 1}}, "horizn", "horizon"),
+    "grid-nxx": ("expect", {**EXPECT_PIDE, "grid": {**GRID, "nxx": 281}}, "nxx", "nx"),
+    "payoff-scael": ("expect", {**EXPECT_PIDE, "payoff": {"kind": "linear", "scael": 2.0}}, "scael", "scale"),
+}
 MALFORMED = {
     "yaml-parse": ("validate", "uncertainty: [unbalanced\n"),
     "gpoisson-missing-lambda_min": (
@@ -556,6 +578,9 @@ MALFORMED = {
         f"boolean-export_solution-{value!r}": ("expect", {**EXPECT_PIDE, "grid": {**GRID, "export_solution": value}})
         for value in ("false", 1, 0, None)
     },
+    # a region flag is a boolean: "false" once counted every jump
+    "capacity-region-full-text": ("capacity", {**CAPACITY, "capacity": {"region": {"full": "false"}}}),
+    **{f"typo-{name}": (command, config) for name, (command, config, _, _) in TYPOS.items()},
 }
 
 
@@ -567,6 +592,42 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     assert code == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not list(tmp_path.glob("*_result.json"))
+
+
+@pytest.mark.parametrize("name", list(TYPOS))
+def test_misspelt_key_names_its_nearest_declared_key(tmp_path, capsys, name):
+    command, config, key, nearest = TYPOS[name]
+    code, rec_file = run(tmp_path, command, config)
+    assert code == 2
+    assert f"undeclared key {key!r}; the nearest declared key is {nearest!r}" in capsys.readouterr().err
+    assert not os.path.exists(rec_file)
+
+
+def _declared_keys(fields: dict) -> set:
+    """Every key of a ``_read`` declaration and of the declarations nested in it."""
+    keys = set(fields)
+    for spec in fields.values():
+        reader = spec[0] if isinstance(spec, tuple) else spec
+        if isinstance(reader, dict):
+            keys |= _declared_keys(reader)
+    return keys
+
+
+def test_cli_docstring_config_block_lists_every_declared_key():
+    doc = cli.__doc__
+    block = doc[doc.index("Config schema"):].split("::\n", 1)[1]
+    written = set(re.findall(r"(\w+):[ \n]", block))
+    declared = set().union(
+        *map(
+            _declared_keys,
+            (cli._CONFIG, regions._REGION, regions._BOX, uncertainty._UNCERTAINTY, uncertainty._TRIPLE,
+             uncertainty._FAMILY, uncertainty._PARAM),
+        )
+    )
+    # the names under ``fixed`` and ``params`` are the rules' keyword parameters
+    rule_keywords = set().union(*(inspect.signature(r).parameters for r in uncertainty._FAMILY_RULES.values()))
+    assert declared - written == set()
+    assert written - declared - rule_keywords == set()
 
 
 INTEGRAL_FLOATS = {

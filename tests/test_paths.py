@@ -52,6 +52,32 @@ def test_from_jumps_sorts_and_constructor_rejects_unsorted():
         CadlagPath(1.0, z.grid_times, z.grid_values, np.array([0.3, 0.3]), np.ones((2, 1)))
 
 
+def _count_checks(monkeypatch) -> list:
+    """A list that gains one entry per ``_check_paths`` call from now on."""
+    calls = []
+    monkeypatch.setattr("glevy.paths._check_paths", lambda *a: calls.append(a) or _check_paths(*a))
+    return calls
+
+
+def test_from_jumps_checks_its_path_once(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    CadlagPath.from_jumps([(0.7, 1.0), (0.3, -2.0)], 1.0)
+    assert len(calls) == 1
+
+
+def test_discretize_tn_checks_its_path_once(monkeypatch):
+    path = jump_path([(0.35, 1.0)])
+    calls = _count_checks(monkeypatch)
+    discretize_tn(path, 10)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+def test_from_jumps_refuses_a_bad_horizon_first(horizon):
+    with pytest.raises(InvalidInputError, match="horizon must be positive and finite"):
+        CadlagPath.from_jumps([(0.5, 1.0), (0.5, 0.0)], horizon)
+
+
 def test_path_rejects_zero_jump():
     with pytest.raises(InvalidInputError):
         jump_path([(0.5, 0.0)])

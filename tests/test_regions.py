@@ -150,6 +150,33 @@ def test_from_dict_sugar_forms():
     assert Region.from_dict({"empty": True}).is_empty()
 
 
+# each of these was once read as a region: a flag by its truth value, an unknown key ignored
+MALFORMED = {
+    "full-text": ({"full": "false"}, "region.full: expected true or false, got 'false'"),
+    "empty-text": ({"empty": "no", "points": [1.0]}, "region.empty: expected true or false, got 'no'"),
+    "closed_hi-text": (
+        {"boxes": [{"lo": [0.0], "hi": [1.0], "closed_hi": "false"}]},
+        r"region.boxes\[0\].closed_hi: expected true or false, got 'false'",
+    ),
+    "clossed": (
+        {"interval": [0.0, 1.0], "clossed": "both"},
+        "region has undeclared key 'clossed'; the nearest declared key is 'closed'",
+    ),
+    "box-clossed_lo": (
+        {"boxes": [{"lo": [0.0], "hi": [1.0], "clossed_lo": False}]},
+        "undeclared key 'clossed_lo'; the nearest declared key is 'closed_lo'",
+    ),
+    "box-without-lo": ({"boxes": [{"hi": [1.0]}]}, r"region.boxes\[0\] needs 'lo'"),
+    "list": ([{"full": True}], "region must be a mapping, got list"),
+}
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_from_dict_refusals(doc, message):
+    with pytest.raises(InvalidInputError, match=message):
+        Region.from_dict(doc)
+
+
 def test_degenerate_interval_rejected():
     with pytest.raises(InvalidInputError):
         Region.interval(2.0, 1.0)

@@ -322,6 +322,19 @@ def test_control_value_refusals(value, message):
         simulate_path(sc, ControlPolicy.constant(value, 0.0, 1.0), uset)
 
 
+@pytest.mark.parametrize(
+    "breakpoints", [[0.0, np.nan, 1.0], [np.nan, 1.0], [0.0, 1.0, np.nan], [0.0, 0.0]], ids=["mid", "first", "last", "equal"]
+)
+def test_breakpoints_that_do_not_increase_are_refused(breakpoints):
+    # a NaN difference is neither <= 0 nor > 0: only "every step increases" refuses it
+    with pytest.raises(PolicyError, match="strictly increasing"):
+        ControlPolicy(np.array(breakpoints), (0,) * (len(breakpoints) - 1))
+
+
+def test_an_infinite_last_breakpoint_is_accepted():
+    assert ControlPolicy(np.array([0.0, np.inf]), (0,)).breakpoints.tolist() == [0.0, np.inf]
+
+
 def test_control_values_are_stored_as_python_ints():
     policy = ControlPolicy(np.array([0.0, 0.5, 1.0]), np.array([1, 0]))
     assert policy.values == (1, 0) and all(type(v) is int for v in policy.values)

@@ -338,16 +338,50 @@ def test_config_locations_weights_measure_form():
     assert uset.triples[0].cov_root1 == 0.3
 
 
-@pytest.mark.parametrize(
-    "doc, message",
-    [
-        ({"triples": [{"measure": {"points": [1.0]}}]}, "cannot parse measure config"),
-        ({"triples": [{"measure": [[1.0, 2.0]]}]}, "cannot parse measure config"),
-        ({"measures": []}, "needs a 'triples' or 'family' section"),
-        ([{"measure": {"atoms": [[1.0, 1.0]]}}], "must be a mapping"),
-    ],
-    ids=["unknown-measure-keys", "measure-list", "no-section", "list"],
-)
+MALFORMED = {
+    "unknown-measure-keys": (
+        {"triples": [{"measure": {"points": [1.0]}}]},
+        r"uncertainty.triples\[0\].measure has undeclared key 'points'",
+    ),
+    "measure-list": ({"triples": [{"measure": [[1.0, 2.0]]}]}, r"uncertainty.triples\[0\].measure must be a mapping"),
+    "undeclared-section": ({"measures": []}, "uncertainty has undeclared key 'measures'"),
+    "no-section": ({}, "needs a 'triples' or 'family' section"),
+    "list": ([{"measure": {"atoms": [[1.0, 1.0]]}}], "must be a mapping"),
+    # each of these once raised a bare KeyError, was ignored or did not name its key
+    "triple-without-measure": ({"triples": [{"drift": 0.0}]}, r"uncertainty.triples\[0\] needs 'measure'"),
+    "locations-without-weights": (
+        {"triples": [{"measure": {"locations": [[1.0]]}}]},
+        "needs 'atoms', or 'locations' and 'weights'",
+    ),
+    "atoms-and-locations": (
+        {"triples": [{"measure": {"atoms": [[1.0, 1.0]], "locations": [[1.0]], "weights": [1.0]}}]},
+        "needs 'atoms', or 'locations' and 'weights'",
+    ),
+    "triple-drfit": (
+        {"triples": [{"measure": {"atoms": [[1.0, 1.0]]}, "drfit": 0.5}]},
+        "undeclared key 'drfit'; the nearest declared key is 'drift'",
+    ),
+    "family-fixd": (
+        {"family": {"rule": "scaled_point_mass", "fixd": {"location": 2.0}, "params": {"intensity": {"min": 1.0, "max": 2.0, "count": 2}}}},
+        "undeclared key 'fixd'; the nearest declared key is 'fixed'",
+    ),
+    "fixed-not-a-keyword": (
+        {"family": {"rule": "scaled_point_mass", "fixed": {"locaton": 2.0}, "params": {"intensity": {"min": 1.0, "max": 2.0, "count": 2}}}},
+        "uncertainty.family.fixed has undeclared key 'locaton'; the nearest declared key is 'location'",
+    ),
+    "param-not-a-keyword": (
+        {"family": {"rule": "scaled_point_mass", "params": {"intensty": {"min": 1.0, "max": 2.0, "count": 2}}}},
+        "uncertainty.family.params has undeclared key 'intensty'; the nearest declared key is 'intensity'",
+    ),
+    "count-fraction": (
+        {"family": {"rule": "scaled_point_mass", "params": {"intensity": {"min": 1.0, "max": 2.0, "count": 2.7}}}},
+        "uncertainty.family.params.intensity.count: expected an integer, got 2.7",
+    ),
+    "rule-missing": ({"family": {"params": {}}}, "uncertainty.family needs 'rule'"),
+}
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED.values(), ids=MALFORMED.keys())
 def test_config_refusals(doc, message):
     with pytest.raises(InvalidInputError, match=message):
         uncertainty_set_from_config(doc)
