@@ -107,6 +107,7 @@ from .errors import (
     UnsupportedError,
     _boolean,
     _integer,
+    _pair,
     _read,
 )
 from .fnspace import (
@@ -205,7 +206,7 @@ _CONFIG = dict(
     capacity=dict(region=Region.from_dict, min_count=(_integer, 1)),
     erlang=dict(
         region_a=Region.from_dict, region_b=Region.from_dict, k=(_integer, 1),
-        window=(lambda w: (float(w[0]), float(w[1])), (0.0, float("inf"))),
+        window=(_pair, (0.0, float("inf"))),
     ),
     martingale=dict(kind=str, s=(float, 0.0), t=float),
     compensate=dict(input=_records),

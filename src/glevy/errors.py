@@ -88,6 +88,14 @@ def _boolean(value) -> bool:
     return value
 
 
+def _pair(value) -> tuple[float, float]:
+    """Two floats from a sequence of exactly two numbers; another length raises InvalidInputError."""
+    numbers = tuple(float(v) for v in value)
+    if len(numbers) != 2:
+        raise InvalidInputError(f"expected two numbers, got {value!r}")
+    return numbers
+
+
 _REQUIRED = object()
 
 

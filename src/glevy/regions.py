@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, _boolean, _read
+from .errors import InvalidInputError, _boolean, _pair, _read
 
 
 @dataclass(frozen=True)
@@ -278,7 +278,7 @@ def _points(value) -> list[np.ndarray]:
 
 
 _REGION = dict(
-    full=(_boolean, False), empty=(_boolean, False), interval=(lambda v: [float(x) for x in v], None),
+    full=(_boolean, False), empty=(_boolean, False), interval=(_pair, None),
     closed=(None, "none"), boxes=(None, ()), points=(_points, []), atoms=(_points, []),
 )
 _BOX = dict(lo=None, hi=None, closed_lo=(_boolean, True), closed_hi=(_boolean, False))

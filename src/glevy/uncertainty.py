@@ -640,7 +640,8 @@ def uncertainty_set_from_config(doc: dict) -> UncertaintySet:
           params:
             intensity: {min: 1.0, max: 2.0, count: 5}
 
-    The names in ``fixed`` and ``params`` are the rule's keyword parameters.
+    The names in ``fixed`` and ``params`` are the rule's keyword parameters;
+    a name may be in one of them only.
     """
     sec = _read(doc, _UNCERTAINTY, "uncertainty")
     if sec["triples"] is not None:
@@ -654,6 +655,9 @@ def uncertainty_set_from_config(doc: dict) -> UncertaintySet:
     names = dict.fromkeys(inspect.signature(rule).parameters, (None, None))
     _read(fixed, names, "uncertainty.family.fixed")  # the rule takes the fixed values as written
     _read(params, names, "uncertainty.family.params")
+    for key in params:
+        if key in fixed:
+            raise InvalidInputError(f"uncertainty.family.params.{key}: {key!r} is also in uncertainty.family.fixed")
     spans = {k: _read(v, _PARAM, f"uncertainty.family.params.{k}") for k, v in params.items()}
     ranges = {k: (v["min"], v["max"]) for k, v in spans.items()}
     counts = {k: v["count"] for k, v in spans.items()}

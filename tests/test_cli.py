@@ -580,6 +580,22 @@ MALFORMED = {
     },
     # a region flag is a boolean: "false" once counted every jump
     "capacity-region-full-text": ("capacity", {**CAPACITY, "capacity": {"region": {"full": "false"}}}),
+    # a family keyword is fixed or a parameter, not both (was a TypeError on the first rule call)
+    "validate-fixed-and-param": (
+        "validate",
+        {
+            "uncertainty": {
+                "family": {**UNC_FAMILY["family"], "params": {"location": {"min": 1.0, "max": 2.0, "count": 2}}}
+            },
+            "validate": {"q": 0.5, "p": 2.0},
+        },
+    ),
+    # a two-number setting has two numbers (a third window number was dropped)
+    **{
+        f"erlang-window-{len(window)}": ("erlang-bound", {"uncertainty": UNC_MIXTURES, "erlang": {**ERLANG, "window": window}, "mc": {"seed": 1}})
+        for window in ([0.0, 1.0, 2.0], [0.0])
+    },
+    "capacity-interval-3": ("capacity", {**CAPACITY, "capacity": {"region": {"interval": [0.5, 1.0, 1.5]}}}),
     **{f"typo-{name}": (command, config) for name, (command, config, _, _) in TYPOS.items()},
 }
 

@@ -332,6 +332,82 @@ def test_rate_matches_triple_loop_reference(name, batch):
         assert counts[2] == 0 and counts[0] > 0
 
 
+@pytest.mark.parametrize("level", [0.0, 0.7])
+@pytest.mark.parametrize("name", ["locations", "empty_measure", "drift_only", "diffusion_only"])
+def test_ties_go_to_the_first_kept_triple(name, level):
+    uset = ONE_ATOM_SETS[name]()
+    st = _Stepper(uset, GRID)
+    assert st.rows.shape[0] >= 3
+    u = np.full(GRID.nx, level)
+    counts = np.zeros(len(uset), dtype=np.int64)
+    got = st.rate(u, counts)
+    want, want_counts = reference_rate(uset, GRID, u)
+    assert got.tobytes() == want.tobytes()
+    assert counts.tolist() == want_counts.tolist()
+    if level == 0.0:  # every candidate is 0 at every node
+        assert counts[st.rows[0]] == GRID.nx
+
+
+SMALL = Grid1D(x_min=-4.0, x_max=5.0, nx=41, dt=0.01, horizon=1.0)
+
+
+def _batch(ndim):
+    """A 2-D batch on GRID or a 3-D batch on SMALL, as the iterated recursion steps them."""
+    if ndim == 2:
+        x = GRID.x
+        return GRID, np.minimum(x[:, None] + x[None, :], 1.0) + 0.3 * np.sin(3.0 * x)
+    x = SMALL.x
+    return SMALL, np.minimum(x[:, None, None] - x[None, :, None] + 0.5 * x, 1.0) + 0.1 * np.cos(x)
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@pytest.mark.parametrize("name", list(ONE_ATOM_SETS) + list(MULTI_ATOM_SETS))
+def test_batched_rate_in_row_blocks_matches_rate_row_by_row(name, ndim):
+    uset = (ONE_ATOM_SETS if name in ONE_ATOM_SETS else MULTI_ATOM_SETS)[name]()
+    grid, u = _batch(ndim)
+    st = _Stepper(uset, grid)
+    rows = u.reshape(-1, grid.nx)
+    assert rows.shape[0] > st.block_rows  # more than one block
+    counts = np.zeros(len(uset), dtype=np.int64)
+    got = st.rate(u, counts)
+    row_counts = np.zeros(len(uset), dtype=np.int64)
+    want = np.stack([st.rate(row, row_counts) for row in rows]).reshape(u.shape)
+    assert got.tobytes() == want.tobytes()
+    assert st.rate(u).tobytes() == want.tobytes()
+    assert counts.tolist() == row_counts.tolist() and counts.sum() == u.size
+
+
+def test_nan_from_overflow_aborts_at_the_step_of_the_triple_loop():
+    # alternating +-1e307 overflows the diffusion term to +-inf at step 1; the
+    # drift term's inf - inf is the first NaN, at step 2
+    uset = ONE_ATOM_SETS["diffusive"]()
+    st = _Stepper(uset, GRID)
+    u0 = 1e307 * (-1.0) ** np.arange(GRID.nx)
+    n_steps, dt = GRID.steps_for(1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = u0
+        for step in range(1, n_steps + 1):
+            u = u + dt * reference_rate(uset, GRID, u)[0]
+            if np.isnan(u).any():
+                break
+        assert step == 2
+        want = {"step": step, "n_steps": n_steps, "cfl_number": st.cfl_number(dt)}
+        for kwargs in ({}, {"rows": 201}, {"rows": 201, "argmax_counts": np.zeros(len(uset), dtype=np.int64)}):
+            with pytest.raises(NumericalAbortError, match=f"NaN contamination at step 2/{n_steps}") as exc:
+                st.evolve(u0, 1.0, **kwargs)
+            assert exc.value.diagnostics == want
+
+
+def test_nan_in_a_later_row_block_aborts_at_step_1():
+    st = _Stepper(ONE_ATOM_SETS["locations"](), GRID)
+    _, u = _batch(2)
+    u[-1, 5] = np.nan
+    assert u.shape[0] > st.block_rows
+    with pytest.raises(NumericalAbortError) as exc:
+        st.evolve(u, 1.0)
+    assert exc.value.diagnostics == {"step": 1, "n_steps": 100, "cfl_number": st.cfl_number(0.01)}
+
+
 # -- hull-vertex pruning ------------------------------------------------------
 
 @pytest.mark.parametrize(

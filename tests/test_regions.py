@@ -168,6 +168,9 @@ MALFORMED = {
     ),
     "box-without-lo": ({"boxes": [{"hi": [1.0]}]}, r"region.boxes\[0\] needs 'lo'"),
     "list": ([{"full": True}], "region must be a mapping, got list"),
+    # an interval is two numbers (was a bare ValueError from unpacking)
+    "interval-3": ({"interval": [0, 1, 2]}, r"region.interval: expected two numbers, got \[0, 1, 2\]"),
+    "interval-1": ({"interval": [0]}, r"region.interval: expected two numbers, got \[0\]"),
 }
 
 

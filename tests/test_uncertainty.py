@@ -378,6 +378,10 @@ MALFORMED = {
         "uncertainty.family.params.intensity.count: expected an integer, got 2.7",
     ),
     "rule-missing": ({"family": {"params": {}}}, "uncertainty.family needs 'rule'"),
+    "fixed-and-param": (
+        {"family": {"rule": "moving_point_mass", "fixed": {"location": 1.0}, "params": {"location": {"min": 1.0, "max": 2.0, "count": 2}}}},
+        "uncertainty.family.params.location: 'location' is also in uncertainty.family.fixed",
+    ),
 }
 
 
