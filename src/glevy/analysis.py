@@ -27,7 +27,7 @@ from .errors import InvalidInputError, UnsupportedError, _evaluate
 from .paths import CadlagPath
 from .pide import Grid1D, solve_ipde
 from .regions import Region
-from .uncertainty import DiscreteLevyMeasure, LevyTriple, UncertaintySet, _measure_family, _merge_atoms
+from .uncertainty import DiscreteLevyMeasure, LevyTriple, UncertaintySet, _atom_table, _mask_in, _measure_family, _merge_atoms
 
 __all__ = [
     "ProcessSpec",
@@ -88,10 +88,10 @@ def mean_of_jump_part(uset, t: float) -> np.ndarray:
     some measure dominates every other coordinatewise; anything else is
     refused rather than silently maximized coordinate by coordinate.
     """
-    ms = _measure_family(uset)
+    table = _atom_table(uset)
     if t < 0.0:
         raise InvalidInputError("time must be nonnegative")
-    means = np.array([m.mean for m in ms])
+    means = np.column_stack([table.row_sums(z) for z in table.atoms.T])
     if means.shape[1] == 1:
         return t * means.max(axis=0)
     dominant = (means[:, None, :] >= means[None, :, :] - 1e-15).all(axis=(1, 2))
@@ -128,13 +128,7 @@ def symmetric_compensated_set(family):
 
     An empty family maps to an empty tuple (there is no triple to build).
     """
-    if isinstance(family, UncertaintySet):
-        ms = family.measures
-    elif isinstance(family, DiscreteLevyMeasure):
-        ms = [family]
-    else:
-        ms = list(family)
-    triples = tuple(LevyTriple(m, -m.mean, np.zeros((m.dim, m.dim))) for m in ms)
+    triples = tuple(LevyTriple(m, -m.mean, np.zeros((m.dim, m.dim))) for m in _measure_family(family))
     return UncertaintySet(triples) if triples else ()
 
 
@@ -146,25 +140,21 @@ def pushforward_set(family, phi: Callable, region: Region | None = None) -> list
     merged by weight addition wherever two lie within 1e-12 of each other
     (max norm), so a chain of images, each within 1e-12 of another, becomes
     one atom at its lexicographically first image, in any dimension
-    (:func:`~glevy.uncertainty._merge_atoms`). A non-finite image raises
-    :class:`EvaluationError`.
+    (:func:`~glevy.uncertainty._merge_atoms`). A measure with no image left
+    is empty, in the dimension of the images (of the family when no atom
+    lies in the region). A non-finite image raises :class:`EvaluationError`.
     """
-    ms = _measure_family(family)
-    out = []
-    for m in ms:
-        restricted = m.restrict(region)
-        if restricted.n_atoms == 0:
-            out.append(DiscreteLevyMeasure.empty(m.dim))
-            continue
-        pts = _evaluate(phi, restricted.atoms, "mark map").reshape(restricted.n_atoms, -1)
-        ws = restricted.weights
-        keep = np.linalg.norm(pts, axis=1) > 1e-12
-        pts, ws = pts[keep], ws[keep]
-        if pts.shape[0] == 0:
-            out.append(DiscreteLevyMeasure.empty(m.dim))
-            continue
-        out.append(_merge_atoms(pts, ws, 1e-12))
-    return out
+    table = _atom_table(family)
+    inside = table.restrict(_mask_in(table.atoms, region))
+    points = inside.atoms
+    images = _evaluate(phi, points, "mark map").reshape(points.shape[0], -1) if points.shape[0] else points
+    keep = np.linalg.norm(images, axis=1) > 1e-12
+    kept = inside.restrict(keep)
+    # each measure's images in its own atom order, merged as one measure
+    ends = np.cumsum(np.bincount(kept.row, minlength=kept.n_measures))
+    pieces = zip(np.split(images[keep][kept.column], ends[:-1]), np.split(kept.weight, ends[:-1]))
+    dim = images.shape[1]
+    return [_merge_atoms(pts, ws, 1e-12) if ws.size else DiscreteLevyMeasure.empty(dim) for pts, ws in pieces]
 
 
 def restricted_product_set(uset: UncertaintySet, regions) -> UncertaintySet:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidInputError, _evaluate
 from .regions import Region
-from .uncertainty import DiscreteLevyMeasure, _measure_family, v_capacity
+from .uncertainty import DiscreteLevyMeasure, _atom_table, _AtomTable, _mask_in
 
 __all__ = [
     "TestFunction",
@@ -72,11 +72,17 @@ class TestFunction:
 
     def values_on(self, measure: DiscreteLevyMeasure) -> np.ndarray:
         """|f| evaluated on every atom; a non-finite value raises :class:`EvaluationError`."""
-        return np.abs(_evaluate(self.fn, measure.atoms, self.name))
+        return _abs_values(self, measure.atoms)
 
 
 def _as_test_function(f) -> TestFunction:
     return f if isinstance(f, TestFunction) else TestFunction(f)
+
+
+def _abs_values(f, atoms: np.ndarray) -> np.ndarray:
+    """|f| at each of the (n, d) atoms; a non-finite value raises :class:`EvaluationError`."""
+    tf = _as_test_function(f)
+    return np.abs(_evaluate(tf.fn, atoms, tf.name))
 
 
 def v_norm(f, region: Region | None, family, p: float) -> float:
@@ -86,13 +92,13 @@ def v_norm(f, region: Region | None, family, p: float) -> float:
     """
     if p < 1.0:
         raise InvalidInputError("the norm exponent must satisfy p >= 1")
-    tf = _as_test_function(f)
-    best = 0.0
-    for m in _measure_family(family):
-        mask = m.mask_in(region)
-        vals = tf.values_on(m)
-        best = max(best, float(np.sum((vals[mask] ** p) * m.weights[mask])))
-    return best ** (1.0 / p)
+    table = _atom_table(family)
+    inside = _mask_in(table.atoms, region)
+    return _norm(_abs_values(f, table.atoms)[inside] ** p, table.restrict(inside), p)
+
+
+def _norm(powers: np.ndarray, table: _AtomTable, p: float) -> float:
+    return float(table.row_sums(powers).max()) ** (1.0 / p)
 
 
 class TightnessEntry(NamedTuple):
@@ -101,39 +107,30 @@ class TightnessEntry(NamedTuple):
     tail: float
 
 
-def _peel_sequence(f: TestFunction, family, p: float):
-    """Nested annulus candidates by greedily peeling hull radii.
+def _tightness(powers: np.ndarray, table: _AtomTable, eps_seq: Sequence[float]) -> list[TightnessEntry]:
+    """Nested annuli by greedily peeling hull radii, one per threshold.
 
-    Atoms of every measure are pooled by radius; starting from the full hull
-    of contributing radii, the inner or outer extreme is dropped, whichever
-    leaves the smaller worst-case excluded mass (ties drop the inner one,
-    moving the annulus away from the origin). The resulting hull sequence is
-    threshold-independent, so the annuli reported for a decreasing ladder of
-    tolerances are nested by construction.
+    ``powers`` holds |f|^p at each of the table's atoms. Starting from the
+    full hull of the radii of contributing atoms, the inner or outer extreme
+    is dropped, whichever leaves the smaller worst-case excluded mass (ties
+    drop the inner one, moving the annulus away from the origin). The hull
+    sequence is threshold-independent, and each threshold takes the deepest
+    peel whose excluded mass is below it, so the annuli reported for a
+    decreasing ladder of tolerances are nested by construction.
     """
-    ms = _measure_family(family)
-    per_measure = []  # (radii sorted, contributions sorted by radius)
-    radii_all = set()
-    for m in ms:
-        vals = f.values_on(m) ** p
-        r = np.linalg.norm(m.atoms, axis=1) if m.n_atoms else np.empty(0)
-        keep = vals * m.weights > 0.0
-        r, contrib = r[keep], (vals * m.weights)[keep]
-        order = np.argsort(r)
-        per_measure.append((r[order], contrib[order]))
-        radii_all.update(r.tolist())
-    radii = sorted(radii_all)
+    contrib = table.weight * powers[table.column]
+    entry = contrib > 0.0
+    r = np.linalg.norm(table.atoms, axis=1)[table.column[entry]]
+    order = np.argsort(r, kind="stable")  # each measure's tail is summed by increasing radius
+    row = table.row[entry][order]
+    contrib = contrib[entry][order]
+    r = r[order]
+    radii = np.unique(r).tolist()
 
     def sup_tail(lo_r: float | None, hi_r: float | None) -> float:
         # worst-case mass of |f|^p outside the closed annulus [lo_r, hi_r]
-        worst = 0.0
-        for r, c in per_measure:
-            if lo_r is None:
-                worst = max(worst, float(c.sum()))
-            else:
-                outside = (r < lo_r) | (r > hi_r)
-                worst = max(worst, float(c[outside].sum()))
-        return worst
+        outside = np.ones(r.shape[0], dtype=bool) if lo_r is None else (r < lo_r) | (r > hi_r)
+        return float(np.bincount(row[outside], weights=contrib[outside], minlength=table.n_measures).max())
 
     hulls: list[tuple[tuple[float, float] | None, float]] = []
     i, j = 0, len(radii) - 1
@@ -148,7 +145,8 @@ def _peel_sequence(f: TestFunction, family, p: float):
         else:
             j -= 1
     hulls.append((None, sup_tail(None, None)))
-    return hulls
+    # deepest peel first; the full hull hulls[0] has tail 0.0 < eps, so one always qualifies
+    return [TightnessEntry(float(eps), *next(h for h in hulls[::-1] if h[1] < eps)) for eps in eps_seq]
 
 
 def tightness_profile(f, family, p: float, eps_seq: Sequence[float]) -> list[TightnessEntry]:
@@ -160,14 +158,8 @@ def tightness_profile(f, family, p: float, eps_seq: Sequence[float]) -> list[Tig
     """
     if not all(e > 0.0 for e in eps_seq):
         raise InvalidInputError("tightness thresholds must be positive")
-    tf = _as_test_function(f)
-    hulls = _peel_sequence(tf, family, p)
-    out = []
-    for eps in eps_seq:
-        # deepest peel first; the full hull hulls[0] has tail 0.0 < eps, so one always qualifies
-        annulus, tail = next(h for h in hulls[::-1] if h[1] < eps)
-        out.append(TightnessEntry(float(eps), annulus, float(tail)))
-    return out
+    table = _atom_table(family)
+    return _tightness(_abs_values(f, table.atoms) ** p, table, eps_seq)
 
 
 class UIEntry(NamedTuple):
@@ -177,19 +169,12 @@ class UIEntry(NamedTuple):
 
 def uniform_integrability_profile(f, family, p: float, ns: Sequence[float]) -> list[UIEntry]:
     """Exact worst-case tails sup over v of the mass of |f|^p on {|f|^p >= n}."""
-    tf = _as_test_function(f)
-    ms = _measure_family(family)
-    data = []
-    for m in ms:
-        vals = tf.values_on(m) ** p
-        data.append((vals, m.weights))
-    out = []
-    for n in ns:
-        worst = 0.0
-        for vals, w in data:
-            worst = max(worst, float(np.sum(vals * w * (vals >= n))))
-        out.append(UIEntry(float(n), worst))
-    return out
+    table = _atom_table(family)
+    return _ui(_abs_values(f, table.atoms) ** p, table, ns)
+
+
+def _ui(powers: np.ndarray, table: _AtomTable, ns: Sequence[float]) -> list[UIEntry]:
+    return [UIEntry(float(n), float(table.row_sums(np.where(powers >= n, powers, 0.0)).max())) for n in ns]
 
 
 @dataclass(frozen=True)
@@ -221,23 +206,28 @@ def membership_lpb(f, region: Region | None, family, p: float) -> MembershipVerd
     the top of the fixed ladder is below an absolute threshold. Functions
     whose values on atoms exceed 2**40 can be refused even though every
     finite family is formally integrable; the verdict is explicit about being
-    relative to the ladder. A non-finite value of f on an atom raises
+    relative to the ladder. f is evaluated once per distinct atom of the
+    family inside the region, and the norm and both profiles read those
+    values. A non-finite value of f on an atom raises
     :class:`EvaluationError` rather than failing the verdict.
     """
-    tf = _as_test_function(f)
-    ms = [m.restrict(region) for m in _measure_family(family)]
+    if p < 1.0:
+        raise InvalidInputError("the norm exponent must satisfy p >= 1")
+    table = _atom_table(family)
+    table = table.restrict(_mask_in(table.atoms, region))
+    powers = _abs_values(f, table.atoms) ** p
     reasons = []
-    norm = v_norm(tf, None, ms, p)
+    norm = _norm(powers, table, p)
     ok = True
     if not np.isfinite(norm):
         ok = False
         reasons.append("worst-case norm is not finite")
-    tight = tuple(tightness_profile(tf, ms, p, _TIGHTNESS_LADDER))
+    tight = tuple(_tightness(powers, table, _TIGHTNESS_LADDER))
     if any(e.tail >= e.eps for e in tight):
         ok = False
         reasons.append("tightness ladder not achieved")
     ns = [float(2.0**k) for k in range(0, _UI_LADDER_MAX_EXP + 1, 4)]
-    ui = tuple(uniform_integrability_profile(tf, ms, p, ns))
+    ui = tuple(_ui(powers, table, ns))
     if ui[-1].tail >= _UI_THRESHOLD:
         ok = False
         reasons.append(
@@ -246,7 +236,7 @@ def membership_lpb(f, region: Region | None, family, p: float) -> MembershipVerd
         )
     if ok:
         reasons.append("norm finite, tightness ladder achieved, UI tail below threshold")
-    return MembershipVerdict(ok, float(norm), tuple(reasons), tight, ui)
+    return MembershipVerdict(ok, norm, tuple(reasons), tight, ui)
 
 
 class QcVerdict(NamedTuple):
@@ -277,14 +267,15 @@ def qc_criterion(f, family) -> QcVerdict:
     closure = tf.discontinuity.closure()
     if closure.is_empty():
         return QcVerdict("qc", 0.0, None, None)
-    ms = _measure_family(family)
-    cap = v_capacity(ms, closure)
-    if cap.value == 0.0:
+    table = _atom_table(family)
+    inside = _mask_in(table.atoms, closure)
+    cap = float(table.row_sums(inside).max())
+    if cap == 0.0:
         return QcVerdict("qc", 0.0, None, None)
-    # cap.value > 0, so some measure has an atom in the closure
-    masks = [m.mask_in(closure) for m in ms]
-    mi = next(i for i, mask in enumerate(masks) if mask.any())
-    return QcVerdict("not-qc", float(cap.value), ms[mi].atoms[int(np.argmax(masks[mi]))], mi)
+    # entries run measure by measure in atom order, so the first one in the
+    # closure is the first charging measure's first atom there
+    e = int(np.argmax(inside[table.column]))
+    return QcVerdict("not-qc", cap, table.atoms[table.column[e]], int(table.row[e]))
 
 
 def tightness_csv(entries: Sequence[TightnessEntry]) -> str:

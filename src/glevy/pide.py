@@ -14,11 +14,12 @@ outside the grid. Each candidate is linear in the triple's parameter vector
 (jump weights over the distinct atoms, drift, Q^2), so only triples whose
 vector is a vertex of the hull of all of them can attain the supremum; the
 stepper keeps those (the lowest index among identical triples) and reports the
-others as ``pruned_triples``. The jump terms of the kept triples form one
-(triples x distinct atoms) weight matrix, applied to the layer interpolated
-once per distinct atom; with drift and diffusion each triple contributes an
-affine expression in the current layer, and the scheme takes their pointwise
-maximum (first index wins ties). Under the step bound
+others as ``pruned_triples``. The jump terms of the kept triples are rows of
+the family's (triples x distinct atoms) weight matrix, the one table every
+worst-case functional reads (:mod:`glevy.uncertainty`), applied to the layer
+interpolated once per distinct atom; with drift and diffusion each triple
+contributes an affine expression in the current layer, and the scheme takes
+their pointwise maximum (first index wins ties). Under the step bound
 
     dt * ( sup_v v(R_0) + sup Q^2/dx^2 + sup |p|/dx ) <= 1
 
@@ -67,8 +68,9 @@ from .errors import (
     UnsupportedError,
     _eval_nodes,
     _evaluate,
+    _is_integer,
 )
-from .uncertainty import DiscreteLevyMeasure, UncertaintySet
+from .uncertainty import DiscreteLevyMeasure, UncertaintySet, _atom_table, _row_dots
 
 __all__ = [
     "Grid1D",
@@ -103,8 +105,8 @@ class Grid1D:
     def __post_init__(self):
         if not (-math.inf < self.x_min < self.x_max < math.inf):
             raise InvalidInputError("need finite x_min < x_max")
-        if self.nx < 3:
-            raise InvalidInputError("need at least 3 spatial nodes")
+        if not _is_integer(self.nx) or self.nx < 3:
+            raise InvalidInputError(f"need an integer of at least 3 spatial nodes, got nx = {self.nx!r}")
         if not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
             raise InvalidInputError("dt and horizon must be positive and finite")
 
@@ -153,12 +155,15 @@ def _hull_vertices(theta: np.ndarray) -> np.ndarray:
     """Indices of the rows of theta that are vertices of their convex hull.
 
     Among identical rows the lowest index is kept. Of at most two distinct
-    rows every one is a vertex. Otherwise a row is dropped only under a
-    certificate: a nonnegative combination of the other remaining rows,
-    summing to 1, reproduces it to 1e-12 in every column scaled to its largest
-    magnitude (``scipy.optimize.nnls`` on the system augmented by the sum
-    row). Rows are tested from the highest index down, so of two rows closer
-    than the tolerance the lower index stays.
+    rows every one is a vertex. A distinct row that alone is nonzero in some
+    column is a vertex too, and it cannot enter a combination of other rows;
+    such rows are kept untested. Any other row is dropped only under a
+    certificate: a nonnegative combination of the other remaining untested
+    rows, summing to 1, reproduces it to 1e-12 in every column scaled to its
+    largest magnitude (``scipy.optimize.nnls`` on the system augmented by the
+    sum row). Rows are tested from the highest index down, so of two rows
+    closer than the tolerance the lower index stays; a row with no other
+    remaining row to combine is kept.
     """
     _, first = np.unique(theta, axis=0, return_index=True)
     rows = np.sort(first)
@@ -166,12 +171,16 @@ def _hull_vertices(theta: np.ndarray) -> np.ndarray:
         return rows
     scale = np.abs(theta[rows]).max(axis=0)
     pts = theta[rows][:, scale > 0.0] / scale[scale > 0.0]
+    nonzero = pts != 0.0
     keep = np.ones(rows.shape[0], dtype=bool)
-    for i in range(rows.shape[0] - 1, -1, -1):
+    tested = ~(nonzero & (nonzero.sum(axis=0) == 1)).any(axis=1)
+    for i in np.flatnonzero(tested)[::-1]:
         keep[i] = False
-        system = np.vstack([pts[keep].T, np.ones(int(keep.sum()))])
+        others = keep & tested
+        system = np.vstack([pts[others].T, np.ones(int(others.sum()))])
         target = np.append(pts[i], 1.0)
-        coef, _ = optimize.nnls(system, target)
+        # scipy's nnls aborts the process on a system without columns
+        coef = optimize.nnls(system, target)[0] if others.any() else np.zeros(0)
         keep[i] = np.abs(system @ coef - target).max() > 1e-12
     return rows[keep]
 
@@ -179,8 +188,9 @@ def _hull_vertices(theta: np.ndarray) -> np.ndarray:
 class _Stepper:
     """Precompiled explicit step u -> u + dt * max over triples (A_j u).
 
-    Every triple's jump term is one row of a (triples x distinct atoms)
-    weight matrix, applied to the values interpolated once per distinct atom.
+    Every triple's jump term is one row of the family's (triples x distinct
+    atoms) weight matrix (:func:`~glevy.uncertainty._atom_table`), applied to
+    the values interpolated once per distinct atom.
     A candidate is linear in the triple's parameter vector (jump weights over
     the distinct atoms, drift, Q^2), so only vertices of the hull of those
     vectors can attain the maximum: the stepper keeps those triples, listed
@@ -195,13 +205,13 @@ class _Stepper:
             raise UnsupportedError("the PIDE solver is one-dimensional")
         self.grid = grid
         x, dx = grid.x, grid.dx
-        zs = np.unique(np.concatenate([t.measure.atoms[:, 0] for t in uset]))
+        table = _atom_table(uset)
+        zs = table.atoms[:, 0]
         weights = np.zeros((len(uset), zs.shape[0]))
-        for j, t in enumerate(uset):
-            weights[j, np.searchsorted(zs, t.measure.atoms[:, 0])] = t.measure.weights
-        mass = np.array([t.measure.total_mass for t in uset])
-        drift = np.array([t.drift1 for t in uset])
-        q2 = np.array([t.cov_root1 ** 2 for t in uset])
+        weights[table.row, table.column] = table.weight
+        mass = table.row_sums(np.ones(zs.shape[0]))
+        drift = uset.drifts[:, 0]
+        q2 = uset.cov_roots[:, 0, 0] ** 2
         self.mass_max = float(mass.max())
         self.q2_max = float(q2.max())
         self.p_max = float(np.abs(drift).max())
@@ -352,7 +362,7 @@ class _Stepper:
             new = self.rate(u, argmax_counts)
             new *= dt
             new += u
-            if np.isnan(new).any():
+            if np.isnan(new.max()):  # max propagates NaN, without a mask of the layer
                 raise NumericalAbortError(
                     f"NaN contamination at step {step + 1}/{n_steps}",
                     {"step": step + 1, "n_steps": n_steps, "cfl_number": cfl},
@@ -458,13 +468,14 @@ def solve_ipde(
     callable). The solution keeps at least 2 and at most ``max_rows``
     layers: steps 0, s, 2s, ... and the last, s = ceil(n_steps / (max_rows -
     1)), so memory grows with ``max_rows`` and not with the step count, and
-    ``GridSolution.to_csv`` exports all of them. ``max_rows`` below 2 raises
-    :class:`InvalidInputError`, since the first and last layers are always
-    kept. The diagnostics carry the step-bound number, the monotonicity
-    flag, the argmax histogram over the triples of the set (0 for a triple
-    the stepper pruned), the ``pruned_triples`` (indices of triples that are
-    not vertices of the hull of parameter vectors, or repeat an earlier
-    triple), the boundary-contamination bound and the composite
+    ``GridSolution.to_csv`` exports all of them. A ``max_rows`` that is not
+    an integer of at least 2 raises :class:`InvalidInputError`, since the
+    first and last layers are always kept. The diagnostics carry the
+    step-bound number, the monotonicity flag, the argmax histogram over the
+    triples of the set (0 for a triple the stepper pruned), the
+    ``pruned_triples`` (indices of triples that are not vertices of the hull
+    of parameter vectors, or repeat an earlier triple), the
+    boundary-contamination bound and the composite
     ``scheme_error_estimate`` (the module docstring's error model; it scales
     with phi and does not move when a constant is added to phi).
     A non-finite value of phi on the grid raises :class:`EvaluationError`.
@@ -472,8 +483,8 @@ def solve_ipde(
     T = grid.horizon if horizon is None else float(horizon)
     if not (0.0 < T < math.inf):
         raise InvalidInputError("horizon must be positive and finite")
-    if max_rows < 2:
-        raise InvalidInputError(f"max_rows must be at least 2 (the first and last layers are kept): {max_rows!r}")
+    if not _is_integer(max_rows) or max_rows < 2:
+        raise InvalidInputError(f"max_rows must be an integer of at least 2 (the first and last layers), got {max_rows!r}")
     stepper = _Stepper(uset, grid)
     u0 = _eval_nodes(phi, grid.x, "initial data")
     argmax_counts = np.zeros(len(uset), dtype=np.int64)
@@ -546,13 +557,11 @@ def apply_g(
         ei, ej = e[i], e[j]
         h0[i, j] = h0[j, i] = (fv(ei + ej) - fv(ei - ej) - fv(-ei + ej) + fv(-ei - ej)) / (4.0 * step**2)
 
-    best = -math.inf
-    for t in uset:
-        val = t.measure.integrate(f)
-        val += float(t.drift @ g0)
-        val += 0.5 * float(np.trace(h0 @ (t.cov_root @ t.cov_root.T)))
-        best = max(best, val)
-    return best
+    table = _atom_table(uset)
+    roots = uset.cov_roots
+    vals = table.row_sums(fv(table.atoms)) + _row_dots(uset.drifts, g0)
+    vals += 0.5 * np.trace(h0 @ (roots @ roots.transpose(0, 2, 1)), axis1=1, axis2=2)
+    return float(vals.max())
 
 
 # ---------------------------------------------------------------------------
@@ -691,17 +700,17 @@ def g_poisson_distribution(
     stability ceiling dt lambda_max <= 1/2. Doubling stops once the coarser
     run of a pair has at least 2,000,000 steps: that pair's combined value
     is then returned although it did not meet the rule. Passing an explicit
-    ``n_steps`` returns the raw Euler iterate at that count. For an
-    intensity interval collapsed to a point the result matches the
-    truncated Poisson series to 1e-6. A non-finite value of phi on the
-    lattice raises :class:`EvaluationError`.
+    ``n_steps``, an integer of at least 1, returns the raw Euler iterate at
+    that count. For an intensity interval collapsed to a point the result
+    matches the truncated Poisson series to 1e-6. A non-finite value of phi
+    on the lattice raises :class:`EvaluationError`.
     """
     if not (0.0 <= lambda_min <= lambda_max < math.inf) or lambda_max <= 0.0:
         raise InvalidInputError("need 0 <= lambda_min <= lambda_max < inf with lambda_max > 0")
     if not (0.0 < t < math.inf):
         raise InvalidInputError("time must be positive and finite")
-    if n_steps is not None and n_steps < 1:
-        raise InvalidInputError("need at least one step")
+    if n_steps is not None and (not _is_integer(n_steps) or n_steps < 1):
+        raise InvalidInputError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
 
     mu = lambda_max * t
     n_max = _poisson_quantile(1.0 - _POISSON_TAIL * 0.1, mu) + 3
@@ -723,7 +732,7 @@ def g_poisson_distribution(
         return float(_Stepper(lattice, Grid1D(0, n_max, n_max + 1, h, t)).evolve(u0, t)[0][0])
 
     if n_steps is not None:
-        return euler(int(n_steps))
+        return euler(n_steps)
 
     tol = 2.5e-7 * max(1.0, float(np.abs(u0).max()))
     n = max(int(math.ceil(2.0 * lambda_max * t)), 1000)

@@ -77,7 +77,7 @@ from .errors import AssumptionError, EvaluationError, InvalidInputError, PolicyE
 from .paths import CadlagPath, _check_paths, _Paths, _same_paths
 from .pide import _step_count
 from .regions import Region
-from .uncertainty import DiscreteLevyMeasure, UncertaintySet, _merge_atoms, mass_layout
+from .uncertainty import DiscreteLevyMeasure, UncertaintySet, _atom_table, _mask_in, _merge_atoms, mass_layout
 
 __all__ = [
     "BaseJumpModel",
@@ -641,8 +641,8 @@ def estimate_upper_expectation(
     building a path object. A non-finite or non-numeric value of xi raises
     :class:`EvaluationError`.
     """
-    if n_paths < 2:
-        raise InvalidInputError("need at least two paths for a standard error")
+    if not _is_integer(n_paths) or n_paths < 2:
+        raise InvalidInputError(f"n_paths must be an integer of at least 2 for a standard error, got {n_paths!r}")
     if not _is_integer(seed) or not 0 <= seed < 2**64:
         raise InvalidInputError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if not (0.0 < horizon < math.inf):
@@ -748,22 +748,17 @@ def erlang_bound_check(
     if not (0.0 <= c0 < c1):
         raise InvalidInputError("time window must satisfy 0 <= c0 < c1")
 
+    table = _atom_table(uset)
+    in_a = _mask_in(table.atoms, region_a)
+    mass_a = table.row_sums(in_a)
+    if np.any(mass_a <= 0.0):
+        raise AssumptionError("every measure must charge region A")
+    mass_ab = table.row_sums(in_a & _mask_in(table.atoms, region_b))
     # the Erlang law of rate v(A) is the gamma law of shape k and scale 1 / v(A)
-    bound = 0.0
-    horizon = c1
-    for t in uset:
-        m = t.measure
-        mass_a = m.mass_in(region_a)
-        if mass_a <= 0.0:
-            raise AssumptionError("every measure must charge region A")
-        in_both = m.mask_in(region_a) & m.mask_in(region_b)
-        mass_ab = float(m.weights[in_both].sum())
-        scale = 1.0 / mass_a
-        erlang = float(special.gammainc(k, c1 / scale) - special.gammainc(k, c0 / scale))
-        bound = max(bound, (mass_ab / mass_a) * erlang)
-        if not math.isfinite(c1):
-            quantile = float(special.gammaincinv(k, 1.0 - 1e-8) * scale)
-            horizon = max(horizon if math.isfinite(horizon) else 0.0, quantile)
+    scale = 1.0 / mass_a
+    erlang = special.gammainc(k, c1 / scale) - special.gammainc(k, c0 / scale)
+    bound = float(np.max((mass_ab / mass_a) * erlang))
+    horizon = c1 if math.isfinite(c1) else float(np.max(special.gammaincinv(k, 1.0 - 1e-8) * scale))
     if not math.isfinite(horizon):
         raise InvalidInputError("could not truncate the unbounded time window")
 

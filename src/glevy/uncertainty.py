@@ -4,15 +4,18 @@ A model is a triple (v, p, Q): a finite discrete Levy measure v (atoms away
 from the origin with positive weights), a drift vector p and a covariance root
 Q. An uncertainty set is a finite enumeration of such triples, either given
 directly or produced by evaluating a parametric rule on a grid over a parameter
-box. The worst-case functionals implemented here are suprema over that
-enumeration:
+box. A family is read through one table of its distinct atoms z_k and its
+weights W[j, k] = v_j({z_k}) (:func:`_atom_table`), and the worst-case
+functionals are exact row maxima of it, with the user's function evaluated
+once per distinct atom:
 
-    capacity      c^V(A)        = sup_v v(A)
+    capacity      c^V(A)        = max_j sum_{z_k in A} W[j, k]
     sup integral  sup_v
-                  int_A phi dv  = sup_v sum_{z in A} phi(z) v({z})
+                  int_A phi dv  = max_j sum_{z_k in A} W[j, k] phi(z_k)
     uniform bound sup (int |z| v(dz) + |p| + tr QQ^T)
 
-all of which are exact finite maxima here. The module also builds the
+The PIDE stepper and every other functional of a family read the same
+table. The module also builds the
 measure-transport map used to realize a target v as the image of a reference
 measure mu on (0, infinity): atoms are ranked by decreasing modulus and
 assigned nested tail shells of mu whose masses telescope to the atom weights,
@@ -130,9 +133,7 @@ class DiscreteLevyMeasure:
         return self.weights @ self.atoms
 
     def mask_in(self, region: Region | None) -> np.ndarray:
-        if region is None or self.n_atoms == 0:
-            return np.ones(self.n_atoms, dtype=bool)
-        return region.contains(self.atoms)
+        return _mask_in(self.atoms, region)
 
     def mass_in(self, region: Region | None) -> float:
         return float(self.weights[self.mask_in(region)].sum())
@@ -143,11 +144,7 @@ class DiscreteLevyMeasure:
         For d = 1 the atom is passed to phi as a float. A non-finite value
         of phi raises :class:`EvaluationError`.
         """
-        mask = self.mask_in(region)
-        total = 0.0
-        for v, w in zip(_evaluate(phi, self.atoms[mask], "integrand"), self.weights[mask]):
-            total += v * w
-        return total
+        return sup_integral(self, phi, region).value
 
     def restrict(self, region: Region | None) -> "DiscreteLevyMeasure":
         mask = self.mask_in(region)
@@ -238,17 +235,6 @@ class LevyTriple:
         """Scalar covariance root, valid for d = 1."""
         return float(self.cov_root[0, 0])
 
-    @property
-    def diffusion_trace(self) -> float:
-        return float(np.trace(self.cov_root @ self.cov_root.T))
-
-    @property
-    def size_bound(self) -> float:
-        """int |z| v(dz) + |p| + tr QQ^T, the summand of the uniform bound."""
-        m = self.measure
-        jump = float((m.weights * np.linalg.norm(m.atoms, axis=1)).sum()) if m.n_atoms else 0.0
-        return jump + float(np.linalg.norm(self.drift)) + self.diffusion_trace
-
 
 @dataclass(frozen=True)
 class UncertaintySet:
@@ -324,14 +310,68 @@ class UncertaintySet:
 
 def _measure_family(family) -> list[DiscreteLevyMeasure]:
     if isinstance(family, UncertaintySet):
-        ms = family.measures
-    elif isinstance(family, DiscreteLevyMeasure):
-        ms = [family]
-    else:
-        ms = list(family)
+        return family.measures
+    if isinstance(family, DiscreteLevyMeasure):
+        return [family]
+    return list(family)
+
+
+class _AtomTable(NamedTuple):
+    """A family's (K, d) distinct atoms in lexicographic order and its weights.
+
+    Entry i says that measure ``row[i]`` puts ``weight[i]`` on atom
+    ``column[i]``; the entries run measure by measure, each in its atom order.
+    """
+
+    atoms: np.ndarray
+    row: np.ndarray
+    column: np.ndarray
+    weight: np.ndarray
+    n_measures: int
+
+    def row_sums(self, values) -> np.ndarray:
+        """Each measure's sum of weight x value over its atoms, added in its atom order.
+
+        ``values`` holds one value per distinct atom; a measure never reads
+        the value at an atom it does not charge.
+        """
+        terms = self.weight * np.asarray(values, dtype=float)[self.column]
+        return np.bincount(self.row, weights=terms, minlength=self.n_measures)
+
+    def restrict(self, inside: np.ndarray) -> "_AtomTable":
+        """The table of the atoms where the boolean ``inside`` holds, and of the entries on them."""
+        entry = inside[self.column]
+        column = (np.cumsum(inside) - 1)[self.column[entry]]
+        return _AtomTable(self.atoms[inside], self.row[entry], column, self.weight[entry], self.n_measures)
+
+
+def _atom_table(family) -> _AtomTable:
+    """The atom table of a family; takes what :func:`_measure_family` takes.
+
+    An empty family or one of mixed dimension raises :class:`InvalidInputError`.
+    """
+    ms = _measure_family(family)
     if not ms:
         raise InvalidInputError("measure family is empty")
-    return ms
+    dims = sorted({m.dim for m in ms})
+    if len(dims) > 1:
+        raise InvalidInputError(f"mixed dimensions in measure family: {dims}")
+    atoms, column = np.unique(np.concatenate([m.atoms for m in ms]), axis=0, return_inverse=True)
+    row = np.repeat(np.arange(len(ms)), [m.n_atoms for m in ms])
+    weight = np.concatenate([m.weights for m in ms])
+    return _AtomTable(atoms, row, column.reshape(-1), weight, len(ms))
+
+
+def _mask_in(atoms: np.ndarray, region: Region | None) -> np.ndarray:
+    """Which of the (n, d) atoms lie in the region; every one when it is None."""
+    if region is None or atoms.shape[0] == 0:
+        return np.ones(atoms.shape[0], dtype=bool)
+    return region.contains(atoms)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_j . b_j for every row of the (n, d) a (b is (d,) or (n, d)), each rounded as ``np.dot`` rounds."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +388,9 @@ class SupResult(NamedTuple):
 
 def v_capacity(family, region: Region) -> SupResult:
     """sup_v v(A) over the measure family, exact; empty region gives 0."""
-    ms = _measure_family(family)
-    vals = [m.mass_in(region) for m in ms]
-    idx = int(np.argmax(vals))
-    return SupResult(float(vals[idx]), idx)
+    table = _atom_table(family)
+    masses = table.row_sums(_mask_in(table.atoms, region))
+    return SupResult(float(masses.max()), int(masses.argmax()))
 
 
 def sup_integral(family, phi: Callable, region: Region | None = None) -> SupResult:
@@ -359,10 +398,10 @@ def sup_integral(family, phi: Callable, region: Region | None = None) -> SupResu
 
     A non-finite value of phi raises :class:`EvaluationError`.
     """
-    ms = _measure_family(family)
-    vals = [m.integrate(phi, region) for m in ms]
-    idx = int(np.argmax(vals))
-    return SupResult(float(vals[idx]), idx)
+    table = _atom_table(family)
+    inside = table.restrict(_mask_in(table.atoms, region))
+    integrals = inside.row_sums(_evaluate(phi, inside.atoms, "integrand"))
+    return SupResult(float(integrals.max()), int(integrals.argmax()))
 
 
 @dataclass(frozen=True)
@@ -415,25 +454,26 @@ def validate(uset: UncertaintySet, q: float, p: float) -> ValidationReport:
     if not (p > 1.0):
         raise InvalidInputError(f"p must exceed 1, got {p}")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        uniform = max(t.size_bound for t in uset)
-        small = 0.0
-        large = 0.0
-        for m in uset.measures:
-            if m.n_atoms == 0:
-                continue
-            r = np.linalg.norm(m.atoms, axis=1)
-            small_mask = r < 1.0
-            small = max(small, float((m.weights[small_mask] * r[small_mask] ** q).sum()))
-            large_mask = ~small_mask
-            large = max(large, float((m.weights[large_mask] * r[large_mask] ** p).sum()))
+    table = _atom_table(uset)
+    r = np.linalg.norm(table.atoms, axis=1)
+    small_atom = r < 1.0
+    drifts = uset.drifts
+    roots = uset.cov_roots
+    with np.errstate(over="ignore"):
+        trace = np.trace(roots @ roots.transpose(0, 2, 1), axis1=1, axis2=2)
+        sizes = table.row_sums(r) + np.sqrt(_row_dots(drifts, drifts)) + trace
+        small_moments = table.row_sums(np.where(small_atom, r**q, 0.0))
+        large_moments = table.row_sums(np.where(small_atom, 0.0, r**p))
+    uniform = float(sizes.max())
+    small = float(small_moments.max())
+    large = float(large_moments.max())
 
     return ValidationReport(
         q=q,
         p=p,
-        uniform_bound=float(uniform),
-        small_jump_moment=float(small),
-        large_jump_moment=float(large),
+        uniform_bound=uniform,
+        small_jump_moment=small,
+        large_jump_moment=large,
         uniform_bound_ok=bool(math.isfinite(uniform)),
         small_jump_ok=bool(math.isfinite(small)),
         large_jump_ok=bool(math.isfinite(large)),

@@ -11,6 +11,7 @@ from glevy import (
     DiscreteLevyMeasure,
     EvaluationError,
     Grid1D,
+    InvalidInputError,
     Region,
     TerminalPayoff,
     TestFunction,
@@ -144,3 +145,20 @@ def test_exceptions_raised_inside_the_function_propagate_unchanged():
     with pytest.raises(ValueError, match="inside fn") as info:
         sup_integral(LAM, lambda z: float("inside fn"))
     assert not isinstance(info.value, EvaluationError)
+
+
+NON_INTEGERS = {
+    "g_poisson_distribution-n_steps": lambda: g_poisson_distribution(1.0, 2.0, 1.0, lambda k: k, n_steps=2000.9),
+    "Grid1D-nx": lambda: Grid1D(-6.0, 8.0, 141.0, 0.01, 1.0),
+    "solve_ipde-max_rows": lambda: solve_ipde(lambda x: x, LAM, GRID, max_rows=2.5),
+    "estimate_upper_expectation-n_paths": lambda: estimate_upper_expectation(
+        TerminalPayoff(lambda x: x), LAM, constant_policies(LAM, 1.0), 300.5, 1, horizon=1.0
+    ),
+    "n_steps-bool": lambda: g_poisson_distribution(1.0, 2.0, 1.0, lambda k: k, n_steps=True),
+}
+
+
+@pytest.mark.parametrize("entry", list(NON_INTEGERS), ids=str)
+def test_integer_arguments_refuse_non_integers(entry):
+    with pytest.raises(InvalidInputError, match="integer"):
+        NON_INTEGERS[entry]()

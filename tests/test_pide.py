@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings, strategies as hs
+from scipy import optimize, stats
 
 from glevy import (
     DiscreteLevyMeasure,
@@ -21,6 +23,7 @@ from glevy import (
     g_poisson_distribution,
     iterated_expectation,
     solve_ipde,
+    uncertainty_set_from_config,
 )
 from glevy.analysis import symmetric_compensated_set
 from glevy.pide import GridSolution, _hull_vertices, _poisson_quantile, _poisson_tail, _Stepper
@@ -398,6 +401,20 @@ def test_nan_from_overflow_aborts_at_the_step_of_the_triple_loop():
             assert exc.value.diagnostics == want
 
 
+def test_nan_from_overflow_in_a_later_row_block_aborts_at_the_same_step():
+    # the overflowing layer of the test above, as the last row of a batch of two row blocks
+    uset = ONE_ATOM_SETS["diffusive"]()
+    st = _Stepper(uset, GRID)
+    _, u0 = _batch(2)
+    u0[-1] = 1e307 * (-1.0) ** np.arange(GRID.nx)
+    assert u0.shape[0] > st.block_rows  # the overflowing row is in the second block
+    n_steps, dt = GRID.steps_for(1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalAbortError, match=f"NaN contamination at step 2/{n_steps}") as exc:
+            st.evolve(u0, 1.0)
+    assert exc.value.diagnostics == {"step": 2, "n_steps": n_steps, "cfl_number": st.cfl_number(dt)}
+
+
 def test_nan_in_a_later_row_block_aborts_at_step_1():
     st = _Stepper(ONE_ATOM_SETS["locations"](), GRID)
     _, u = _batch(2)
@@ -446,6 +463,68 @@ def test_hull_vertices_are_invariant_under_column_scale():
     want = [2, 3, 4, 5]
     assert _hull_vertices(theta).tolist() == want
     assert _hull_vertices(theta * np.array([1e-6, 1.0, 1e6])).tolist() == want
+
+
+def hull_vertices_reference(theta):
+    """_hull_vertices before untested private-column rows: every distinct row tested against all others."""
+    _, first = np.unique(theta, axis=0, return_index=True)
+    rows = np.sort(first)
+    if rows.shape[0] <= 2:
+        return rows
+    scale = np.abs(theta[rows]).max(axis=0)
+    pts = theta[rows][:, scale > 0.0] / scale[scale > 0.0]
+    keep = np.ones(rows.shape[0], dtype=bool)
+    for i in range(rows.shape[0] - 1, -1, -1):
+        keep[i] = False
+        if not keep.any():  # nnls aborts the process on a system without columns
+            keep[i] = True
+            continue
+        system = np.vstack([pts[keep].T, np.ones(int(keep.sum()))])
+        target = np.append(pts[i], 1.0)
+        coef, _ = optimize.nnls(system, target)
+        keep[i] = np.abs(system @ coef - target).max() > 1e-12
+    return rows[keep]
+
+
+@hs.composite
+def hull_parameters(draw):
+    """(weights over atoms, drift, Q^2) rows of a random mixed family with near duplicates and tiny private weights."""
+    n_atoms = draw(hs.integers(1, 5))
+    weight = hs.one_of(hs.just(0.0), hs.floats(0.05, 2.0))
+    rows = draw(hs.lists(hs.lists(weight, min_size=n_atoms, max_size=n_atoms), min_size=1, max_size=8))
+    theta = np.column_stack(
+        [np.array(rows), draw(hs.sampled_from([np.zeros(len(rows)), np.linspace(-0.3, 0.3, len(rows))]))]
+    )
+    theta = np.column_stack([theta, np.zeros(len(rows))])
+    for i in draw(hs.lists(hs.integers(0, len(rows) - 1), max_size=3)):  # a near duplicate of row i
+        theta = np.vstack([theta, theta[i] * (1.0 + draw(hs.sampled_from([1e-15, 1e-13, 1e-9])))])
+    for i in draw(hs.lists(hs.integers(0, theta.shape[0] - 1), max_size=2, unique=True)):  # a private atom
+        column = np.zeros((theta.shape[0], 1))
+        column[i] = draw(hs.sampled_from([1e-12, 1e-9, 0.5]))
+        theta = np.hstack([column, theta])
+    return theta[draw(hs.permutations(range(theta.shape[0])))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=hull_parameters())
+def test_hull_vertices_match_the_all_rows_certificate(theta):
+    assert _hull_vertices(theta).tolist() == hull_vertices_reference(theta).tolist()
+
+
+def test_near_identical_rows_keep_the_first():
+    # three rows within the tolerance: the last test has no other row to combine
+    assert _hull_vertices(np.array([[1.0], [1.0 + 1e-14], [1.0 + 2e-14]])).tolist() == [0]
+
+
+def test_location_family_of_401_triples_sets_up_fast():
+    uset = uncertainty_set_from_config(
+        {"family": {"rule": "moving_point_mass", "params": {"location": {"min": 0.5, "max": 2.5, "count": 401}}}}
+    )
+    grid = Grid1D(-6.0, 8.0, 281, 0.002, 1.0)
+    start = time.perf_counter()
+    st = _Stepper(uset, grid)
+    assert time.perf_counter() - start < 2.0
+    assert st.rows.tolist() == list(range(401))  # every point mass is a vertex
 
 
 def test_stepper_keeps_vertex_triples():
