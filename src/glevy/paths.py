@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .errors import InvalidInputError, _evaluate, _is_integer
-from .regions import Region
+from .regions import Region, _nonzero_rows
 
 __all__ = [
     "CadlagPath",
@@ -158,17 +158,23 @@ class CadlagPath:
         It reads the one time without the array machinery of
         :meth:`values_at` and adds in its float order: the jump sizes up to t
         one by one from 0.0, as ``cumsum`` adds them, then that sum to the
-        interpolated continuous part. A NaN t gives NaN.
+        interpolated continuous part. At the horizon, the last grid time,
+        that part is the last grid value, which is what ``np.interp`` returns
+        there, and every jump counts. A NaN t gives NaN.
         """
         if self.dim != 1:
             raise InvalidInputError("scalar_value requires a one-dimensional path")
         t = float(t)
         if t < 0.0 or t > self.horizon:
             raise InvalidInputError("query times must lie in [0, horizon]")
-        value = float(np.interp(t, self.grid_times, self.grid_values[:, 0]))
+        if t == self.horizon:
+            value, sizes = self.grid_values.item(-1), self.jump_sizes
+        else:
+            value = float(np.interp(t, self.grid_times, self.grid_values[:, 0]))
+            sizes = self.jump_sizes[: bisect_right(self.jump_times, t)]
         if self.n_jumps:
             jumps = 0.0
-            for size in self.jump_sizes[: bisect_right(self.jump_times, t), 0].tolist():
+            for size in sizes[:, 0].tolist():
                 jumps += size
             value += jumps
         return value
@@ -243,13 +249,15 @@ def _check_paths(paths: _Paths, horizon: float) -> None:
     The refusal names the first invariant, in the order of :func:`_faults`,
     broken by the lowest-index bad path. No numpy warning escapes.
     """
-    n = paths.offsets.shape[0] - 1
-    first, message = n, None
+    first, message = paths.offsets.shape[0] - 1, None
     with np.errstate(all="ignore"):
         for text, bad in _faults(paths, float(horizon)):
-            bad = bad[:first] if isinstance(bad, np.ndarray) else np.full(first, bad)
-            if bad.any():
-                first, message = int(bad.argmax()), text
+            if isinstance(bad, np.ndarray):
+                bad = bad[:first]
+                if bad.any():
+                    first, message = int(bad.argmax()), text
+            elif bad:  # a fault of the whole block flags every path
+                first, message = 0, text
             if first == 0:  # later checks may index arrays the earlier ones refused
                 break
     if message is not None:
@@ -257,36 +265,45 @@ def _check_paths(paths: _Paths, horizon: float) -> None:
 
 
 def _faults(paths: _Paths, T: float):
-    """(message, bad) per path invariant in check order; bad flags the block or each path."""
+    """(message, bad) per path invariant in check order; bad flags each path, or is one flag for the whole block."""
     gt, gv, offsets, jt, js = paths
     n = offsets.shape[0] - 1
     yield "horizon must be positive and finite", not (T > 0.0 and math.isfinite(T))
     yield "grid needs at least the two endpoint samples", gt.shape[0] < 2 or gv.shape[:2] != (n, gt.shape[0])
     yield "grid values must be (G, d) per path", gv.ndim != 3
-    yield "sample grid must start at 0 and end at the horizon", gt[0] != 0.0 or gt[-1] != T
+    yield "sample grid must start at 0 and end at the horizon", gt.item(0) != 0.0 or gt.item(-1) != T
     yield "sample grid times must be strictly increasing", bool((gt[1:] - gt[:-1] <= 0.0).any())
     yield "paths start at zero", (gv[:, 0] != 0.0).any(axis=1)
     yield "jump times and sizes must have equal length", jt.shape[0] != js.shape[0]
-    owner = np.repeat(np.arange(n), np.diff(offsets))
-    has = offsets[1:] > offsets[:-1]
 
-    def paths_with(jump_bad: np.ndarray) -> np.ndarray:
-        return np.bincount(owner[jump_bad], minlength=n) > 0
+    def paths_with(jump_bad: np.ndarray) -> np.ndarray | bool:
+        """The paths owning a flagged jump; False when none is flagged."""
+        jumps = jump_bad.nonzero()[0]
+        if not jumps.shape[0]:
+            return False
+        bad = np.zeros(n, dtype=bool)
+        bad[np.searchsorted(offsets, jumps, side="right") - 1] = True
+        return bad
 
-    # differences, not comparisons: two infinite times give NaN, not a step back
-    back = (jt[1:] - jt[:-1] <= 0.0) & (owner[1:] == owner[:-1])
-    yield "jump times must be strictly increasing", np.bincount(owner[1:][back], minlength=n) > 0
+    # differences, not comparisons: two infinite times give NaN, not a step
+    # back. A step back counts within a path, not onto the first jump of the next
+    back = np.zeros(jt.shape[0] + 1, dtype=bool)
+    back[1:-1] = jt[1:] - jt[:-1] <= 0.0
+    back[offsets[:-1]] = False
+    yield "jump times must be strictly increasing", paths_with(back[:-1])
     # the times between a path's first and last jump increase, or are not
-    # finite, which the last check refuses
-    outside = np.zeros(n, dtype=bool)
-    outside[has] = (jt[offsets[:-1][has]] <= 0.0) | (jt[offsets[1:][has] - 1] > T)
+    # finite, which the last check refuses; when every time lies in the
+    # range, no first or last one lies outside
+    outside = False
+    if jt.shape[0] and not (jt.min() > 0.0 and jt.max() <= T):
+        has = offsets[1:] > offsets[:-1]
+        outside = np.zeros(n, dtype=bool)
+        outside[has] = (jt[offsets[:-1][has]] <= 0.0) | (jt[offsets[1:][has] - 1] > T)
     yield "jump times must lie in (0, horizon]", outside
-    yield "jump sizes must be nonzero", paths_with(np.linalg.norm(js, axis=1) == 0.0)
-    yield "jump dimension must match sample dimension", has & (js.shape[1] != gv.shape[2])
-    yield "path data must be finite", (
-        ~np.isfinite(gv).all(axis=(1, 2))
-        | paths_with(~np.isfinite(jt) | ~np.isfinite(js).all(axis=1))
-        | (not np.isfinite(gt).all())
+    yield "jump sizes must be nonzero", paths_with((js == 0.0).all(axis=1))
+    yield "jump dimension must match sample dimension", js.shape[1] != gv.shape[2] and offsets[1:] > offsets[:-1]
+    yield "path data must be finite", (not np.isfinite(gt).all()) or (
+        ~np.isfinite(gv).all(axis=(1, 2)) | paths_with(~np.isfinite(jt) | ~np.isfinite(js).all(axis=1))
     )
 
 
@@ -454,7 +471,7 @@ def discretize_tn(path: CadlagPath, n: int) -> CadlagPath:
     knots = np.linspace(0.0, T, n + 1)
     vals = path.values_at(knots)
     steps = np.diff(vals, axis=0)
-    keep = np.linalg.norm(steps, axis=1) > 0.0
+    keep = _nonzero_rows(steps)
     return CadlagPath(T, np.array([0.0, T]), np.zeros((2, path.dim)), knots[1:][keep], steps[keep])
 
 

@@ -166,7 +166,11 @@ class Region:
                 f"contains takes an (n, {dim or 'd'}) array of points, got shape {pts.shape}"
             )
         if self.full:
-            return np.linalg.norm(pts, axis=1) > 0.0
+            return _nonzero_rows(pts)
+        if not self.boxes:
+            if pts.shape[1] == 1:
+                return (pts == self.atoms[:, 0]).any(axis=1)
+            return (pts[:, None, :] == self.atoms).all(axis=2).any(axis=1)
         out = np.zeros(pts.shape[0], dtype=bool)
         for b in self.boxes:
             out |= b.contains(pts)
@@ -307,6 +311,13 @@ def _has_nonzero_point(region: Region) -> bool:
             return True
         if b.closed_lo and b.closed_hi and np.any(b.lo != 0.0):
             return True
-    if region.atoms.shape[0] and bool(np.any(np.linalg.norm(region.atoms, axis=1) > 0.0)):
-        return True
-    return False
+    return bool(_nonzero_rows(region.atoms).any())
+
+
+def _nonzero_rows(points: np.ndarray) -> np.ndarray:
+    """Whether each row of an (n, d) array is a point of the punctured space: not zero, and free of NaN.
+
+    This is ``np.linalg.norm(points, axis=1) > 0.0`` without the underflow of
+    the squares, which takes a row such as [1e-200] for zero.
+    """
+    return np.abs(points).max(axis=1, initial=0.0) > 0.0

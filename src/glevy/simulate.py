@@ -56,10 +56,10 @@ scenario, found by comparing the group's arrays, share one path object
 and one payoff call. Such a path object shares its group's arrays, checked
 once per block, so a path payoff costs about what it computes: on a
 three-measure mixture set with five candidates and 4000 paths (11,265
-distinct paths of 20,000 at seed 1), the whole estimate takes about 4 µs per
-distinct path with a payoff that returns a constant and about 6 µs with
-``lambda path: path.scalar_value(1.0)``, against about 0.7 µs per path and
-candidate with the :class:`TerminalPayoff` of the same value (2-core VM,
+distinct paths of 20,000 at seed 1), the whole estimate takes about 3.3 µs
+per distinct path with a payoff that returns a constant and about 4.1 µs
+with ``lambda path: path.scalar_value(1.0)``, against about 0.6 µs per path
+and candidate with the :class:`TerminalPayoff` of the same value (2-core VM,
 Python 3.11, numpy 2.4, best of 7).
 """
 
@@ -76,7 +76,7 @@ from scipy import special
 from .errors import AssumptionError, EvaluationError, InvalidInputError, PolicyError, _eval_nodes, _evaluate, _is_integer
 from .paths import CadlagPath, _check_paths, _Paths, _same_paths
 from .pide import _step_count
-from .regions import Region
+from .regions import Region, _nonzero_rows
 from .uncertainty import DiscreteLevyMeasure, UncertaintySet, _atom_table, _mask_in, _merge_atoms, mass_layout
 
 __all__ = [
@@ -377,7 +377,7 @@ def _assemble_paths(
         starts = np.flatnonzero(opens)
         sizes = np.add.reduceat(sizes, starts, axis=0)
         times, owner = times[starts], owner[starts]
-    nonzero = np.linalg.norm(sizes, axis=1) > 0.0
+    nonzero = _nonzero_rows(sizes)
     times, sizes, owner = times[nonzero], sizes[nonzero], owner[nonzero]
     offsets = np.zeros(C * n + 1, dtype=np.intp)
     np.cumsum(np.bincount(owner, minlength=C * n), out=offsets[1:])
@@ -549,35 +549,39 @@ def _block_values(
     other xi is called once per distinct path, in row-major (path,
     candidate) order: candidate c on path i shares the value of the lowest
     candidate whose path there is equal by :func:`glevy.paths._same_paths`.
+    The group, row and jump slice of every distinct path are found with
+    array operations first, so each costs one path object and one call.
     """
-    n = block.n_paths
+    n, C = block.n_paths, len(compiled)
     groups = _build_paths(block, uset, compiled)
     if isinstance(xi, BlockPayoff):
-        vals = np.empty((n, len(compiled)))
+        vals = np.empty((n, C))
         for members, paths in groups:
             vals[:, members] = xi.block_values(paths).reshape(len(members), n).T
         return vals
-    first = np.empty((n, len(compiled)), dtype=np.intp)
-    located = {}  # candidate -> its group's paths, their offsets and the row of its path 0
-    for members, paths in groups:
+    first = np.empty((n, C), dtype=np.intp)
+    group = np.empty(C, dtype=np.intp)  # the group of each candidate
+    row0 = np.empty(C, dtype=np.intp)  # the row of its path 0 in the group
+    for g, (members, paths) in enumerate(groups):
         first[:, members] = np.array(members)[_first_equal(paths, len(members))]
-        offsets = paths.offsets.tolist()
-        located.update((c, (paths, offsets, k * n)) for k, c in enumerate(members))
+        group[members] = g
+        row0[members] = np.arange(len(members)) * n
+    rows, cols = np.nonzero(first == np.arange(C))
+    cell_group, cell_row = group[cols], row0[cols] + rows
+    lo, hi = np.empty_like(cell_row), np.empty_like(cell_row)
+    for g, (_, paths) in enumerate(groups):
+        at = cell_group == g
+        lo[at], hi[at] = paths.offsets[cell_row[at]], paths.offsets[cell_row[at] + 1]
 
     def payoffs() -> np.ndarray:
         # xi's values as returned, each in its own cell; _evaluate converts
         # them to floats and checks them
-        vals = np.empty(first.shape, dtype=object)
-        rows, cols = np.nonzero(first == np.arange(len(compiled)))
-        for i, c in zip(rows.tolist(), cols.tolist()):
-            paths, offsets, row = located[c]
-            row += i
-            lo, hi = offsets[row], offsets[row + 1]
-            vals[i, c] = xi(
-                CadlagPath._unchecked(
-                    block.horizon, paths.grid_times, paths.grid_values[row], paths.jump_times[lo:hi], paths.jump_sizes[lo:hi]
-                )
-            )
+        vals = np.empty((n, C), dtype=object)
+        horizon, path = block.horizon, CadlagPath._unchecked
+        cells = zip(rows.tolist(), cols.tolist(), cell_group.tolist(), cell_row.tolist(), lo.tolist(), hi.tolist())
+        for i, c, g, row, a, b in cells:
+            gt, gv, _, jt, js = groups[g][1]
+            vals[i, c] = xi(path(horizon, gt, gv[row], jt[a:b], js[a:b]))
         return np.take_along_axis(vals, first, axis=1)
 
     return _evaluate(payoffs, (), "payoff", each=False)
@@ -587,19 +591,35 @@ def _first_equal(paths: _Paths, C: int) -> np.ndarray:
     """For each path i and candidate k of a group, the lowest candidate whose path i equals that of k, shape (n, C).
 
     The group holds C candidates' paths, candidate-major, on one grid.
-    Equal paths also agree in jump count and continuous value at the
-    horizon. Each round heads every set of open paths with one such key by
-    its lowest candidate, which is its own lowest match, and settles the
-    paths equal to their head (:func:`glevy.paths._same_paths`); the others
-    stay open.
+    Equal paths agree in a key of path index, jump count, continuous value
+    at the horizon, and the sums over their jumps of the jump sizes and of
+    jump time times jump size, each added in jump order by ``np.bincount``
+    (a NaN sum, from terms that overflow, reads 0.0). Each round sorts the
+    open paths on this key with one ``np.lexsort``, heads every run of
+    equal keys by its lowest candidate, which is its own lowest match, and
+    settles the paths equal to their head (:func:`glevy.paths._same_paths`);
+    the others, whose key collides with a different path's, stay open.
     """
     n = (paths.offsets.shape[0] - 1) // C
     first = np.tile(np.arange(C), (n, 1))
-    key = np.column_stack([np.tile(np.arange(n), C), np.diff(paths.offsets), paths.grid_values[:, -1]])
+    counts = np.diff(paths.offsets)
+    owner = np.repeat(np.arange(C * n), counts)
+    with np.errstate(all="ignore"):
+        terms = np.hstack([paths.jump_sizes, paths.jump_times[:, None] * paths.jump_sizes])
+    sums = np.array([np.bincount(owner, weights=w, minlength=C * n) for w in terms.T]).reshape(-1, C * n)
+    sums[np.isnan(sums)] = 0.0
+    key = np.vstack([np.tile(np.arange(n), C), counts, paths.grid_values[:, -1].T, sums])
     open_ = np.arange(C * n)
     while open_.shape[0]:
-        _, lowest, group = np.unique(key[open_], axis=0, return_index=True, return_inverse=True)
-        head = open_[lowest[group]]
+        # lexsort is stable and sorts on its last key first: within a run of
+        # equal keys the open paths keep their order, lowest candidate first
+        k = key[:, open_]
+        order = np.lexsort(k[::-1])
+        k = k[:, order]
+        starts = np.ones(order.shape[0], dtype=bool)
+        starts[1:] = (k[:, 1:] != k[:, :-1]).any(axis=0)
+        head = np.empty_like(open_)
+        head[order] = open_[order[starts][np.cumsum(starts) - 1]]
         s, head = open_[head != open_], head[head != open_]
         same = _same_paths(paths, head, s)
         first[s[same] % n, s[same] // n] = head[same] // n

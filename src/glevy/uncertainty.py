@@ -88,7 +88,7 @@ class DiscreteLevyMeasure:
             raise InvalidInputError("atom locations must be finite")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
             raise InvalidInputError("weights must be finite and strictly positive")
-        if atoms.shape[0] and np.any(np.linalg.norm(atoms, axis=1) == 0.0):
+        if np.any((atoms == 0.0).all(axis=1)):
             raise InvalidInputError("atoms must avoid the origin")
         if atoms.shape[0] != np.unique(atoms, axis=0).shape[0]:
             raise InvalidInputError("atom locations must be pairwise distinct")

@@ -167,11 +167,18 @@ def test_values_at_matches_the_reference_byte_for_byte(data, dim):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_scalar_value_matches_the_reference_byte_for_byte(data):
+@given(data=st.data(), end=st.sampled_from([None, 0.0, -0.0]), jumpless=st.booleans())
+def test_scalar_value_matches_the_reference_byte_for_byte(data, end, jumpless):
+    # the grid may end in a zero of either sign, and the path may have no
+    # jumps; t lands on the last grid time, which is the horizon, among others
     path = data.draw(random_paths(1))
+    values = path.grid_values.copy()
+    if end is not None:
+        values[-1] = end
+    jumps = slice(0, 0) if jumpless else slice(None)
+    path = CadlagPath(path.horizon, path.grid_times, values, path.jump_times[jumps], path.jump_sizes[jumps])
     ts = query_times(path, data.draw(st.lists(st.floats(0.0, 1.0), max_size=5)))
-    for t in [*ts.tolist(), math.nan]:
+    for t in [*ts.tolist(), path.grid_times[-1], path.horizon, math.nan]:
         got = path.scalar_value(t)
         assert type(got) is float
         assert np.float64(got).tobytes() == reference_values_at(path, [t])[0, 0].tobytes()
@@ -421,6 +428,20 @@ def test_discretize_snaps_jump_to_next_grid_time():
     assert q.scalar_value(0.39) == 0.0
     assert q.scalar_value(0.4) == 1.0
     assert q.n_jumps == 1 and q.jump_times[0] == pytest.approx(0.4)
+
+
+def test_tiny_jumps_are_not_zero():
+    # the square of 1e-200 underflows to 0, which a norm would take for a zero jump
+    p = CadlagPath.from_jumps([(0.5, 1e-200)], 1.0)
+    assert p.jump_sizes.tolist() == [[1e-200]]
+    q = discretize_tn(p, 4)
+    assert q.jump_times.tolist() == [0.5] and q.jump_sizes.tolist() == [[1e-200]]
+    two = CadlagPath(1.0, [0.0, 1.0], np.zeros((2, 2)), [0.3], [[0.0, -1e-200]])
+    assert discretize_tn(two, 2).jump_sizes.tolist() == [[0.0, -1e-200]]
+    with pytest.raises(InvalidInputError, match="^jump sizes must be nonzero$"):
+        CadlagPath(1.0, [0.0, 1.0], np.zeros((2, 2)), [0.3], [[0.0, -0.0]])
+    with pytest.raises(InvalidInputError, match="^path data must be finite$"):
+        CadlagPath.from_jumps([(0.5, math.nan)], 1.0)
 
 
 def test_discretize_preserves_terminal_value():

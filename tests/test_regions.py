@@ -211,3 +211,55 @@ def test_common_point_implies_overlap(lo1, w1, lo2, w2, z):
     b = Region.interval(lo2, lo2 + w2)
     if z in a and z in b:
         assert a.overlaps(b)
+
+
+# -- membership against the reference of every row and atom ---------------------
+
+COORDS = st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, 3.5, 1e-200])
+
+
+@st.composite
+def regions_and_points(draw):
+    """A region of one kind in d = 1 or 2 and points from its atoms, its box ends, +-0.0, 1e-200 and NaN."""
+    d = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["atoms", "boxes", "mixed", "full"]))
+    rows = st.lists(COORDS, min_size=d, max_size=d)
+    atoms = np.array(draw(st.lists(rows, min_size=1, max_size=4)) if kind in ("atoms", "mixed") else np.empty((0, d)))
+    boxes = []
+    for _ in range(draw(st.integers(1, 3)) if kind in ("boxes", "mixed") else 0):
+        ends = np.sort(np.array([draw(rows), draw(rows)]), axis=0)
+        boxes.append(Box(ends[0], ends[1], closed_lo=draw(st.booleans()), closed_hi=draw(st.booleans())))
+    region = Region.full_space() if kind == "full" else Region(boxes=tuple(boxes), atoms=atoms)
+    pool = [0.0, -0.0, 1e-200, np.nan, *atoms.ravel().tolist()] + [x for b in boxes for x in (*b.lo.tolist(), *b.hi.tolist())]
+    whole = [row.tolist() for row in atoms] + [end.tolist() for b in boxes for end in (b.lo, b.hi)]
+    point = st.lists(st.sampled_from(pool), min_size=d, max_size=d)
+    points = draw(st.lists(st.sampled_from(whole) | point if whole else point, max_size=8))
+    return region, np.array(points, dtype=float).reshape(len(points), d)
+
+
+def reference_contains(region, pts):
+    """Each row's membership: any atom equal in every coordinate, or any box; the full space takes every row that is not zero and has no NaN."""
+    if region.full:
+        return (pts != 0.0).any(axis=1) & ~np.isnan(pts).any(axis=1)
+    out = (pts[:, None, :] == region.atoms).all(axis=2).any(axis=1)
+    for b in region.boxes:
+        out = out | b.contains(pts)
+    return out
+
+
+@given(case=regions_and_points())
+def test_contains_matches_the_reference(case):
+    region, pts = case
+    got = region.contains(pts)
+    assert got.dtype == bool and got.shape == (pts.shape[0],)
+    assert got.tolist() == reference_contains(region, pts).tolist()
+
+
+def test_tiny_points_are_not_the_origin():
+    # the square of 1e-200 underflows to 0, which a norm would take for the origin
+    full = Region.full_space()
+    assert full.contains([[1e-200], [-1e-200], [0.0], [-0.0]]).tolist() == [True, True, False, False]
+    assert full.contains([[0.0, 1e-200], [0.0, -0.0], [np.nan, 1.0]]).tolist() == [True, False, False]
+    assert full.overlaps(Region.point_set([1e-200]))
+    assert Region.point_set([[0.0, 1e-200]]).overlaps(full)
+    assert not full.overlaps(Region.point_set([[0.0, -0.0]]))

@@ -347,6 +347,15 @@ def test_simulate_path_refuses_a_block_of_several_paths(lam_12):
         simulate_path(sc, ControlPolicy.constant(0, 0.0, 1.0), lam_12)
 
 
+def test_simulated_tiny_jumps_are_not_dropped():
+    # the square of 1e-200 underflows to 0, which a norm would take for a zero jump
+    uset = UncertaintySet((LevyTriple(DiscreteLevyMeasure.delta(1e-200, 5.0)),))
+    sc = draw_scenario(BaseJumpModel.from_uncertainty(uset), 1.0, np.random.default_rng(1))
+    path = simulate_path(sc, ControlPolicy.constant(0, 0.0, 1.0), uset)
+    assert path.n_jumps == sc.offsets[-1] > 0
+    assert path.jump_sizes.ravel().tolist() == [1e-200] * path.n_jumps
+
+
 def test_policy_must_cover_the_horizon():
     uset = point_mass_family([1.0])
     model = BaseJumpModel.from_uncertainty(uset)
@@ -840,8 +849,8 @@ def test_equal_candidates_match_the_byte_key(seed, kind):
 
 
 def test_unequal_paths_with_one_sort_key_are_told_apart():
-    # equal jump counts and terminal values, jump sizes in another order:
-    # candidate 1 differs from 0 and heads the next round, where 3 matches it
+    # equal jump counts, terminal values and size sums, jump sizes in another
+    # order: candidate 1 differs from 0, and 3 matches it
     def one_path(sizes):
         return _Paths(np.array([0.0, 1.0]), np.zeros((1, 2, 1)), np.array([0, 2]), np.array([0.2, 0.5]), np.array(sizes))
 
@@ -857,6 +866,86 @@ def test_paths_differing_only_in_grid_times_match_the_byte_key(lam_12):
     pols = [ControlPolicy(np.array([0.0, 0.3, 1.0]), (0, 1)), ControlPolicy(np.array([0.0, 0.6, 1.0]), (0, 1))]
     compiled = [_compile_policy(p, lam_12) for p in pols + constant_policies(lam_12, 1.0)]
     assert_matches_byte_key(draw_scenario(model, 1.0, np.random.default_rng(8), n_paths=50), lam_12, compiled)
+
+
+def group_of(paths_by_candidate):
+    """One-path blocks, one per candidate, as the candidate-major group of one path."""
+    return _Paths(
+        paths_by_candidate[0].grid_times,
+        np.concatenate([p.grid_values for p in paths_by_candidate]),
+        np.concatenate([[0], np.cumsum([p.offsets[-1] for p in paths_by_candidate])]),
+        np.concatenate([p.jump_times for p in paths_by_candidate]),
+        np.concatenate([p.jump_sizes for p in paths_by_candidate]),
+    )
+
+
+def jump_block(jumps, d=1):
+    """A one-path block without a continuous part, from (time, size) pairs."""
+    times = np.array([t for t, _ in jumps], dtype=float)
+    sizes = np.array([s for _, s in jumps], dtype=float).reshape(len(jumps), d)
+    return _Paths(np.array([0.0, 1.0]), np.zeros((1, 2, d)), np.array([0, len(jumps)]), times, sizes)
+
+
+# pairs of different paths whose jump count, size sum and time-weighted size
+# sum agree: the key of _first_equal collides, and _same_paths tells them apart
+COLLIDING_PATHS = {
+    "sizes-scaled": (
+        [(0.25, 1.0), (0.5, -2.0), (0.75, 1.0)],
+        [(0.25, 2.0), (0.5, -4.0), (0.75, 2.0)],
+    ),
+    "times-moved": ([(0.25, 2.0), (0.5, -1.0)], [(0.25, 1.5), (0.75, -0.5)]),
+    "two-dimensional": ([(0.25, [1.0, 2.0]), (0.5, [-2.0, -1.0])], [(0.25, [0.0, 1.5]), (0.75, [-1.0, -0.5])]),
+}
+
+
+@pytest.mark.parametrize("case", list(COLLIDING_PATHS))
+@pytest.mark.parametrize("order", ["abab", "baab", "aabb", "bbba"])
+def test_colliding_keys_of_different_paths_match_the_byte_key(monkeypatch, case, order):
+    import glevy.simulate
+
+    a, b = COLLIDING_PATHS[case]
+    d = np.size(a[0][1])
+    built = [jump_block(a if k == "a" else b, d) for k in order]
+    group = group_of(built)
+    counts = np.diff(group.offsets)
+    sums = [np.add.reduceat(x, group.offsets[:-1]) for x in (group.jump_sizes, group.jump_times[:, None] * group.jump_sizes)]
+    assert len(set(counts)) == 1 and all((s == s[0]).all() for s in sums)  # the key collides
+    rounds = count_calls(monkeypatch, glevy.simulate, "_same_paths")
+    assert np.array_equal(_first_equal(group, len(order)), byte_key_reference(built)[0])
+    assert len(rounds) == 2
+
+
+def test_overflowing_key_sums_still_pair_equal_paths():
+    # jump time x jump size overflows to +-inf, so a path's time-weighted sum
+    # can be inf - inf = NaN; equal paths must still share one head
+    uset = UncertaintySet((LevyTriple(DiscreteLevyMeasure(np.array([[1e308], [-1e308]]), np.array([2.0, 2.0]))),))
+    with np.errstate(over="ignore"):  # the mass layout's norms of the atoms overflow
+        model = BaseJumpModel.from_uncertainty(uset)
+    compiled = [_compile_policy(p, uset) for p in constant_policies(uset, 5.0) * 3]
+    block = draw_scenario(model, 5.0, np.random.default_rng(4), n_paths=40)
+    [(_, group)] = _build_paths(block, uset, compiled)
+    with np.errstate(all="ignore"):
+        weighted = np.add.reduceat(group.jump_times * group.jump_sizes[:, 0], group.offsets[:-1][np.diff(group.offsets) > 0])
+    assert np.isnan(weighted).any()
+    first = first_equal_of_groups(block, uset, compiled)
+    assert np.array_equal(first, byte_key_reference(one_candidate_blocks(block, uset, compiled))[0])
+    assert (first == 0).all()
+
+
+def test_the_mixture_bench_case_settles_every_group_in_one_round(monkeypatch, mixtures):
+    # the mixtures, controls and seed of the mixture op of bench/workloads.py:
+    # the key of _first_equal tells every pair of different paths apart, so
+    # each group of each block makes one _same_paths call
+    import glevy.simulate
+
+    rounds = count_calls(monkeypatch, glevy.simulate, "_same_paths")
+    groups = count_calls(monkeypatch, glevy.simulate, "_first_equal")
+    switch = np.array([0.0, 0.5, 1.0])
+    pols = constant_policies(mixtures, 1.0) + [ControlPolicy(switch, (0, 2)), ControlPolicy(switch, (2, 0))]
+    seed = int(np.random.SeedSequence([1, 2]).generate_state(1)[0])
+    estimate_upper_expectation(lambda p: p.scalar_value(1.0), mixtures, pols, 4000, seed, horizon=1.0)
+    assert len(groups) == 2 * -(-4000 // _BLOCK)
+    assert len(rounds) == len(groups)
 
 
 # -- candidate-major groups: one block per set of shared cells --------------------

@@ -29,6 +29,14 @@ def test_measure_rejects_origin_atom():
         DiscreteLevyMeasure(atoms=np.array([[0.0]]), weights=np.array([1.0]))
 
 
+def test_measure_takes_a_tiny_atom_for_a_point_off_the_origin():
+    # the square of 1e-200 underflows to 0, which a norm would take for the origin
+    assert DiscreteLevyMeasure.delta(1e-200).atoms.tolist() == [[1e-200]]
+    assert DiscreteLevyMeasure.delta([0.0, -1e-200]).atoms.tolist() == [[0.0, -1e-200]]
+    with pytest.raises(InvalidInputError, match="^atoms must avoid the origin$"):
+        DiscreteLevyMeasure.delta([0.0, -0.0])
+
+
 def test_measure_rejects_nonpositive_weight():
     with pytest.raises(InvalidInputError):
         DiscreteLevyMeasure(atoms=np.array([[1.0]]), weights=np.array([0.0]))
