@@ -286,7 +286,8 @@ class _Encoder(json.JSONEncoder):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations, each returning (results dict, csv artifacts)
+# subcommand implementations, each returning (results dict, csv artifacts);
+# an artifact is its text or a function that writes it to an open file
 # ---------------------------------------------------------------------------
 
 
@@ -316,9 +317,8 @@ def _cmd_expect(config, args, out_dir):
         results["schemeError"] = sol.diagnostics["scheme_error_estimate"]
         results["pideDiagnostics"] = sol.diagnostics
         if export:
-            text, header = sol.to_csv()
-            csvs["solution.csv"] = text
-            results["solutionHeader"] = header
+            csvs["solution.csv"] = sol.to_csv
+            results["solutionHeader"] = sol.csv_header()
     if sample:
         n_paths, seed, brownian_dt = _mc_settings(c["mc"], args.seed)
         est = estimate_upper_expectation(
@@ -601,8 +601,12 @@ def main(argv=None) -> int:
     if "seed" in results:
         record["seed"] = results["seed"]
     out_path = _write_record(args.out, args.command, record)
-    for name, text in csvs.items():
-        (Path(args.out) / name).write_text(text)
+    for name, content in csvs.items():
+        with open(Path(args.out) / name, "w") as fh:
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content)
     if not args.quiet:
         elapsed = time.monotonic() - started
         print(f"{args.command}: ok -> {out_path} ({elapsed:.2f}s wall time)")

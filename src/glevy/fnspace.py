@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidInputError, _evaluate
 from .regions import Region
-from .uncertainty import DiscreteLevyMeasure, _atom_table, _AtomTable, _mask_in
+from .uncertainty import DiscreteLevyMeasure, _atom_table, _AtomTable, _mask_in, _moduli
 
 __all__ = [
     "TestFunction",
@@ -120,7 +120,7 @@ def _tightness(powers: np.ndarray, table: _AtomTable, eps_seq: Sequence[float]) 
     """
     contrib = table.weight * powers[table.column]
     entry = contrib > 0.0
-    r = np.linalg.norm(table.atoms, axis=1)[table.column[entry]]
+    r = _moduli(table.atoms)[table.column[entry]]
     order = np.argsort(r, kind="stable")  # each measure's tail is summed by increasing radius
     row = table.row[entry][order]
     contrib = contrib[entry][order]

@@ -54,13 +54,13 @@ fixed.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
-from scipy import optimize, special
-from scipy.interpolate import RegularGridInterpolator
+from scipy import special
 
 from .errors import (
     InvalidInputError,
@@ -164,6 +164,10 @@ def _hull_vertices(theta: np.ndarray) -> np.ndarray:
     sum row). Rows are tested from the highest index down, so of two rows
     closer than the tolerance the lower index stays; a row with no other
     remaining row to combine is kept.
+
+    Where at most one scaled column varies across the distinct rows (a
+    one-parameter family, such as an intensity interval), the combination
+    is found in closed form by :func:`_line_coef` instead of by ``nnls``.
     """
     _, first = np.unique(theta, axis=0, return_index=True)
     rows = np.sort(first)
@@ -171,6 +175,8 @@ def _hull_vertices(theta: np.ndarray) -> np.ndarray:
         return rows
     scale = np.abs(theta[rows]).max(axis=0)
     pts = theta[rows][:, scale > 0.0] / scale[scale > 0.0]
+    varying = (pts != pts[0]).any(axis=0)
+    line = pts[:, varying.argmax()] if np.count_nonzero(varying) == 1 else None
     nonzero = pts != 0.0
     keep = np.ones(rows.shape[0], dtype=bool)
     tested = ~(nonzero & (nonzero.sum(axis=0) == 1)).any(axis=1)
@@ -179,10 +185,40 @@ def _hull_vertices(theta: np.ndarray) -> np.ndarray:
         others = keep & tested
         system = np.vstack([pts[others].T, np.ones(int(others.sum()))])
         target = np.append(pts[i], 1.0)
-        # scipy's nnls aborts the process on a system without columns
-        coef = optimize.nnls(system, target)[0] if others.any() else np.zeros(0)
+        if not others.any():  # scipy's nnls aborts the process on a system without columns
+            coef = np.zeros(0)
+        elif line is not None:
+            coef = _line_coef(line[others], line[i], system, target)
+        else:
+            from scipy import optimize
+
+            coef = optimize.nnls(system, target)[0]
         keep[i] = np.abs(system @ coef - target).max() > 1e-12
     return rows[keep]
+
+
+def _line_coef(q: np.ndarray, qi: float, system: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``scipy.optimize.nnls(system, target)[0]`` for columns that differ in one coordinate only.
+
+    Column j of the system is (q[j] in the varying coordinate, the same
+    constants elsewhere, 1) and the target is (qi, the constants, 1). All of
+    them lie in one plane, where the cone of the columns is spanned by the
+    two extreme ones, so the least-squares point of the cone is the convex
+    combination of the extremes when qi lies between them, and otherwise
+    the projection onto the column of the nearer extreme, clipped at 0.
+    """
+    lo, hi = int(q.argmin()), int(q.argmax())
+    coef = np.zeros(q.shape[0])
+    if q[lo] <= qi <= q[hi]:
+        # distinct rows may scale to equal values, so qi may equal both extremes
+        t = (qi - q[lo]) / (q[hi] - q[lo]) if q[hi] > q[lo] else 0.0
+        coef[hi] += t
+        coef[lo] += 1.0 - t
+    else:
+        k = hi if qi > q[hi] else lo
+        column = system[:, k]
+        coef[k] = max(float(column @ target) / float(column @ column), 0.0)
+    return coef
 
 
 class _Stepper:
@@ -432,18 +468,9 @@ class GridSolution:
     def value_at_zero(self, t: float | None = None) -> float:
         return self.value(self.times[-1] if t is None else t, 0.0)
 
-    def to_csv(self) -> tuple[str, dict]:
-        """Matrix export of every kept layer (rows = time layers, columns = grid nodes).
-
-        Which layers a solution keeps is decided once, by ``solve_ipde``'s
-        ``max_rows``; the export writes all of them. Returns the CSV text and
-        a JSON-ready header with the grid metadata, the kept ``rows``, the
-        ``stride`` in Euler steps and the diagnostics.
-        """
-        lines = ["t," + ",".join(map(repr, self.grid.x.tolist()))]
-        for t, layer in zip(self.times.tolist(), self.values):
-            lines.append(repr(t) + "," + ",".join(map(repr, layer.tolist())))
-        header = {
+    def csv_header(self) -> dict:
+        """JSON-ready header of the export: grid metadata, kept ``rows``, ``stride`` in Euler steps, diagnostics."""
+        return {
             "x_min": self.grid.x_min,
             "x_max": self.grid.x_max,
             "nx": self.grid.nx,
@@ -452,7 +479,21 @@ class GridSolution:
             "stride": self.stride,
             **self.diagnostics,
         }
-        return "\n".join(lines) + "\n", header
+
+    def to_csv(self, out: TextIO | None = None) -> tuple[str, dict]:
+        """Matrix export of every kept layer (rows = time layers, columns = grid nodes).
+
+        Which layers a solution keeps is decided once, by ``solve_ipde``'s
+        ``max_rows``; the export writes all of them, one line at a time, to
+        ``out`` when given (an open text file) and to a string otherwise.
+        Returns the CSV text (empty when written to ``out``) and
+        :meth:`csv_header`.
+        """
+        sink = io.StringIO() if out is None else out
+        sink.write("t," + ",".join(map(repr, self.grid.x.tolist())) + "\n")
+        for t, layer in zip(self.times.tolist(), self.values):
+            sink.write(repr(t) + "," + ",".join(map(repr, layer.tolist())) + "\n")
+        return sink.getvalue() if out is None else "", self.csv_header()
 
 
 def solve_ipde(
@@ -667,6 +708,8 @@ def conditional_expectation(
     lo, hi = x[0], x[-1]
     if any(not (lo <= r <= hi) for r in realized):
         raise InvalidInputError("realized increments fall outside the spatial grid")
+    from scipy.interpolate import RegularGridInterpolator
+
     interp = RegularGridInterpolator((x,) * i, stage, method="linear")
     return float(interp(np.array(realized).reshape(1, -1))[0])
 

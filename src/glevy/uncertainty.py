@@ -33,9 +33,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError, UnsupportedError, _evaluate, _integer, _read
 from .regions import Region
@@ -178,10 +175,21 @@ def _merge_atoms(points: np.ndarray, weights: np.ndarray, tol: float) -> Discret
     order = np.lexsort(points.T[::-1])
     points, weights = points[order], weights[order]
     n = points.shape[0]
-    pairs = cKDTree(points).query_pairs(tol, p=np.inf, output_type="ndarray")
-    graph = coo_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    if tol == 0.0:
+        # equal points are neighbours in sorted order: a component starts
+        # wherever a point differs from the one before it
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = (points[1:] != points[:-1]).any(axis=1)
+        labels = np.cumsum(starts) - 1
+    else:
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+        from scipy.spatial import cKDTree
+
+        pairs = cKDTree(points).query_pairs(tol, p=np.inf, output_type="ndarray")
+        graph = coo_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+        _, labels = connected_components(graph, directed=False)
     # labels number the components in the order of their first points
-    _, labels = connected_components(graph, directed=False)
     _, first = np.unique(labels, return_index=True)
     return DiscreteLevyMeasure(points[first], np.bincount(labels, weights=weights))
 
@@ -374,6 +382,21 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
+def _moduli(atoms: np.ndarray) -> np.ndarray:
+    """The Euclidean length of every (nonzero, finite) row of the (n, d) atoms, without overflow or underflow.
+
+    A row whose sum of squares is a finite normal number (length from 1e-150
+    up to about 1.3e154) keeps ``np.linalg.norm``'s bits; any other row reads
+    m * |x / m| with m its largest magnitude.
+    """
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(atoms, axis=1)
+        odd = (r < 1e-150) | (r == math.inf)
+        m = np.abs(atoms[odd]).max(axis=1, keepdims=True)
+        r[odd] = m[:, 0] * np.linalg.norm(atoms[odd] / m, axis=1)
+    return r
+
+
 # ---------------------------------------------------------------------------
 # worst-case functionals
 # ---------------------------------------------------------------------------
@@ -455,7 +478,7 @@ def validate(uset: UncertaintySet, q: float, p: float) -> ValidationReport:
         raise InvalidInputError(f"p must exceed 1, got {p}")
 
     table = _atom_table(uset)
-    r = np.linalg.norm(table.atoms, axis=1)
+    r = _moduli(table.atoms)
     small_atom = r < 1.0
     drifts = uset.drifts
     roots = uset.cov_roots
@@ -577,7 +600,7 @@ def mass_layout(v: DiscreteLevyMeasure) -> tuple[np.ndarray, np.ndarray, np.ndar
     the mass interval [cum[k], cum[k+1]). Transport shells and the Monte Carlo
     base segments are both cut from this layout, so they map marks alike.
     """
-    mags = np.linalg.norm(v.atoms, axis=1)
+    mags = _moduli(v.atoms)
     order = np.lexsort(tuple(v.atoms[:, k] for k in range(v.dim - 1, -1, -1)) + (-mags,))
     weights = v.weights[order]
     return v.atoms[order], weights, np.concatenate([[0.0], np.cumsum(weights)])

@@ -157,6 +157,27 @@ def test_expect_solution_export(tmp_path):
     assert len(lines) - 1 == res["solutionHeader"]["rows"]
 
 
+def test_expect_solution_csv_is_the_solution_export(tmp_path, monkeypatch):
+    # the command streams the rows into the file; the bytes are those of to_csv
+    solved, cli_solve = [], cli.solve_ipde
+
+    def solve(*args, **kwargs):
+        solved.append(cli_solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(cli, "solve_ipde", solve)
+    doc = {
+        "uncertainty": UNC_FAMILY,
+        "grid": {**GRID, "export_solution": True, "export_rows": 11},
+        "payoff": {"kind": "clampedLinear"},
+    }
+    code, rec_file = run(tmp_path, "expect", doc, "--method", "pide")
+    assert code == 0
+    text, header = solved[0].to_csv()
+    assert (tmp_path / "solution.csv").read_bytes() == text.encode()
+    assert load(rec_file)["results"]["solutionHeader"] == json.loads(json.dumps(header))
+
+
 @pytest.mark.parametrize("rows", [13, 201, 1001])
 def test_export_rows_bounds_the_kept_layers(tmp_path, rows):
     # 2000 steps; the header stride counts steps, and every kept layer is exported

@@ -82,6 +82,15 @@ def test_tightness_peels_far_light_atom():
     assert tight.tail == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e308 / 4.0])
+def test_tightness_radii_of_tiny_and_huge_atoms(scale):
+    # the squares of 1e-200 underflow to 0 and those of 1e308 overflow
+    m = DiscreteLevyMeasure(np.array([[scale], [-4.0 * scale], [2.0 * scale]]), np.array([1.0, 1e-9, 1.0]))
+    loose, tight = tightness_profile(lambda z: 1.0, [m], 1.0, [1e-6, 1e-12])
+    assert loose.annulus == (scale, 2.0 * scale) and loose.tail == 1e-9
+    assert tight.annulus == (scale, 4.0 * scale) and tight.tail == 0.0
+
+
 def test_tightness_annuli_are_nested():
     rng = np.random.default_rng(7)
     ms = []

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -204,6 +206,24 @@ def test_to_csv_round_trip(lam_12):
     last = np.array([float(v) for v in lines[-1].split(",")[1:]])
     assert np.array_equal(first, sol.values[0])
     assert np.array_equal(last, sol.values[-1])
+
+
+def test_csv_export_streams_its_rows(tmp_path):
+    # 201 layers of 1201 nodes make about 5 MiB of text; the writer holds one row at a time
+    grid = Grid1D(x_min=-6.0, x_max=8.0, nx=1201, dt=1e-4, horizon=1.0)
+    values = np.random.default_rng(2).normal(size=(201, grid.nx))
+    sol = GridSolution(grid, np.linspace(0.0, 1.0, 201), values, {"cfl": 0.5}, stride=50)
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "solution.csv", "w") as fh:
+            written, header = sol.to_csv(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    text, same_header = sol.to_csv()
+    assert written == "" and (tmp_path / "solution.csv").read_text() == text
+    assert header == same_header == sol.csv_header() == {"x_min": -6.0, "x_max": 8.0, "nx": 1201, "dt": 1e-4, "rows": 201, "stride": 50, "cfl": 0.5}
 
 
 @pytest.mark.parametrize(
@@ -509,6 +529,37 @@ def hull_parameters(draw):
 @given(theta=hull_parameters())
 def test_hull_vertices_match_the_all_rows_certificate(theta):
     assert _hull_vertices(theta).tolist() == hull_vertices_reference(theta).tolist()
+
+
+@hs.composite
+def one_parameter_families(draw):
+    """(weight, drift, Q^2) rows of which one column varies: random values, near duplicates, constant columns."""
+    value = hs.one_of(hs.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, -1.0]), hs.floats(-5.0, 5.0, allow_subnormal=False))
+    q = draw(hs.lists(value, min_size=1, max_size=12))
+    if draw(hs.booleans()):  # all rows equal but one
+        q = [q[0]] * len(q) + [draw(value)]
+    for i in draw(hs.lists(hs.integers(0, len(q) - 1), max_size=3)):  # a near duplicate of row i
+        q.append(q[i] * (1.0 + draw(hs.sampled_from([1e-15, 1e-13, 1e-9]))))
+    constant = [np.full(len(q), draw(hs.sampled_from([0.0, -2.0, 0.25, 1e6]))) for _ in range(2)]
+    columns = [np.array(q), *constant]
+    theta = np.column_stack([columns[k] for k in draw(hs.permutations(range(3)))])
+    return theta[::-1] if draw(hs.booleans()) else theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=one_parameter_families())
+def test_one_parameter_hulls_are_settled_without_nnls(theta):
+    want = hull_vertices_reference(theta).tolist()
+    with mock.patch.object(optimize, "nnls", side_effect=AssertionError("nnls called")):
+        assert _hull_vertices(theta).tolist() == want
+
+
+def test_two_parameter_hulls_still_use_nnls():
+    theta = np.array([[1.0, 0.0, 0.0], [1.5, 0.1, 0.0], [2.0, 0.0, 0.0], [1.2, 0.02, 0.0]])
+    want = hull_vertices_reference(theta).tolist()
+    with mock.patch.object(optimize, "nnls", wraps=optimize.nnls) as nnls:
+        assert _hull_vertices(theta).tolist() == want == [0, 1, 2]
+    assert nnls.call_count > 0
 
 
 def test_near_identical_rows_keep_the_first():

@@ -18,7 +18,7 @@ from glevy import (
     v_capacity,
     validate,
 )
-from glevy.uncertainty import _merge_atoms
+from glevy.uncertainty import _merge_atoms, mass_layout
 from conftest import location_family, mixture_family, point_mass_family
 
 
@@ -80,6 +80,16 @@ def test_validate_location_grid_bound():
     rep = validate(location_family((1.0, 1.5, 2.0)), q=0.5, p=2.0)
     assert rep.uniform_bound == pytest.approx(2.0, abs=1e-12)
     assert rep.ok
+
+
+def test_validate_moments_of_tiny_and_huge_atoms():
+    # the squares of 1e-200 underflow to 0 and those of 1e308 overflow
+    tiny = validate(UncertaintySet((LevyTriple(DiscreteLevyMeasure.delta(1e-200, 2.0)),)), q=0.5, p=2.0)
+    assert tiny.small_jump_moment == pytest.approx(2e-100, rel=1e-12)
+    assert tiny.uniform_bound == pytest.approx(2e-200, rel=1e-12)
+    huge = validate(UncertaintySet((LevyTriple(DiscreteLevyMeasure.delta(1e308, 1e-300)),)), q=0.5, p=1.5)
+    assert huge.uniform_bound == pytest.approx(1e8, rel=1e-12)
+    assert huge.large_jump_moment == np.inf and not huge.ok
 
 
 def test_validate_moment_arguments_checked():
@@ -201,6 +211,23 @@ def test_same_as_tolerant_to_ordering():
 
 
 # -- transport ---------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "atoms, want",
+    [
+        # the squares of 1e-200 underflow to 0 and those of 1e308 overflow
+        ([[1e-200], [2e-200], [-3e-200]], [[-3e-200], [2e-200], [1e-200]]),
+        ([[1e308], [1.0], [-1e308]], [[-1e308], [1e308], [1.0]]),
+        ([[4.9e200, 0.0], [3e200, 4e200], [0.0, -5.1e-200], [-3e-200, 4e-200]],
+         [[3e200, 4e200], [4.9e200, 0.0], [0.0, -5.1e-200], [-3e-200, 4e-200]]),
+    ],
+)
+def test_mass_layout_ranks_tiny_and_huge_atoms_by_modulus(atoms, want):
+    m = DiscreteLevyMeasure(np.array(atoms), np.arange(1.0, len(atoms) + 1.0))
+    got, weights, _ = mass_layout(m)
+    assert got.tolist() == want
+    assert weights.tolist() == [float(atoms.index(a) + 1) for a in want]
+
 
 def test_transport_single_atom_shell():
     tm = transport_map(DiscreteLevyMeasure.from_pairs([(1.0, 2.0)]))
@@ -400,6 +427,20 @@ def test_config_refusals(doc, message):
 
 
 # -- atom merge ----------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_merge_atoms_at_tolerance_0_matches_the_pair_graph(d):
+    # the pair graph of the tol > 0 path at the least positive tolerance joins
+    # exactly the equal points here, coordinates -0.0 and 0.0 among them
+    least = np.nextafter(0.0, 1.0)
+    rng = np.random.default_rng(10 + d)
+    for _ in range(200):
+        pts = rng.choice([-0.0, 0.0, -2.0, 1.0, 1.5, 3.0], size=(int(rng.integers(0, 40)), d))
+        pts = pts[(pts != 0.0).any(axis=1)]  # no atom at the origin
+        ws = rng.uniform(0.1, 2.0, size=pts.shape[0])
+        got, want = _merge_atoms(pts, ws, 0.0), _merge_atoms(pts, ws, least)
+        assert got.atoms.tobytes() == want.atoms.tobytes() and got.weights.tobytes() == want.weights.tobytes()
+
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_merge_atoms_at_tolerance_0_is_unique_and_add_at(d):
