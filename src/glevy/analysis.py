@@ -26,8 +26,9 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedError, _evaluate
 from .paths import CadlagPath
 from .pide import Grid1D, solve_ipde
-from .regions import Region
-from .uncertainty import DiscreteLevyMeasure, LevyTriple, UncertaintySet, _atom_table, _mask_in, _measure_family, _merge_atoms
+from .regions import Region, _nonzero_rows
+from .uncertainty import DiscreteLevyMeasure, LevyTriple, UncertaintySet, _atom_table, _mask_in, _measure_family
+from .uncertainty import _merge_atoms, _moduli
 
 __all__ = [
     "ProcessSpec",
@@ -148,7 +149,8 @@ def pushforward_set(family, phi: Callable, region: Region | None = None) -> list
     inside = table.restrict(_mask_in(table.atoms, region))
     points = inside.atoms
     images = _evaluate(phi, points, "mark map").reshape(points.shape[0], -1) if points.shape[0] else points
-    keep = np.linalg.norm(images, axis=1) > 1e-12
+    keep = _nonzero_rows(images)
+    keep[keep] = _moduli(images[keep]) > 1e-12
     kept = inside.restrict(keep)
     # each measure's images in its own atom order, merged as one measure
     ends = np.cumsum(np.bincount(kept.row, minlength=kept.n_measures))

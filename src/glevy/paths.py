@@ -11,7 +11,9 @@ starts at zero. Many paths on one sample grid also have a block form,
 ``_Paths``, with the jumps of all paths stored flat; the Monte Carlo estimator
 builds paths this way. ``_check_paths`` is the one statement of what a valid
 path is: it checks a whole block at once, and the constructor checks its
-path as a one-path block. On top of this representation the module provides
+path as a one-path block. ``_owners`` and ``_path_sums`` are the one reader
+of the flat layout: the path of each jump, and each path's sums over its
+jumps in jump order. On top of this representation the module provides
 
 * exact counting of jumps with sizes in a region over half-open windows
   (s, t], and sums of a function of the jump sizes up to a time,
@@ -41,6 +43,7 @@ import numpy as np
 
 from .errors import InvalidInputError, _evaluate, _is_integer
 from .regions import Region, _nonzero_rows
+from .uncertainty import _moduli
 
 __all__ = [
     "CadlagPath",
@@ -207,18 +210,29 @@ class _Paths(NamedTuple):
         lo, hi = self.offsets[i], self.offsets[i + 1]
         return self.grid_times, self.grid_values[i], self.jump_times[lo:hi], self.jump_sizes[lo:hi]
 
-    def terminal_values(self) -> np.ndarray:
-        """The value of every path at the horizon, shape (n, d), in the float order of ``values_at``.
 
-        Jump sizes are added in jump order from 0, one jump rank of the whole
-        block at a time, then the continuous part.
-        """
-        counts = np.diff(self.offsets)
-        jumps = np.zeros((counts.shape[0], self.jump_sizes.shape[1]))
-        for k in range(int(counts.max(initial=0))):
-            has = counts > k
-            jumps[has] += self.jump_sizes[self.offsets[:-1][has] + k]
-        return self.grid_values[:, -1] + jumps
+def _owners(offsets: np.ndarray) -> np.ndarray:
+    """The path of each entry of a block's flat jump arrays: path i owns ``offsets[i]:offsets[i + 1]``."""
+    return np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
+
+
+def _path_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each path's sum of its entries of the (J,) or (J, d) values, shape (n,) or (n, d).
+
+    One ``np.bincount`` per coordinate adds each path's values one by one in
+    jump order from 0.0, as a loop over its jumps would: a path with no
+    entry, or only -0.0 entries, sums to 0.0.
+    """
+    owner, n = _owners(offsets), offsets.shape[0] - 1
+    columns = values.reshape(values.shape[0], math.prod(values.shape[1:])).T
+    # float, as with no entry at all bincount gives integer zeros
+    sums = np.array([np.bincount(owner, weights=w, minlength=n) for w in columns], dtype=float)
+    return sums.T.reshape(n, *values.shape[1:])
+
+
+def _subset(offsets: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The offsets of the jumps that ``keep`` flags in the flat arrays of those jumps alone."""
+    return np.concatenate([[0], np.cumsum(keep)])[offsets]
 
 
 def _same_paths(paths: _Paths, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -234,9 +248,9 @@ def _same_paths(paths: _Paths, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     counts = paths.offsets[a + 1] - lo_a
     same = (counts == paths.offsets[b + 1] - lo_b) & (paths.grid_values[a] == paths.grid_values[b]).all(axis=(1, 2))
     # the jumps of the pairs still equal, each against the partner of its rank
-    m = np.where(same, counts, 0)
-    pair = np.repeat(np.arange(a.shape[0]), m)
-    rank = np.arange(pair.shape[0]) - np.repeat(np.cumsum(m) - m, m)
+    starts = np.concatenate([[0], np.cumsum(np.where(same, counts, 0))])
+    pair = _owners(starts)
+    rank = np.arange(pair.shape[0]) - starts[pair]
     ja, jb = lo_a[pair] + rank, lo_b[pair] + rank
     differ = (paths.jump_times[ja] != paths.jump_times[jb]) | (paths.jump_sizes[ja] != paths.jump_sizes[jb]).any(axis=1)
     same[pair[differ]] = False
@@ -278,12 +292,9 @@ def _faults(paths: _Paths, T: float):
 
     def paths_with(jump_bad: np.ndarray) -> np.ndarray | bool:
         """The paths owning a flagged jump; False when none is flagged."""
-        jumps = jump_bad.nonzero()[0]
-        if not jumps.shape[0]:
+        if not jump_bad.any():
             return False
-        bad = np.zeros(n, dtype=bool)
-        bad[np.searchsorted(offsets, jumps, side="right") - 1] = True
-        return bad
+        return np.diff(_subset(offsets, jump_bad)) > 0
 
     # differences, not comparisons: two infinite times give NaN, not a step
     # back. A step back counts within a path, not onto the first jump of the next
@@ -328,8 +339,9 @@ def poisson_integral(path: CadlagPath, phi: Callable, region: Region, t: float |
     """Sum of phi over jump sizes in the region with jump time <= t.
 
     phi may be scalar- or vector-valued; the return type follows phi (float
-    for scalar phi). The values are summed in jump order. A non-finite value
-    of phi raises :class:`EvaluationError`.
+    for scalar phi). The values are summed in jump order from 0.0, so values
+    that are all -0.0 sum to 0.0. A non-finite value of phi raises
+    :class:`EvaluationError`.
     """
     if t is None:
         t = path.horizon
@@ -340,7 +352,7 @@ def poisson_integral(path: CadlagPath, phi: Callable, region: Region, t: float |
     mask = (path.jump_times <= t) & region.contains(path.jump_sizes)
     if not mask.any():
         return 0.0
-    total = np.cumsum(_evaluate(phi, path.jump_sizes[mask], "integrand"), axis=0)[-1]
+    total = np.cumsum(_evaluate(phi, path.jump_sizes[mask], "integrand"), axis=0)[-1] + 0.0
     return float(total) if total.ndim == 0 else total
 
 
@@ -502,7 +514,7 @@ def skorohod_distance_upper(a: CadlagPath, b: CadlagPath, max_aligned: int = 8) 
     def top_times(p: CadlagPath, m: int) -> np.ndarray:
         if p.n_jumps == 0 or m == 0:
             return np.empty(0)
-        mags = np.linalg.norm(p.jump_sizes, axis=1)
+        mags = _moduli(p.jump_sizes)
         order = np.argsort(-mags, kind="stable")[:m]
         return np.sort(p.jump_times[order])
 

@@ -45,7 +45,9 @@ come from cumulative sums. Each group's block is checked once by
 invariants, so the path objects handed to a payoff are not checked again.
 :func:`_block_values` then evaluates the payoff on the groups, and one
 running sum takes its values. A :class:`BlockPayoff` never becomes paths:
-it reads the flat arrays of each group at once. Three are provided:
+it reads the flat arrays of each group at once, and one ``np.bincount``
+adds each path's jump values one by one in jump order from 0.0
+(:func:`glevy.paths._path_sums`). Three are provided:
 :class:`TerminalPayoff`, a function of X_T alone;
 :class:`PoissonIntegralPayoff`, a function of the Poisson integral of f
 over a region, the integral the Poisson random measure of the path
@@ -74,7 +76,7 @@ import numpy as np
 from scipy import special
 
 from .errors import AssumptionError, EvaluationError, InvalidInputError, PolicyError, _eval_nodes, _evaluate, _is_integer
-from .paths import CadlagPath, _check_paths, _Paths, _same_paths
+from .paths import CadlagPath, _check_paths, _owners, _path_sums, _Paths, _same_paths, _subset
 from .pide import _step_count
 from .regions import Region, _nonzero_rows
 from .uncertainty import DiscreteLevyMeasure, UncertaintySet, _atom_table, _mask_in, _merge_atoms, mass_layout
@@ -208,7 +210,7 @@ def draw_scenario(
     np.cumsum(counts, out=offsets[1:])
     n = int(offsets[-1])
     times = rng.uniform(0.0, horizon, n)
-    times = times[np.lexsort((times, np.repeat(np.arange(n_paths), counts)))]
+    times = times[np.lexsort((times, _owners(offsets)))]
     coords = rng.uniform(0.0, budget, n) if n else np.empty(0)
     segments = model.segments_of(coords) if n else np.empty(0, dtype=int)
     bt = bi = None
@@ -369,7 +371,7 @@ def _assemble_paths(
     # equal times within a path, drop zero sizes
     cand, j = np.nonzero((times > 0.0) & (times <= horizon) & model.active[jump_triples, segments])
     times = times[j]
-    owner = cand * n + np.repeat(np.arange(n), np.diff(block.offsets))[j]
+    owner = cand * n + _owners(block.offsets)[j]
     sizes = model.targets[jump_triples[cand, j], segments[j]]
     opens = np.ones(times.shape[0], dtype=bool)
     opens[1:] = (times[1:] != times[:-1]) | (owner[1:] != owner[:-1])
@@ -450,19 +452,24 @@ class TerminalPayoff(BlockPayoff):
     """The payoff phi(X_T) of a one-dimensional path's value at the horizon.
 
     It sums the terminal values of a whole block from the block's arrays, in
-    the order ``CadlagPath.scalar_value`` adds them, and applies phi to all
-    of them at once, once per group of candidates on their candidate-major
-    values: one vectorized call when phi maps an array to an array of its
-    shape, else one call per value.
+    the order ``CadlagPath.scalar_value`` adds them: each path's jump sizes
+    one by one in jump order from 0.0 (``np.bincount``, see
+    :func:`glevy.paths._path_sums`), then that sum, for a path with jumps, to
+    its last grid value. It applies phi to all of them at once, once per
+    group of candidates on their candidate-major values: one vectorized call
+    when phi maps an array to an array of its shape, else one call per value.
     """
 
     phi: Callable[[float], float]
 
     def block_values(self, paths: _Paths) -> np.ndarray:
-        ends = paths.terminal_values()
-        if ends.shape[1] != 1:
+        if paths.grid_values.shape[2] != 1 or paths.jump_sizes.shape[1] != 1:
             raise InvalidInputError("scalar_value requires a one-dimensional path")
-        return _eval_nodes(self.phi, ends[:, 0], "payoff")
+        # a jumpless path keeps its last grid value, whose sign a 0.0 sum would lose
+        ends = paths.grid_values[:, -1, 0].copy()
+        has = paths.offsets[1:] > paths.offsets[:-1]
+        ends[has] += _path_sums(paths.jump_sizes[:, 0], paths.offsets)[has]
+        return _eval_nodes(self.phi, ends, "payoff")
 
 
 @dataclass(frozen=True)
@@ -474,9 +481,11 @@ class PoissonIntegralPayoff(BlockPayoff):
     jumps in the region, a flat array in d = 1 and an (m, d) array of rows
     otherwise, and must give one real value per jump; else it is called once
     per jump, on a float in d = 1 and on a (d,) row otherwise. Each path's
-    values are added in jump order, as :func:`glevy.paths.poisson_integral`
-    adds them, and phi is applied to every path's sum as
-    :class:`TerminalPayoff` applies it.
+    values are added one by one in jump order from 0.0 (``np.bincount``, see
+    :func:`glevy.paths._path_sums`), as :func:`glevy.paths.poisson_integral`
+    adds them, so a path with no value in the region, or only -0.0 values,
+    sums to 0.0; phi is applied to every path's sum as :class:`TerminalPayoff`
+    applies it.
     """
 
     f: Callable
@@ -484,25 +493,12 @@ class PoissonIntegralPayoff(BlockPayoff):
     phi: Callable[[float], float]
 
     def block_values(self, paths: _Paths) -> np.ndarray:
-        offsets, sizes = paths.offsets, paths.jump_sizes
-        inside = self.region.contains(sizes)
-        nodes = sizes[inside]
+        inside = self.region.contains(paths.jump_sizes)
+        nodes = paths.jump_sizes[inside]
         vals = _eval_nodes(self.f, nodes[:, 0] if nodes.shape[1] == 1 else nodes, "integrand")
         if vals.ndim != 1:
             raise EvaluationError(f"integrand must give one real value per jump, got shape {vals.shape[1:]} each")
-        # each path's values in jump order, one rank at a time; the sums start
-        # at -0.0, which adds to any value without changing it, so each equals
-        # the running sum from its path's first value. A path with no value
-        # in the region sums to 0.0
-        owner = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))[inside]
-        counts = np.bincount(owner, minlength=offsets.shape[0] - 1)
-        starts = np.cumsum(counts) - counts
-        sums = np.full(counts.shape[0], -0.0)
-        for k in range(int(counts.max(initial=0))):
-            has = counts > k
-            sums[has] += vals[starts[has] + k]
-        sums[counts == 0] = 0.0
-        return _eval_nodes(self.phi, sums, "payoff")
+        return _eval_nodes(self.phi, _path_sums(vals, _subset(paths.offsets, inside)), "payoff")
 
 
 @dataclass(frozen=True)
@@ -526,15 +522,13 @@ class KthJumpEvent(BlockPayoff):
     def block_values(self, paths: _Paths) -> np.ndarray:
         offsets, times, sizes = paths.offsets, paths.jump_times, paths.jump_sizes
         hits = self.region_a.contains(sizes)
-        # the rank of a hit within its path: the hits up to it in the block,
-        # less those of the earlier paths
-        seen = np.cumsum(hits)
-        owner = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
-        earlier = np.concatenate([[0], seen])[offsets[:-1]]
-        kth = np.flatnonzero(hits & (seen - earlier[owner] == self.k))
+        k = min(self.k, hits.shape[0] + 1)  # an intp, as no path has more hits than the block has jumps
+        sub = _subset(offsets, hits)
+        has = np.diff(sub) >= k
+        kth = np.flatnonzero(hits)[sub[:-1][has] + k - 1]
         c0, c1 = self.window
         values = np.zeros(offsets.shape[0] - 1)
-        values[owner[kth]] = self.region_b.contains(sizes[kth]) & (c0 <= times[kth]) & (times[kth] <= c1)
+        values[has] = self.region_b.contains(sizes[kth]) & (c0 <= times[kth]) & (times[kth] <= c1)
         return values
 
 
@@ -593,22 +587,21 @@ def _first_equal(paths: _Paths, C: int) -> np.ndarray:
     The group holds C candidates' paths, candidate-major, on one grid.
     Equal paths agree in a key of path index, jump count, continuous value
     at the horizon, and the sums over their jumps of the jump sizes and of
-    jump time times jump size, each added in jump order by ``np.bincount``
-    (a NaN sum, from terms that overflow, reads 0.0). Each round sorts the
-    open paths on this key with one ``np.lexsort``, heads every run of
-    equal keys by its lowest candidate, which is its own lowest match, and
-    settles the paths equal to their head (:func:`glevy.paths._same_paths`);
-    the others, whose key collides with a different path's, stay open.
+    jump time times jump size, each added in jump order by
+    :func:`glevy.paths._path_sums` (a NaN sum, from terms that overflow,
+    reads 0.0). Each round sorts the open paths on this key with one
+    ``np.lexsort``, heads every run of equal keys by its lowest candidate,
+    which is its own lowest match, and settles the paths equal to their head
+    (:func:`glevy.paths._same_paths`); the others, whose key collides with a
+    different path's, stay open.
     """
     n = (paths.offsets.shape[0] - 1) // C
     first = np.tile(np.arange(C), (n, 1))
-    counts = np.diff(paths.offsets)
-    owner = np.repeat(np.arange(C * n), counts)
     with np.errstate(all="ignore"):
         terms = np.hstack([paths.jump_sizes, paths.jump_times[:, None] * paths.jump_sizes])
-    sums = np.array([np.bincount(owner, weights=w, minlength=C * n) for w in terms.T]).reshape(-1, C * n)
+    sums = _path_sums(terms, paths.offsets)
     sums[np.isnan(sums)] = 0.0
-    key = np.vstack([np.tile(np.arange(n), C), counts, paths.grid_values[:, -1].T, sums])
+    key = np.vstack([np.tile(np.arange(n), C), np.diff(paths.offsets), paths.grid_values[:, -1].T, sums.T])
     open_ = np.arange(C * n)
     while open_.shape[0]:
         # lexsort is stable and sorts on its last key first: within a run of

@@ -633,17 +633,6 @@ def transport_map(v: DiscreteLevyMeasure, base: InverseSquareTail | None = None)
 # ---------------------------------------------------------------------------
 
 
-_FAMILY_RULES: dict[str, Callable] = {}
-
-
-def _family_rule(name: str):
-    def deco(fn):
-        _FAMILY_RULES[name] = fn
-        return fn
-
-    return deco
-
-
 def _rule_measure(locations, weights) -> DiscreteLevyMeasure:
     """The measure of a family rule's atoms of nonzero weight.
 
@@ -658,19 +647,16 @@ def _rule_measure(locations, weights) -> DiscreteLevyMeasure:
     return DiscreteLevyMeasure(atoms[keep], weights[keep])
 
 
-@_family_rule("scaled_point_mass")
 def _rule_scaled_point_mass(*, location: float = 1.0, drift: float = 0.0, cov_root: float = 0.0, intensity: float):
     """intensity * delta_location; the intensity is the grid parameter."""
     return LevyTriple(_rule_measure([location], [intensity]), drift, cov_root)
 
 
-@_family_rule("moving_point_mass")
 def _rule_moving_point_mass(*, weight: float = 1.0, drift: float = 0.0, cov_root: float = 0.0, location: float):
     """weight * delta_location; the location is the grid parameter."""
     return LevyTriple(_rule_measure([location], [weight]), drift, cov_root)
 
 
-@_family_rule("two_point_mixture")
 def _rule_two_point_mixture(
     *,
     location_a: float = 1.0,
@@ -683,6 +669,13 @@ def _rule_two_point_mixture(
     """total_mass * (alpha delta_a + (1 - alpha) delta_b); alpha on the grid."""
     weights = [total_mass * alpha, total_mass * (1.0 - alpha)]
     return LevyTriple(_rule_measure([location_a, location_b], weights), drift, cov_root)
+
+
+_FAMILY_RULES: dict[str, Callable] = {
+    "scaled_point_mass": _rule_scaled_point_mass,
+    "moving_point_mass": _rule_moving_point_mass,
+    "two_point_mixture": _rule_two_point_mixture,
+}
 
 
 def uncertainty_set_from_config(doc: dict) -> UncertaintySet:

@@ -163,6 +163,13 @@ def test_pushforward_drops_mass_at_origin():
     assert img.same_as(DiscreteLevyMeasure(np.array([[2.0]]), np.array([0.25])))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_pushforward_takes_moduli_without_overflow_or_underflow(scale):
+    # a huge image is kept, whatever its squares; a tiny one lies within 1e-12 of the origin
+    (img,) = pushforward_set([DiscreteLevyMeasure.delta(1.0)], lambda z: scale * z)
+    assert img.atoms.tolist() == ([[scale]] if scale > 1.0 else [])
+
+
 def test_pushforward_rejects_nonfinite_image():
     m = DiscreteLevyMeasure(np.array([[1.0]]), np.array([1.0]))
     with pytest.raises(EvaluationError):

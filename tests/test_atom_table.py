@@ -129,7 +129,7 @@ def ref_tightness(f, ms, p, eps_seq):
         r = np.linalg.norm(m.atoms, axis=1) if m.n_atoms else np.empty(0)
         keep = vals * m.weights > 0.0
         r, contrib = r[keep], (vals * m.weights)[keep]
-        order = np.argsort(r)
+        order = np.argsort(r, kind="stable")  # equal radii in the measure's atom order, as the tails add them
         per_measure.append((r[order], contrib[order]))
         radii_all.update(r.tolist())
     radii = sorted(radii_all)

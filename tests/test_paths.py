@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import glevy.paths
 from glevy import (
     CadlagPath,
     EvaluationError,
@@ -21,7 +22,17 @@ from glevy import (
     prm_count,
     skorohod_distance_upper,
 )
-from glevy.paths import _check_paths, _Paths, dumps_records, loads_records, read_records, write_records
+from glevy.paths import (
+    _check_paths,
+    _owners,
+    _path_sums,
+    _Paths,
+    _subset,
+    dumps_records,
+    loads_records,
+    read_records,
+    write_records,
+)
 
 
 TWO_JUMPS = CadlagPath.from_jumps([(0.3, 1.5), (0.7, 0.5)], horizon=1.0)
@@ -204,6 +215,61 @@ def test_scalar_value_keeps_the_sign_of_a_jumpless_zero():
     assert math.copysign(1.0, with_jump.scalar_value(0.0)) == 1.0  # -0.0 + the empty jump sum 0.0
 
 
+# -- the flat layout of a block -----------------------------------------------
+
+# summands that keep or lose the sign of a zero, overflow to +-inf and, met, give NaN
+SUMMANDS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 1e-300, 1e308, -1e308])
+
+
+@st.composite
+def flat_block(draw, dim):
+    """Offsets of 1 to 6 paths with 0 to 4 entries each, the last path often empty, and (J,) or (J, dim) values."""
+    counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        counts[-1] = 0
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+    shape = (int(offsets[-1]),) if dim is None else (int(offsets[-1]), dim)
+    size = math.prod(shape)
+    return offsets, np.array(draw(st.lists(SUMMANDS, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+
+def loop_sums(values, offsets):
+    """Each path's sum of each coordinate, a Python loop over its entries from 0.0."""
+    columns = values.reshape(values.shape[0], math.prod(values.shape[1:]))
+    sums = []
+    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        for column in columns.T:
+            total = 0.0
+            for v in column[lo:hi].tolist():
+                total += v
+            sums.append(total)
+    return np.array(sums, dtype=float).reshape(offsets.shape[0] - 1, *values.shape[1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([None, 1, 3]))
+def test_path_sums_add_each_path_from_zero_in_jump_order(data, dim):
+    offsets, values = data.draw(flat_block(dim))
+    counts = np.diff(offsets).tolist()
+    assert _owners(offsets).tolist() == [i for i, c in enumerate(counts) for _ in range(c)]
+    got = _path_sums(values, offsets)
+    assert got.dtype == np.float64 and got.shape == (len(counts), *values.shape[1:])
+    assert got.tobytes() == loop_sums(values, offsets).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_subset_offsets_match_a_loop_over_the_kept_jumps(data):
+    offsets, _ = data.draw(flat_block(None))
+    J = int(offsets[-1])
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=J, max_size=J)), dtype=bool)
+    sub = _subset(offsets, keep)
+    kept = np.flatnonzero(keep)  # the flat index of each kept jump
+    assert sub.shape == offsets.shape
+    for i, (lo, hi) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
+        assert kept[sub[i] : sub[i + 1]].tolist() == [j for j in range(lo, hi) if keep[j]]
+
+
 # -- prm_count ----------------------------------------------------------------
 
 def test_prm_count_size_window():
@@ -259,6 +325,13 @@ def test_poisson_integral_indicator_equals_count():
     region = Region.open_interval(0.0, 2.0)
     got = poisson_integral(TWO_JUMPS, lambda z: np.ones_like(z), region, 1.0)
     assert got == prm_count(TWO_JUMPS, 0.0, 1.0, region)
+
+
+def test_vector_poisson_integral_of_negative_zeros_is_positive_zero():
+    # summed from 0.0, as the block payoffs sum, like an integral over no jump
+    path = CadlagPath(1.0, [0.0, 1.0], np.zeros((2, 2)), [0.5, 0.7], [[1.0, 2.0], [3.0, -1.0]])
+    got = poisson_integral(path, lambda z: -0.0 * np.abs(z), Region.full_space())
+    assert np.copysign(1.0, got).tolist() == [1.0, 1.0]
 
 
 def test_poisson_integral_nonfinite_rejected():
@@ -495,6 +568,22 @@ def test_skorohod_symmetric_and_nonnegative():
         dba = skorohod_distance_upper(b, a)
         assert dab >= 0.0 and dba >= 0.0
         assert dab == pytest.approx(dba, abs=1e-12)
+
+
+@pytest.mark.parametrize("jumps", [[(0.2, 1e308), (0.6, -1e308)], [(0.3, 1e308)]])
+def test_skorohod_distance_of_a_path_to_itself_is_zero_at_huge_jumps(jumps):
+    path = jump_path(jumps)
+    assert skorohod_distance_upper(path, path) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-200, 5e307])
+def test_skorohod_aligns_the_largest_jump_at_any_scale(monkeypatch, scale):
+    # jumps whose squares underflow or overflow still rank by size: the largest is the one at 0.5
+    path = jump_path([(0.2, scale), (0.5, 3.0 * scale), (0.8, -2.0 * scale)])
+    anchors = []
+    monkeypatch.setattr(glevy.paths, "_sup_difference", lambda a, b, xs, ys: anchors.append(xs.tolist()) or 0.0)
+    skorohod_distance_upper(path, path, max_aligned=1)
+    assert anchors == [[0.0, 1.0], [0.0, 0.5, 1.0]]
 
 
 def test_skorohod_rejects_mismatched_horizons():

@@ -1070,6 +1070,23 @@ def test_terminal_payoff_on_a_path_is_phi_of_the_terminal_value():
     assert TerminalPayoff(lambda x: x * x)(path) == path.scalar_value(2.0) ** 2
 
 
+def one_block(paths):
+    """Paths on one grid as one block, in the order given."""
+    offsets = np.concatenate([[0], np.cumsum([p.n_jumps for p in paths])])
+    jumps = [np.concatenate([getattr(p, name) for p in paths]) for name in ("jump_times", "jump_sizes")]
+    return _Paths(paths[0].grid_times, np.stack([p.grid_values for p in paths]), offsets, *jumps)
+
+
+def test_terminal_payoff_keeps_the_sign_of_a_jumpless_zero():
+    jumps = [([], np.empty((0, 1))), ([0.5], [[1.0]]), ([0.25, 0.5], [[1.0], [-1.0]])]
+    paths = [CadlagPath(1.0, [0.0, 1.0], [[0.0], [end]], jt, js) for end in (0.0, -0.0) for jt, js in jumps]
+    payoff = TerminalPayoff(lambda x: x)
+    want = [math.copysign(1.0, p.scalar_value(1.0)) for p in paths]
+    assert want == [1.0, 1.0, 1.0, -1.0, 1.0, 1.0]
+    assert [math.copysign(1.0, payoff(p)) for p in paths] == want
+    assert np.copysign(1.0, payoff.block_values(one_block(paths))).tolist() == want
+
+
 def test_terminal_payoff_refuses_multidimensional_sets():
     d2 = UncertaintySet((LevyTriple(DiscreteLevyMeasure(np.array([[1.0, 0.5]]), np.array([1.0]))),))
     pols = constant_policies(d2, 1.0)
@@ -1186,6 +1203,51 @@ def test_jump_payoffs_match_their_per_path_references(seed, kind):
                 path = CadlagPath._unchecked(1.0, *paths.arrays(k * block.n_paths + i))
                 assert events[i, c] == (1.0 if reference(path) else 0.0) == event(path)
                 assert integrals[i, c] == float(phi(poisson_integral(path, f, region_a))) == integral(path)
+
+
+@st.composite
+def jump_blocks(draw):
+    """A one-dimensional block of 1 to 6 paths with 0 to 5 jumps each at eighths of [0, 1], the last often jumpless."""
+    counts = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        counts[-1] = 0
+    eighths = (np.arange(8) + 1.0) / 8.0
+    times = [sorted(draw(st.lists(st.sampled_from(eighths), min_size=c, max_size=c, unique=True))) for c in counts]
+    sizes = draw(st.lists(st.sampled_from(STEPS.tolist()), min_size=sum(counts), max_size=sum(counts)))
+    paths, at = [], 0
+    for jt in times:
+        paths.append(CadlagPath(1.0, [0.0, 1.0], [[0.0], [0.5]], jt, np.reshape(sizes[at : at + len(jt)], (-1, 1))))
+        at += len(jt)
+    return paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    paths=jump_blocks(),
+    k=st.sampled_from([1, 2, 3, 6, 2**64]),
+    region_a=st.sampled_from([Region.full_space(), Region.open_interval(0.75, 2.25), Region.interval(-1.0, 1.0)]),
+    region_b=st.sampled_from([Region.full_space(), Region.point_set([1.0, 2.0])]),
+    window=st.sampled_from([(0.0, 1.0), (0.25, 0.625), (0.5, math.inf)]),
+)
+def test_jump_payoffs_on_blocks_with_empty_paths_equal_their_one_path_calls(paths, k, region_a, region_b, window):
+    # f is -0.0 at a jump of size 1, so a sum of such values is a zero of either sign
+    f = lambda z: -np.tanh(1.0 - np.asarray(z))
+    event = KthJumpEvent(region_a, k, region_b, window)
+    integral = PoissonIntegralPayoff(f, region_a, lambda s: s)
+    block = one_block(paths)
+    events, integrals = event.block_values(block), integral.block_values(block)
+    reference = kth_jump_reference(region_a, region_b, k, window)
+    assert events.shape == integrals.shape == (len(paths),)
+    for path, got_event, got_integral in zip(paths, events.tolist(), integrals.tolist()):
+        assert got_event == event(path) == (1.0 if reference(path) else 0.0)
+        assert float.hex(got_integral) == float.hex(integral(path)) == float.hex(poisson_integral(path, f, region_a))
+
+
+def test_poisson_integral_payoff_of_negative_zeros_is_positive_zero():
+    path = CadlagPath.from_jumps([(0.3, 1.5), (0.7, 0.5)], 1.0)
+    f, region = lambda z: -0.0 * np.asarray(z), Region.full_space()
+    got = [poisson_integral(path, f, region), PoissonIntegralPayoff(f, region, lambda s: s)(path)]
+    assert [math.copysign(1.0, x) for x in got] == [1.0, 1.0]
 
 
 def handmade_block():
